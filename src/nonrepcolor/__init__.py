@@ -14,14 +14,22 @@ from .model import (
     path_graph,
 )
 from .decide import (
+    PROPERTIES,
     Witness,
     exists_repetitive_nonboring_walk,
     exists_repetitive_path,
     exists_repetitive_stroll,
+    find_witness,
     is_walk_nonrepetitive_cycle_fast,
 )
 from .oracle import OracleVerdict, brute_force_check
-from .search import SolveReport, search_fixed_k, solve, verify_certificate
+from .search import (
+    BudgetExhausted,
+    SolveReport,
+    final_check,
+    search_fixed_k,
+    solve,
+)
 from .saseq import (
     FORBIDDEN_WORDS,
     LONGEST_H_FREE_WORD,

@@ -1,7 +1,8 @@
 """Command-line surface: verify / solve / sa / construct / reproduce.
 
 Exit codes: 0 property holds (all claims pass), 1 property fails (witness
-printed), 2 usage error, 3 budget exhausted (partial report).  All JSON
+printed), 2 usage error, 3 budget exhausted (partial report), 4 internal
+error (a construction failed its own checks).  All JSON
 outputs carry a "schema": 1 field.  The NONREP_BUDGET environment variable
 overrides the default search node budget.
 """
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -101,12 +103,7 @@ def cmd_verify(args) -> int:
               f"FAIL: vertices {pair[0]} and {pair[1]} are within distance 2 "
               f"and share color {c.colors[pair[0]]}")
         return EXIT_FAIL
-    if prop == "path":
-        w = decide.exists_repetitive_path(g, c)
-    elif prop == "stroll":
-        w = decide.exists_repetitive_stroll(g, c)
-    else:
-        w = decide.exists_repetitive_nonboring_walk(g, c)
+    w = decide.find_witness(g, c, prop)
     if w is None:
         _emit(args, {"property": prop, "holds": True},
               f"OK: coloring is {prop}-nonrepetitive")
@@ -209,12 +206,8 @@ def cmd_construct(args) -> int:
               f"sigma(C{args.n}) = {value}: {c.to_digits()}")
         return EXIT_OK
     if what == "sigma-cycle":
-        try:
-            trace, c = construct.sigma_cycle_coloring(
-                args.n, node_budget=_node_budget(args))
-        except RuntimeError as exc:
-            print(f"ABORTED: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+        trace, c = construct.sigma_cycle_coloring(
+            args.n, node_budget=_node_budget(args))
         payload = {"n": args.n, "value": 4, "coloring": c.to_digits()}
         if args.trace:
             payload["trace"] = trace.to_json_dict()
@@ -224,11 +217,7 @@ def cmd_construct(args) -> int:
     if what in ("rho-path", "rho-cycle"):
         builder = (construct.rho_path_coloring if what == "rho-path"
                    else construct.rho_cycle_coloring)
-        try:
-            value, c = builder(args.n, node_budget=_node_budget(args))
-        except RuntimeError as exc:
-            print(f"ABORTED: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+        value, c = builder(args.n, node_budget=_node_budget(args))
         kind = "P" if what == "rho-path" else "C"
         _emit(args, {"n": args.n, "value": value, "coloring": c.to_digits()},
               f"rho({kind}{args.n}) = {value}: {c.to_digits()}")
@@ -283,14 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     _add_coloring_args(p)
     p.add_argument("--property", required=True,
-                   choices=("path", "stroll", "walk", "dist2"))
+                   choices=(*decide.PROPERTIES, "dist2"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="exact chromatic value by backtracking")
     _add_graph_arg(p)
-    p.add_argument("--property", required=True,
-                   choices=("path", "stroll", "walk"))
+    p.add_argument("--property", required=True, choices=decide.PROPERTIES)
     p.add_argument("--max-colors", type=int, required=True)
     p.add_argument("--budget", type=int, help="node budget override")
     p.add_argument("--json", action="store_true")
@@ -333,12 +321,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvalidArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except search.BudgetExhausted as exc:
+        print(f"ABORTED: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

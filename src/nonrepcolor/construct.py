@@ -84,6 +84,12 @@ class ConstructionTrace:
         return json.dumps(self.to_json_dict())
 
 
+def _require(ok: bool, fact: str) -> None:
+    """Proof obligation of a construction; unlike assert, kept under -O."""
+    if not ok:
+        raise RuntimeError(f"proof obligation failed: {fact}")
+
+
 def table1_coloring(n: int):
     """Embedded minimum walk-nonrepetitive coloring of C_n, 4 <= n <= 21."""
     if n not in WALK_NONREP_CYCLE_TABLE:
@@ -117,10 +123,9 @@ def classify_edges(g: Graph, c: Coloring) -> list:
         u, v = 2 * i, 2 * i + 1
         good = not (is_symmetrical(g, c, u) or is_symmetrical(g, c, v))
         out.append(EdgeClass((u, v), good))
-    if k >= 8 and sum(e.good for e in out) < 2:
-        raise RuntimeError(
-            "internal error: fewer than two good matching edges on an even "
-            "cycle of length >= 16 with a path-nonrepetitive 3-coloring")
+    _require(k < 8 or sum(e.good for e in out) >= 2,
+             "a path-nonrepetitive 3-coloring of an even cycle of length "
+             ">= 16 leaves at least two good matching edges")
     return out
 
 
@@ -157,24 +162,26 @@ def sigma_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
             f"desk-scale cap exceeded (n <= {SIGMA_CYCLE_MAX_N})")
     k = math.ceil(n / 3)
     m = 3 * k - n
-    assert m in (0, 1, 2) and k >= 8
+    _require(m in (0, 1, 2) and k >= 8, f"bad base size k={k}, m={m}")
     base_graph = cycle_graph(2 * k)
     report = search.solve(base_graph, "path", 3, node_budget=node_budget)
     if report.aborted:
-        raise RuntimeError("base path-nonrepetitive search exceeded its budget")
-    assert report.value == 3, "even cycles of length >= 16 are 3-path-colorable"
+        raise search.BudgetExhausted(
+            "base path-nonrepetitive search exceeded its budget")
+    _require(report.value == 3,
+             "even cycles of length >= 16 are 3-path-colorable")
     base = report.certificate
     classes = classify_edges(base_graph, base)
     good = [i for i, e in enumerate(classes) if e.good]
     removed = good[:m]
     keep = [i for i in range(k) if i not in set(removed)]
     g, coloring = subdivide_cycle(base, keep)
-    assert g.n == n
+    _require(g.n == n, f"subdivided cycle has {g.n} vertices, not {n}")
     # symmetrical base vertices must all sit on a subdivided edge
     kept = set(keep)
-    for v in range(2 * k):
-        if is_symmetrical(base_graph, base, v):
-            assert v // 2 in kept, "symmetrical vertex left uncovered"
+    _require(all(v // 2 in kept for v in range(2 * k)
+                 if is_symmetrical(base_graph, base, v)),
+             "symmetrical vertex left uncovered")
     if decide.exists_repetitive_nonboring_walk(g, coloring) is not None:
         raise RuntimeError("constructed coloring failed self-verification")
     trace = ConstructionTrace(
@@ -205,8 +212,11 @@ def rho_path_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     else:
         cert, _, aborted = search.search_fixed_k(
             g, "stroll", 4, node_budget=node_budget)
-        if aborted or cert is None:
-            raise RuntimeError("stroll certificate search failed for the path")
+        if aborted:
+            raise search.BudgetExhausted(
+                "stroll certificate search exceeded its budget")
+        _require(cert is not None,
+                 "no stroll-nonrepetitive 4-coloring of the path")
         value, coloring = 4, cert
     if decide.exists_repetitive_stroll(g, coloring) is not None:
         raise RuntimeError("constructed coloring failed self-verification")

@@ -23,6 +23,8 @@ from .model import (
     is_distance2,
 )
 
+PROPERTIES = ("path", "stroll", "walk")
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -33,7 +35,7 @@ class Witness:
     violated: str  # "path" | "stroll" | "walk"
 
     def __post_init__(self):
-        if self.violated not in ("path", "stroll", "walk"):
+        if self.violated not in PROPERTIES:
             raise InvalidArgumentError(f"unknown property {self.violated!r}")
         if self.walk_class.repetitive is not True:
             raise InvalidArgumentError("witness walk must be repetitive")
@@ -182,6 +184,21 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
                 else:
                     iters.append(iter(adj[nxt]))
     return None
+
+
+def find_witness(g: Graph, c: Coloring, property: str) -> Optional[Witness]:
+    """The witness found by the property's decider, or None iff c has it.
+
+    The deciders are looked up by module attribute on every call, so code
+    that replaces one (a tracer, a test) sees every dispatch.
+    """
+    if property == "path":
+        return exists_repetitive_path(g, c)
+    if property == "stroll":
+        return exists_repetitive_stroll(g, c)
+    if property == "walk":
+        return exists_repetitive_nonboring_walk(g, c)
+    raise InvalidArgumentError(f"unknown property {property!r}")
 
 
 def is_walk_nonrepetitive_cycle_fast(g: Graph, c: Coloring) -> bool:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 
@@ -56,13 +57,20 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def is_cycle(self) -> bool:
-        """True iff the graph is a single cycle (connected, all degrees 2)."""
-        if self.n < 3 or len(self.edges) != self.n:
-            return False
-        if any(self.degree(v) != 2 for v in range(self.n)):
-            return False
-        # connectivity: walk from 0
+    @cached_property
+    def shape(self) -> str:
+        """Kind of graph: "path" (a lone vertex too), "cycle" or "graph".
+
+        Computed on first use: most graphs (prefix paths built during search)
+        never ask.
+        """
+        degs = sorted(len(a) for a in self._adj)
+        if degs == [0] or (degs[:2] == [1, 1] and set(degs[2:]) <= {2}):
+            kind = "path"
+        elif degs and degs[0] == degs[-1] == 2:
+            kind = "cycle"
+        else:
+            return "graph"
         seen = {0}
         stack = [0]
         while stack:
@@ -70,25 +78,13 @@ class Graph:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == self.n
+        return kind if len(seen) == self.n else "graph"
+
+    def is_cycle(self) -> bool:
+        return self.shape == "cycle"
 
     def is_path(self) -> bool:
-        """True iff the graph is a single path (possibly a lone vertex)."""
-        if self.n == 1:
-            return not self.edges
-        if len(self.edges) != self.n - 1:
-            return False
-        degs = sorted(self.degree(v) for v in range(self.n))
-        if degs[:2] != [1, 1] or any(d != 2 for d in degs[2:]):
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return self.shape == "path"
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": sorted(map(list, self.edges))})
@@ -142,7 +138,7 @@ class Coloring:
         """Parse the digit-string interchange form, e.g. '12341243' (k <= 9)."""
         if not text or not text.isdigit():
             raise InvalidArgumentError(f"not a digit-string coloring: {text!r}")
-        return Coloring.from_colors(int(ch) for ch in text)
+        return Coloring.from_colors((int(ch) for ch in text), k)
 
     @property
     def n(self) -> int:

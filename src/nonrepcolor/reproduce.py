@@ -8,6 +8,7 @@ acceptance tests are both built on these.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Optional
 
@@ -19,72 +20,69 @@ CURRIE_EXCEPTIONAL = frozenset({5, 7, 9, 10, 14, 17})
 STROLL_CYCLE_3 = frozenset({3, 4, 6, 8})
 
 
+class _OutOfTime(Exception):
+    pass
+
+
 class _Run:
     def __init__(self, budget: Optional[float]):
         self.rows = []
         self.deadline = None if budget is None else time.perf_counter() + budget
-        self.aborted = False
-
-    def out_of_time(self) -> bool:
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            self.aborted = True
-        return self.aborted
 
     def add(self, check: str, ok: bool, detail: str = "") -> None:
+        """Record one row; stop the claim once its deadline has passed."""
         self.rows.append({"check": check, "pass": bool(ok), "detail": detail})
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise _OutOfTime()
 
-    def result(self):
-        return self.rows, self.aborted
+
+def _claim(body):
+    """Public form of a claim body: claim(budget=None) -> (rows, aborted)."""
+    @functools.wraps(body)
+    def claim(budget: Optional[float] = None):
+        run = _Run(budget)
+        try:
+            body(run)
+        except _OutOfTime:
+            return run.rows, True
+        return run.rows, False
+    return claim
 
 
-def claim_table1(budget: Optional[float] = None, stretch: bool = False):
+@_claim
+def claim_table1(run):
     """Embedded cycle table: every row walk-verifies; small lower bounds exhaust."""
-    run = _Run(budget)
     for n in range(4, 22):
         value, c = construct.table1_coloring(n)
         ok = decide.exists_repetitive_nonboring_walk(cycle_graph(n), c) is None
         tight = c.colors_used() == value
         run.add(f"C{n} row verifies with {value} colors", ok and tight)
-        if run.out_of_time():
-            return run.result()
-    bound_ns = range(4, 22 if stretch else 13)
-    for n in bound_ns:
-        if run.out_of_time():
-            return run.result()
+    for n in range(4, 22):
         r = search.solve(cycle_graph(n), "walk", 3)
         run.add(f"C{n}: no walk-nonrepetitive 3-coloring",
                 not r.aborted and r.value is None,
                 f"nodes={r.nodes_visited}")
     for n in (5, 7):
-        if run.out_of_time():
-            return run.result()
         r = search.solve(cycle_graph(n), "walk", 4)
         run.add(f"C{n}: no walk-nonrepetitive 4-coloring",
                 not r.aborted and r.value is None,
                 f"nodes={r.nodes_visited}")
-    return run.result()
 
 
-def claim_currie(budget: Optional[float] = None, stretch: bool = False):
+@_claim
+def claim_currie(run):
     """Path-nonrepetitive chromatic values of small cycles."""
-    run = _Run(budget)
-    top = 17 if stretch else 12
-    for n in range(3, top + 1):
-        if run.out_of_time():
-            return run.result()
+    for n in range(3, 18):
         want = 4 if n in CURRIE_EXCEPTIONAL else 3
         r = search.solve(cycle_graph(n), "path", 4)
         run.add(f"pi(C{n}) = {want}", not r.aborted and r.value == want,
                 f"got {r.value}")
-    return run.result()
 
 
-def claim_thm1(budget: Optional[float] = None, n_range=range(22, 41)):
+@_claim
+def claim_thm1(run):
     """Subdivision construction succeeds and self-verifies beyond the table."""
-    run = _Run(budget)
-    for n in n_range:
-        if run.out_of_time():
-            return run.result()
+    for n in range(22, 41):
         try:
             trace, c = construct.sigma_cycle_coloring(n)
         except RuntimeError as exc:
@@ -97,40 +95,31 @@ def claim_thm1(budget: Optional[float] = None, n_range=range(22, 41)):
         run.add(f"C{n}: 4-coloring built and walk-verifies",
                 arith and c.colors_used() == 4,
                 f"base C{k2}, m={m}")
-    return run.result()
 
 
-def claim_thm2(budget: Optional[float] = None):
+@_claim
+def claim_thm2(run):
     """Stroll chromatic values of paths: 3 up to 21 vertices, then 4."""
-    run = _Run(budget)
     word = Coloring.from_colors(construct.STROLL_NONREP_P21)
     run.add("21-vertex word is stroll-nonrepetitive",
             decide.exists_repetitive_stroll(path_graph(21), word) is None)
-    if not run.out_of_time():
-        r = search.solve(path_graph(22), "stroll", 3)
-        run.add("P22: no stroll-nonrepetitive 3-coloring (search)",
-                not r.aborted and r.value is None, f"nodes={r.nodes_visited}")
-    if not run.out_of_time():
-        _, max_len = saseq.enumerate_h_free(20)
-        run.add("P22: no stroll-nonrepetitive 3-coloring (word route)",
-                max_len == 19, f"longest forbidden-factor-free word: {max_len}")
+    r = search.solve(path_graph(22), "stroll", 3)
+    run.add("P22: no stroll-nonrepetitive 3-coloring (search)",
+            not r.aborted and r.value is None, f"nodes={r.nodes_visited}")
+    _, max_len = saseq.enumerate_h_free(20)
+    run.add("P22: no stroll-nonrepetitive 3-coloring (word route)",
+            max_len == 19, f"longest forbidden-factor-free word: {max_len}")
     for n in (4, 10, 21):
-        if run.out_of_time():
-            return run.result()
         r = search.solve(path_graph(n), "stroll", 4)
         run.add(f"rho(P{n}) = 3", not r.aborted and r.value == 3, f"got {r.value}")
-    if not run.out_of_time():
-        r = search.solve(path_graph(22), "stroll", 4)
-        run.add("rho(P22) = 4", not r.aborted and r.value == 4, f"got {r.value}")
-    return run.result()
+    r = search.solve(path_graph(22), "stroll", 4)
+    run.add("rho(P22) = 4", not r.aborted and r.value == 4, f"got {r.value}")
 
 
-def claim_thm3(budget: Optional[float] = None):
+@_claim
+def claim_thm3(run):
     """Stroll chromatic values of small cycles, plus the two explicit words."""
-    run = _Run(budget)
     for n in range(3, 13):
-        if run.out_of_time():
-            return run.result()
         want = 3 if n in STROLL_CYCLE_3 else 4
         r = search.solve(cycle_graph(n), "stroll", 4)
         run.add(f"rho(C{n}) = {want}", not r.aborted and r.value == want,
@@ -139,10 +128,10 @@ def claim_thm3(budget: Optional[float] = None):
         c = Coloring.from_digits(digits)
         run.add(f"C{n} coloring {digits} is stroll-nonrepetitive",
                 decide.exists_repetitive_stroll(cycle_graph(n), c) is None)
-    return run.result()
 
 
-def claim_lemma4(budget: Optional[float] = None):
+@_claim
+def claim_lemma4(run):
     """Each forbidden word's stroll verifies under its decoded coloring."""
     expected = {
         "SS": (1, 2, 1, 2),
@@ -151,7 +140,6 @@ def claim_lemma4(budget: Optional[float] = None):
         "AASAASAA": (2, 1, 2, 3, 1, 3, 2, 1, 2, 3, 1, 3),
         "AAASAAASAAA": (3, 2, 1, 2, 3, 1, 2, 1, 3, 2, 1, 2, 3, 1, 2, 1),
     }
-    run = _Run(budget)
     for h in saseq.FORBIDDEN_WORDS:
         n, walk, seq = saseq.h_witness_stroll(h)
         g = path_graph(n)
@@ -162,12 +150,11 @@ def claim_lemma4(budget: Optional[float] = None):
                 wc.stroll and wc.repetitive is True and seq == expected[h])
         run.add(f"{h}: decider finds a repetitive stroll",
                 decide.exists_repetitive_stroll(g, c) is not None)
-    return run.result()
 
 
-def claim_lemma5(budget: Optional[float] = None):
+@_claim
+def claim_lemma5(run):
     """Longest word avoiding the five forbidden factors has length 19."""
-    run = _Run(budget)
     words, max_len = saseq.enumerate_h_free(25)
     longest = [w for w in words if len(w) == max_len]
     run.add("maximum factor-free length is 19", max_len == 19, f"got {max_len}")
@@ -176,12 +163,11 @@ def claim_lemma5(budget: Optional[float] = None):
             f"{len(longest)} maximal word(s)")
     run.add("no factor-free word of length 20",
             all(len(w) <= 19 for w in words))
-    return run.result()
 
 
-def claim_fig1(budget: Optional[float] = None):
+@_claim
+def claim_fig1(run):
     """Unicyclic fixture: distance-2 and path-nonrepetitive but not walk."""
-    run = _Run(budget)
     g, c = construct.figure1_fixture()
     run.add("fixture is a distance-2 coloring", is_distance2(g, c) is None)
     run.add("fixture is path-nonrepetitive",
@@ -189,7 +175,6 @@ def claim_fig1(budget: Optional[float] = None):
     w = decide.exists_repetitive_nonboring_walk(g, c)
     run.add("fixture has a repetitive nonboring walk", w is not None,
             "" if w is None else f"witness {list(w.walk.vertices)}")
-    return run.result()
 
 
 def _symmetry_broken_colorings(n: int, k: int):
@@ -204,14 +189,14 @@ def _symmetry_broken_colorings(n: int, k: int):
     yield from rec([], 0)
 
 
-def claim_hierarchy(budget: Optional[float] = None):
+@_claim
+def claim_hierarchy(run):
     """Cycle characterization and the chromatic hierarchy, exhaustively.
 
     Over all 3- and 4-colorings of C_4..C_8 (up to color permutation):
     walk-nonrepetitive iff distance-2 and path-nonrepetitive, and
     walk-nonrepetitive => stroll-nonrepetitive => path-nonrepetitive.
     """
-    run = _Run(budget)
     for n in range(4, 9):
         g = cycle_graph(n)
         equiv_bad = hier_bad = 0
@@ -232,9 +217,6 @@ def claim_hierarchy(budget: Optional[float] = None):
                 equiv_bad == 0, f"{count} colorings")
         run.add(f"C{n}: walk => stroll => path hierarchy", hier_bad == 0,
                 f"{count} colorings")
-        if run.out_of_time():
-            return run.result()
-    return run.result()
 
 
 CLAIMS: dict = {
@@ -263,9 +245,9 @@ DEFAULT_BUDGETS = {
 }
 
 
-def run_claim(name: str, budget: Optional[float] = None, **kwargs):
+def run_claim(name: str, budget: Optional[float] = None):
     if name not in CLAIMS:
         raise KeyError(name)
     if budget is None:
         budget = DEFAULT_BUDGETS[name]
-    return CLAIMS[name](budget=budget, **kwargs)
+    return CLAIMS[name](budget=budget)

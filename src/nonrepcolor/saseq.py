@@ -16,8 +16,6 @@ from .model import (
     Graph,
     InvalidArgumentError,
     Walk,
-    cycle_graph,
-    path_graph,
 )
 
 FORBIDDEN_WORDS = ("SS", "AAAA", "ASASA", "AASAASAA", "AAASAAASAAA")
@@ -52,9 +50,9 @@ def encode_sa(g: Graph, c: Coloring) -> str:
         raise InvalidArgumentError("coloring size does not match graph")
     if max(c.colors) > 3:
         raise InvalidArgumentError("SA encoding requires a 3-coloring")
-    is_path, is_cyc = g.is_path(), g.is_cycle()
-    if not (is_path or is_cyc):
+    if g.shape == "graph":
         raise InvalidArgumentError("SA encoding applies to paths and cycles")
+    is_cyc = g.shape == "cycle"
     cols = c.colors
     for u, v in g.edges:
         # the wrap edge of a cycle may be improper: closure contradictions
@@ -177,12 +175,3 @@ def h_witness_stroll(h: str):
     seq = coloring.sequence_of(walk.vertices)
     return n, walk, seq
 
-
-def path_for_word(word: str) -> Graph:
-    """Path graph matching a decoded interior word."""
-    return path_graph(len(word) + 2)
-
-
-def cycle_for_word(word: str) -> Graph:
-    """Cycle graph matching a full cyclic word."""
-    return cycle_graph(len(word))

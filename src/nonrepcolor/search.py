@@ -63,16 +63,15 @@ class SolveReport:
 
 
 def _graph_descriptor(g: Graph) -> dict:
-    if g.is_path():
-        return {"kind": "path", "n": g.n}
-    if g.is_cycle():
-        return {"kind": "cycle", "n": g.n}
-    return {"kind": "graph", "n": g.n, "edges": sorted(map(list, g.edges))}
+    desc = {"kind": g.shape, "n": g.n}
+    if g.shape == "graph":
+        desc["edges"] = sorted(map(list, g.edges))
+    return desc
 
 
 def _vertex_order(g: Graph) -> list:
     """Natural order on paths/cycles, otherwise BFS from vertex 0."""
-    if g.is_path() or g.is_cycle():
+    if g.shape != "graph":
         return list(range(g.n))
     order, seen = [], set()
     for root in range(g.n):
@@ -91,18 +90,12 @@ def _vertex_order(g: Graph) -> list:
 
 
 def final_check(g: Graph, c: Coloring, property: str) -> bool:
-    if property == "path":
-        return decide.exists_repetitive_path(g, c) is None
-    if property == "stroll":
-        return decide.exists_repetitive_stroll(g, c) is None
-    if property == "walk":
-        return decide.exists_repetitive_nonboring_walk(g, c) is None
-    raise InvalidArgumentError(f"unknown property {property!r}")
+    """True iff the property's decider finds no violating witness."""
+    return decide.find_witness(g, c, property) is None
 
 
-def verify_certificate(g: Graph, c: Coloring, property: str) -> bool:
-    """True iff the relevant decider finds no violating witness."""
-    return final_check(g, c, property)
+class BudgetExhausted(RuntimeError):
+    """A search stopped at its node budget; no claim can be made."""
 
 
 class _Budget(Exception):
@@ -115,12 +108,14 @@ class _Searcher:
         self.property = property
         self.k = k
         self.order = order
-        self.pos = {v: i for i, v in enumerate(order)}
         self.node_budget = node_budget
         self.symmetry_break = symmetry_break
-        self.prune = prune
+        # prefix facts inherited from the property (see _prefix_ok)
+        linear = g.shape != "graph"
+        self.dist2 = prune and property == "walk"
+        self.squares = prune and linear and property != "stroll"
+        self.stroll_prefix = prune and linear and property == "stroll"
         self.nodes = 0
-        self.linear = g.is_path() or g.is_cycle()
         self.colors = [0] * g.n  # 0 = uncolored
         self.found: Optional[Coloring] = None
 
@@ -137,22 +132,20 @@ class _Searcher:
         for w in g.neighbors(v):
             if colors[w] == col:
                 return False
-        if not self.prune:
-            return True
-        if self.property == "walk":
+        if self.dist2:
             # distance-2: v against colored vertices two steps away
             for x in g.neighbors(v):
                 for w in g.neighbors(x):
                     if w != v and colors[w] == col:
                         return False
-        if self.linear and self.property in ("path", "walk"):
+        if self.squares:
             # contiguous even segments of the colored arc ending at depth
             pref = [colors[self.order[i]] for i in range(depth + 1)]
             for t in range(2, depth // 2 + 2):
                 seg = pref[depth + 1 - 2 * t: depth + 1]
                 if len(seg) == 2 * t and seg[:t] == seg[t:]:
                     return False
-        if self.property == "stroll" and self.linear and depth >= 3:
+        if self.stroll_prefix and depth >= 3:
             # the colored prefix along a path/cycle arc is an induced path;
             # any repetitive stroll inside it survives in the full graph
             sub = path_graph(depth + 1)
@@ -198,7 +191,7 @@ def search_fixed_k(
     Returns (coloring or None, nodes, aborted).  None with aborted=False is
     a completed exhaustion proof for this k.
     """
-    if property not in ("path", "stroll", "walk"):
+    if property not in decide.PROPERTIES:
         raise InvalidArgumentError(f"unknown property {property!r}")
     s = _Searcher(g, property, k, _vertex_order(g), node_budget,
                   symmetry_break, prune)
@@ -219,7 +212,7 @@ def solve(
 ) -> SolveReport:
     """Smallest k <= k_max with a property-nonrepetitive k-coloring.
 
-    The certificate passes verify_certificate; each smaller k carries a
+    The certificate passes final_check; each smaller k carries a
     completed-exhaustion proof (listed in exhausted_k).  Budget exhaustion
     yields an aborted report with no chromatic claim.
     """

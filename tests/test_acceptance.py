@@ -5,7 +5,6 @@ without -s pytest still shows them for any failing criterion.
 """
 
 import itertools
-import os
 
 import pytest
 
@@ -14,16 +13,14 @@ from nonrepcolor.construct import figure1_fixture, sigma_cycle_coloring
 from nonrepcolor.model import Coloring, cycle_graph, is_distance2, path_graph
 from nonrepcolor.oracle import brute_force_check_many
 
-STRETCH = bool(os.environ.get("NONREP_STRETCH"))
-
 
 def _report(num, label, ok):
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {label}")
     assert ok, f"criterion {num}: {label}"
 
 
-def _claim_ok(name, **kwargs):
-    rows, aborted = reproduce.run_claim(name, **kwargs)
+def _claim_ok(name):
+    rows, aborted = reproduce.run_claim(name)
     failed = [r["check"] for r in rows if not r["pass"]]
     return not aborted and not failed, failed
 
@@ -37,17 +34,16 @@ def test_c01_embedded_cycle_colorings_verify():
 
 
 def test_c02_cycle_lower_bounds_exhaust():
-    rows, aborted = reproduce.claim_table1(budget=None, stretch=STRETCH)
+    rows, aborted = reproduce.claim_table1(budget=None)
     bound_rows = [r for r in rows if "no walk-nonrepetitive" in r["check"]]
-    expected = (18 if STRETCH else 9) + 2
-    ok = (not aborted and len(bound_rows) == expected
+    ok = (not aborted and len(bound_rows) == 18 + 2
           and all(r["pass"] for r in bound_rows))
-    _report(2, "no 3-coloring of C4..C12 and no 4-coloring of C5, C7 "
+    _report(2, "no 3-coloring of C4..C21 and no 4-coloring of C5, C7 "
                "is walk-nonrepetitive", ok)
 
 
 def test_c03_path_chromatic_of_cycles():
-    ok, failed = _claim_ok("currie", stretch=STRETCH)
+    ok, failed = _claim_ok("currie")
     _report(3, "path-nonrepetitive chromatic values of small cycles", ok)
 
 

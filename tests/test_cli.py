@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nonrepcolor import decide
 from nonrepcolor.cli import main
 from nonrepcolor.model import cycle_graph
 
@@ -157,6 +158,18 @@ class TestConstruct:
     def test_out_of_range_n(self, capsys):
         code, _, err = run(capsys, "construct", "table1", "--n", "3")
         assert code == 2
+
+    def test_budget_exhausted(self, capsys):
+        code, _, err = run(capsys, "construct", "sigma-cycle", "--n", "24",
+                           "--budget", "5")
+        assert code == 3 and "ABORTED" in err
+
+    def test_failed_self_verification_is_internal_error(self, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(decide, "exists_repetitive_stroll",
+                            lambda g, c: object())
+        code, _, err = run(capsys, "construct", "rho-cycle", "--n", "8")
+        assert code == 4 and "internal error" in err
 
 
 class TestReproduce:

@@ -1,5 +1,6 @@
 import pytest
 
+from nonrepcolor import search
 from nonrepcolor.construct import (
     SIGMA_CYCLE_MAX_N,
     STROLL_NONREP_P21,
@@ -120,6 +121,22 @@ class TestSigmaCycle:
         data = trace.to_json_dict()
         assert data["schema"] == 1
         assert len(data["base_coloring"]) == 16
+
+    def test_failed_obligation_survives_optimize(self, monkeypatch):
+        # a base search answering 4 breaks a proof obligation; the check
+        # must be an explicit error, not an assert that python -O strips
+        def solve_value_4(g, prop, k_max, node_budget):
+            return search.SolveReport(prop, {"kind": "cycle", "n": g.n}, 4,
+                                      None, [1, 2, 3], 0, 0.0, k_max=k_max)
+
+        monkeypatch.setattr(search, "solve", solve_value_4)
+        with pytest.raises(RuntimeError) as info:
+            sigma_cycle_coloring(22)
+        assert not isinstance(info.value, search.BudgetExhausted)
+
+    def test_budget_abort_is_budget_exhausted(self):
+        with pytest.raises(search.BudgetExhausted):
+            sigma_cycle_coloring(24, node_budget=5)
 
 
 class TestRhoPath:

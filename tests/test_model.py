@@ -15,7 +15,7 @@ from nonrepcolor.model import (
     is_repetitive,
     path_graph,
 )
-from nonrepcolor.construct import table1_coloring
+from nonrepcolor.construct import figure1_fixture, table1_coloring
 
 
 class TestGraphConstructors:
@@ -52,11 +52,24 @@ class TestGraphConstructors:
         with pytest.raises(InvalidArgumentError):
             Graph.from_edges(2, [(1, 1)])
 
-    def test_shape_predicates(self):
-        assert path_graph(5).is_path()
-        assert not path_graph(5).is_cycle()
-        assert cycle_graph(5).is_cycle()
-        assert not cycle_graph(5).is_path()
+    @pytest.mark.parametrize("g,shape", [
+        (Graph(0, frozenset()), "graph"),
+        (path_graph(1), "path"),
+        (path_graph(2), "path"),
+        (path_graph(5), "path"),
+        (cycle_graph(5), "cycle"),
+        # path degrees but disconnected: P2 plus a triangle
+        (Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)]), "graph"),
+        # cycle degrees but disconnected: two triangles
+        (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+         "graph"),
+        (Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), "graph"),  # K1,3
+        (figure1_fixture()[0], "graph"),
+    ], ids=["empty", "vertex", "P2", "P5", "C5", "P2+C3", "2C3", "K13", "fig1"])
+    def test_shape_predicates(self, g, shape):
+        assert g.is_path() == (shape == "path")
+        assert g.is_cycle() == (shape == "cycle")
+        assert g.shape == shape
 
     def test_json_round_trip(self):
         g = cycle_graph(6)
@@ -73,6 +86,11 @@ class TestColoring:
             Coloring((0, 1), 2)
         with pytest.raises(InvalidArgumentError):
             Coloring((1, 3), 2)
+
+    def test_digits_keep_given_k(self):
+        assert Coloring.from_digits("121", k=4).k == 4
+        with pytest.raises(InvalidArgumentError):
+            Coloring.from_digits("5", k=4)
 
     def test_unused_trailing_colors_reported(self):
         c = Coloring((1, 2, 1), 5)
@@ -143,7 +161,6 @@ class TestDistance2:
         assert is_distance2(path_graph(2), Coloring((1, 1), 2)) == (0, 1)
 
     def test_figure1_fixture_is_distance2(self):
-        from nonrepcolor.construct import figure1_fixture
         g, c = figure1_fixture()
         assert is_distance2(g, c) is None
 

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE
-from nonrepcolor.model import Coloring, cycle_graph, path_graph
-from nonrepcolor.search import search_fixed_k, solve, verify_certificate
+from nonrepcolor.model import (Coloring, InvalidArgumentError, cycle_graph,
+                               path_graph)
+from nonrepcolor.search import final_check, search_fixed_k, solve
 
 P21_WORD = "121312321323123213121"
 
@@ -27,15 +28,20 @@ class TestSolveValues:
 class TestVerifyCertificate:
     def test_table_row_21(self):
         _, colors = WALK_NONREP_CYCLE_TABLE[21]
-        assert verify_certificate(cycle_graph(21), Coloring(colors, 4), "walk")
+        assert final_check(cycle_graph(21), Coloring(colors, 4), "walk")
 
     def test_p21_word(self):
-        assert verify_certificate(path_graph(21),
-                                  Coloring.from_digits(P21_WORD), "stroll")
+        assert final_check(path_graph(21),
+                           Coloring.from_digits(P21_WORD), "stroll")
 
     def test_bad_walk_certificate(self):
-        assert not verify_certificate(cycle_graph(4),
-                                      Coloring.from_digits("1212"), "walk")
+        assert not final_check(cycle_graph(4),
+                               Coloring.from_digits("1212"), "walk")
+
+    @pytest.mark.parametrize("prop", ["dist2", "bogus"])
+    def test_unknown_property_raises(self, prop):
+        with pytest.raises(InvalidArgumentError):
+            final_check(cycle_graph(4), Coloring.from_digits("1234"), prop)
 
 
 class TestReportContract:
@@ -45,7 +51,7 @@ class TestReportContract:
                 r = solve(cycle_graph(n), prop, 5)
                 assert r.feasible
                 assert r.certificate.colors_used() == r.value
-                assert verify_certificate(cycle_graph(n), r.certificate, prop)
+                assert final_check(cycle_graph(n), r.certificate, prop)
                 if r.value > 1:
                     assert r.value - 1 in r.exhausted_k
 
@@ -81,7 +87,6 @@ def test_prefix_pruning_sound_on_paths(n):
     assert pruned.value == unpruned.value
 
 
-@pytest.mark.stretch
 @pytest.mark.parametrize("n", range(10, 13))
 def test_prefix_pruning_sound_on_longer_paths(n):
     pruned = solve(path_graph(n), "stroll", 4, prune=True)

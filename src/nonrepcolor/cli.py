@@ -50,10 +50,7 @@ def _load_graph(args) -> Graph:
             n = int(num)
         except ValueError:
             raise UsageError(f"bad graph size in {spec!r}")
-        try:
-            return path_graph(n) if kind == "path" else cycle_graph(n)
-        except InvalidArgumentError as exc:
-            raise UsageError(str(exc))
+        return path_graph(n) if kind == "path" else cycle_graph(n)
     try:
         with open(spec) as fh:
             return Graph.from_json(fh.read())
@@ -63,10 +60,7 @@ def _load_graph(args) -> Graph:
 
 def _load_coloring(args, g: Graph) -> Coloring:
     if args.colors is not None:
-        try:
-            c = Coloring.from_digits(args.colors)
-        except InvalidArgumentError as exc:
-            raise UsageError(str(exc))
+        c = Coloring.from_digits(args.colors)
     elif args.colors_file is not None:
         try:
             with open(args.colors_file) as fh:
@@ -150,10 +144,7 @@ def cmd_sa(args) -> int:
             raise UsageError("encode needs a graph spec")
         g = _load_graph(args)
         c = _load_coloring(args, g)
-        try:
-            word = saseq.encode_sa(g, c)
-        except InvalidArgumentError as exc:
-            raise UsageError(str(exc))
+        word = saseq.encode_sa(g, c)
         _emit(args, {"word": word}, word)
         return EXIT_OK
     if action == "decode":
@@ -161,8 +152,6 @@ def cmd_sa(args) -> int:
             raise UsageError("decode needs --word")
         try:
             c = saseq.decode_sa(args.word, args.kind)
-        except InvalidArgumentError as exc:
-            raise UsageError(str(exc))
         except saseq.InconsistentWordError as exc:
             _emit(args, {"consistent": False, "reason": str(exc)},
                   f"FAIL: {exc}")
@@ -173,10 +162,7 @@ def cmd_sa(args) -> int:
     if action == "check":
         if args.word is None:
             raise UsageError("check needs --word")
-        try:
-            hit = saseq.is_h_free(args.word, cyclic=args.cyclic)
-        except InvalidArgumentError as exc:
-            raise UsageError(str(exc))
+        hit = saseq.is_h_free(args.word, cyclic=args.cyclic)
         if hit is None:
             _emit(args, {"h_free": True}, "OK: no forbidden factor")
             return EXIT_OK
@@ -186,10 +172,7 @@ def cmd_sa(args) -> int:
     if action == "witness":
         if args.word is None:
             raise UsageError("witness needs --word (a forbidden factor)")
-        try:
-            n, walk, seq = saseq.h_witness_stroll(args.word)
-        except InvalidArgumentError as exc:
-            raise UsageError(str(exc))
+        n, walk, seq = saseq.h_witness_stroll(args.word)
         seq_str = "".join(map(str, seq))
         _emit(args, {"path_order": n, "walk": list(walk.vertices),
                      "colors": seq_str},

@@ -151,8 +151,9 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
     Enumerates simple paths by DFS, shortest order first; within one order,
     starts ascend and extensions are lexicographic, so the witness choice is
     deterministic.  Both traversal directions of each undirected path are
-    checked (repetitiveness is not reversal-invariant).  Exponential on
-    arbitrary graphs; intended for paths, cycles and small fixtures.
+    enumerated only to keep that witness order (the reverse of a square xx
+    is the square x^R x^R).  Exponential on arbitrary graphs; intended for
+    paths, cycles and small fixtures.
     """
     _check_coloring(g, c)
     n = g.n

@@ -177,18 +177,6 @@ def claim_fig1(run):
             "" if w is None else f"witness {list(w.walk.vertices)}")
 
 
-def _symmetry_broken_colorings(n: int, k: int):
-    def rec(prefix, mx):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for col in range(1, min(k, mx + 1) + 1):
-            prefix.append(col)
-            yield from rec(prefix, max(mx, col))
-            prefix.pop()
-    yield from rec([], 0)
-
-
 @_claim
 def claim_hierarchy(run):
     """Cycle characterization and the chromatic hierarchy, exhaustively.
@@ -202,8 +190,7 @@ def claim_hierarchy(run):
         equiv_bad = hier_bad = 0
         count = 0
         for k in (3, 4):
-            for cols in _symmetry_broken_colorings(n, k):
-                c = Coloring(cols, k)
+            for c in search.Colorings(g, k):
                 walk_ok = decide.exists_repetitive_nonboring_walk(g, c) is None
                 stroll_ok = decide.exists_repetitive_stroll(g, c) is None
                 path_ok = decide.exists_repetitive_path(g, c) is None

@@ -73,19 +73,17 @@ def _vertex_order(g: Graph) -> list:
     """Natural order on paths/cycles, otherwise BFS from vertex 0."""
     if g.shape != "graph":
         return list(range(g.n))
-    order, seen = [], set()
+    order, seen, head = [], set(), 0  # order[head:] is the BFS queue
     for root in range(g.n):
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+        if root not in seen:
+            seen.add(root)
+            order.append(root)
+            while head < len(order):
+                for w in g.neighbors(order[head]):
+                    if w not in seen:
+                        seen.add(w)
+                        order.append(w)
+                head += 1
     return order
 
 
@@ -98,84 +96,105 @@ class BudgetExhausted(RuntimeError):
     """A search stopped at its node budget; no claim can be made."""
 
 
-class _Budget(Exception):
-    pass
+# Prefix rules: rule(g, order, colors, depth) tests the color of order[depth]
+# against the colored prefix order[:depth]; True = keep descending.  Each
+# uses only facts inherited by colored prefixes.
+
+def _proper(g, order, colors, depth):
+    # proper edges (all properties imply properness for t=1 witnesses,
+    # except the path property on a 1-edge repetitive path - same test)
+    v = order[depth]
+    col = colors[v]
+    for w in g.neighbors(v):
+        if colors[w] == col:
+            return False
+    return True
 
 
-class _Searcher:
-    def __init__(self, g, property, k, order, node_budget, symmetry_break, prune):
-        self.g = g
-        self.property = property
-        self.k = k
-        self.order = order
+def _distance2(g, order, colors, depth):
+    # distance-2: v against colored vertices two steps away
+    v = order[depth]
+    col = colors[v]
+    for x in g.neighbors(v):
+        for w in g.neighbors(x):
+            if w != v and colors[w] == col:
+                return False
+    return True
+
+
+def _suffix_squares(g, order, colors, depth):
+    # contiguous even segments of the colored arc ending at depth
+    pref = [colors[order[i]] for i in range(depth + 1)]
+    return all(pref[-2 * t:-t] != pref[-t:]
+               for t in range(2, (depth + 1) // 2 + 1))
+
+
+def _stroll_prefix(g, order, colors, depth):
+    if depth < 3:
+        return True
+    # the colored prefix along a path/cycle arc is an induced path;
+    # any repetitive stroll inside it survives in the full graph
+    sub = path_graph(depth + 1)
+    pref = Coloring.from_colors(colors[order[i]] for i in range(depth + 1))
+    return decide.exists_repetitive_stroll(sub, pref) is None
+
+
+def _prefix_rules(g: Graph, property: str, prune: bool) -> tuple:
+    """The proper-edge rule, then the pruning rules the property allows."""
+    linear = g.shape != "graph"
+    return tuple(rule for rule, wanted in (
+        (_proper, True),
+        (_distance2, prune and property == "walk"),
+        (_suffix_squares, prune and linear and property != "stroll"),
+        (_stroll_prefix, prune and linear and property == "stroll"),
+    ) if wanted)
+
+
+class Colorings:
+    """Every k-coloring of g that no prefix rule prunes, depth first.
+
+    Vertices are colored in _vertex_order(g), colors ascending.  With
+    symmetry breaking, color j is introduced only after colors 1..j-1 have
+    appeared.  `nodes` counts the colors tried so far; trying one more than
+    node_budget raises BudgetExhausted.
+    """
+
+    def __init__(self, g: Graph, k: int, rules: tuple = (),
+                 node_budget: int = DEFAULT_NODE_BUDGET,
+                 symmetry_break: bool = True):
+        self.g, self.k, self.rules = g, k, rules
         self.node_budget = node_budget
         self.symmetry_break = symmetry_break
-        # prefix facts inherited from the property (see _prefix_ok)
-        linear = g.shape != "graph"
-        self.dist2 = prune and property == "walk"
-        self.squares = prune and linear and property != "stroll"
-        self.stroll_prefix = prune and linear and property == "stroll"
         self.nodes = 0
-        self.colors = [0] * g.n  # 0 = uncolored
-        self.found: Optional[Coloring] = None
 
-    def run(self) -> None:
-        self._extend(0, 0)
-
-    def _prefix_ok(self, depth: int) -> bool:
-        """Prune tests after coloring order[depth]; True = keep descending."""
-        g, colors = self.g, self.colors
-        v = self.order[depth]
-        col = colors[v]
-        # proper edges (all properties imply properness for t=1 witnesses,
-        # except the path property on a 1-edge repetitive path - same test)
-        for w in g.neighbors(v):
-            if colors[w] == col:
-                return False
-        if self.dist2:
-            # distance-2: v against colored vertices two steps away
-            for x in g.neighbors(v):
-                for w in g.neighbors(x):
-                    if w != v and colors[w] == col:
-                        return False
-        if self.squares:
-            # contiguous even segments of the colored arc ending at depth
-            pref = [colors[self.order[i]] for i in range(depth + 1)]
-            for t in range(2, depth // 2 + 2):
-                seg = pref[depth + 1 - 2 * t: depth + 1]
-                if len(seg) == 2 * t and seg[:t] == seg[t:]:
-                    return False
-        if self.stroll_prefix and depth >= 3:
-            # the colored prefix along a path/cycle arc is an induced path;
-            # any repetitive stroll inside it survives in the full graph
-            sub = path_graph(depth + 1)
-            pref = Coloring.from_colors(
-                (self.colors[self.order[i]] for i in range(depth + 1)), self.k)
-            if decide.exists_repetitive_stroll(sub, pref) is not None:
-                return False
-        return True
-
-    def _extend(self, depth: int, max_used: int) -> None:
-        if self.found is not None:
-            return
-        if depth == self.g.n:
-            cand = Coloring(tuple(self.colors), self.k)
-            if final_check(self.g, cand, self.property):
-                self.found = cand
-            return
-        v = self.order[depth]
-        top = min(self.k, max_used + 1) if self.symmetry_break else self.k
-        for col in range(1, top + 1):
+    def __iter__(self):
+        g, k, n = self.g, self.k, self.g.n
+        order = _vertex_order(g)
+        colors = [0] * n  # by vertex; 0 = uncolored, else last color tried
+        max_used = [0] * (n + 1)  # largest color on order[:depth]
+        depth = 0
+        while depth >= 0:
+            if depth == n:
+                yield Coloring(tuple(colors), k)
+                depth -= 1
+                continue
+            v = order[depth]
+            col = colors[v] + 1
+            top = min(k, max_used[depth] + 1) if self.symmetry_break else k
+            if col > top:
+                colors[v] = 0
+                depth -= 1
+                continue
             self.nodes += 1
             if self.nodes > self.node_budget:
-                raise _Budget()
-            self.colors[v] = col
-            if self._prefix_ok(depth):
-                self._extend(depth + 1, max(max_used, col))
-                if self.found is not None:
-                    self.colors[v] = 0
-                    return
-        self.colors[v] = 0
+                raise BudgetExhausted(f"node budget {self.node_budget} exceeded")
+            colors[v] = col
+            for rule in self.rules:
+                if not rule(g, order, colors, depth):
+                    break
+            else:
+                max_used[depth + 1] = max(max_used[depth], col)
+                depth += 1
 
 
 def search_fixed_k(
@@ -193,13 +212,13 @@ def search_fixed_k(
     """
     if property not in decide.PROPERTIES:
         raise InvalidArgumentError(f"unknown property {property!r}")
-    s = _Searcher(g, property, k, _vertex_order(g), node_budget,
-                  symmetry_break, prune)
+    colorings = Colorings(g, k, _prefix_rules(g, property, prune),
+                          node_budget, symmetry_break)
     try:
-        s.run()
-    except _Budget:
-        return None, s.nodes, True
-    return s.found, s.nodes, False
+        cert = next((c for c in colorings if final_check(g, c, property)), None)
+    except BudgetExhausted:
+        return None, colorings.nodes, True
+    return cert, colorings.nodes, False
 
 
 def solve(

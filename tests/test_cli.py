@@ -60,6 +60,24 @@ class TestVerify:
                            "--colors", "123423", "--property", "walk")
         assert code == 0
 
+    def test_invalid_graph_size_message(self, capsys):
+        code, out, err = run(capsys, "verify", "path:0",
+                             "--colors", "1", "--property", "path")
+        assert (code, out, err) == (
+            2, "", "error: path needs at least one vertex\n")
+
+    @pytest.mark.parametrize("text", [
+        "[1,2]",
+        '{"n": 3, "edges": [[0, "a"]]}',
+        '{"n": 3, "edges": [[0, 1.5]]}',
+    ])
+    def test_malformed_graph_file(self, capsys, tmp_path, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "verify", str(path),
+                           "--colors", "123", "--property", "path")
+        assert code == 2 and "cannot load graph" in err
+
     def test_colors_file(self, capsys, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps([1, 2, 3, 4, 2, 3]))
@@ -113,6 +131,11 @@ class TestSa:
         code, out, _ = run(capsys, "sa", "decode",
                            "--word", "AAAASAAASAAA", "--kind", "cycle")
         assert code == 1 and "FAIL" in out
+
+    def test_decode_invalid_word_message(self, capsys):
+        code, out, err = run(capsys, "sa", "decode", "--word", "XYZ")
+        assert (code, out, err) == (
+            2, "", "error: word must be over {S, A}: 'XYZ'\n")
 
     def test_check(self, capsys):
         code, out, _ = run(capsys, "sa", "check", "--word", "AASAASAA",

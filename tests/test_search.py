@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -80,20 +81,39 @@ def test_symmetry_breaking_sound(make_graph, ns):
             assert with_sb.value == without.value, (n, prop)
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, 13))
 def test_prefix_pruning_sound_on_paths(n):
     pruned = solve(path_graph(n), "stroll", 4, prune=True)
     unpruned = solve(path_graph(n), "stroll", 4, prune=False)
     assert pruned.value == unpruned.value
 
 
-@pytest.mark.parametrize("n", range(10, 13))
-def test_prefix_pruning_sound_on_longer_paths(n):
-    pruned = solve(path_graph(n), "stroll", 4, prune=True)
-    unpruned = solve(path_graph(n), "stroll", 4, prune=False)
+@pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
+@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("prop", ["path", "walk"])
+def test_square_and_distance2_pruning_sound(make_graph, n, prop):
+    """The suffix-square and distance-2 rules lose no value."""
+    pruned = solve(make_graph(n), prop, 5, prune=True)
+    unpruned = solve(make_graph(n), prop, 5, prune=False)
     assert pruned.value == unpruned.value
 
 
 def test_fixed_k_exhaustion_is_complete():
     cert, nodes, aborted = search_fixed_k(path_graph(22), "stroll", 3)
     assert cert is None and not aborted and nodes > 0
+
+
+def test_search_depth_does_not_recurse():
+    """The search keeps its own stack: 120 vertices fit in 60 frames."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        cert, _, aborted = search_fixed_k(path_graph(120), "path", 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not aborted and final_check(path_graph(120), cert, "path")

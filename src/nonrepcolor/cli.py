@@ -65,6 +65,9 @@ def _load_coloring(args, g: Graph) -> Coloring:
         try:
             with open(args.colors_file) as fh:
                 data = json.load(fh)
+            if not (isinstance(data, list)
+                    and all(type(x) is int for x in data)):
+                raise InvalidArgumentError("colors must be a list of integers")
             c = Coloring.from_colors(data)
         except (OSError, ValueError, InvalidArgumentError) as exc:
             raise UsageError(f"cannot load coloring: {exc}")

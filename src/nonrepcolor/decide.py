@@ -10,6 +10,7 @@ reduction empirically.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -148,16 +149,67 @@ def exists_repetitive_nonboring_walk(g: Graph, c: Coloring) -> Optional[Witness]
 def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
     """Return a repetitive simple path witness, or None iff c is path-nonrepetitive.
 
-    Enumerates simple paths by DFS, shortest order first; within one order,
-    starts ascend and extensions are lexicographic, so the witness choice is
-    deterministic.  Both traversal directions of each undirected path are
-    enumerated only to keep that witness order (the reverse of a square xx
-    is the square x^R x^R).  Exponential on arbitrary graphs; intended for
-    paths, cycles and small fixtures.
+    The witness is the shortest repetitive simple path, and among those the
+    lexicographically least vertex sequence: lowest start vertex, then the
+    direction in g.neighbors(start) order.  On paths and cycles (g.shape) a
+    simple path is a factor of the color word, of the circular word on a
+    cycle, and the check is an O(n^2) scan for squares; on any other graph
+    it is a DFS over simple paths, exponential in general.
     """
     _check_coloring(g, c)
+    if g.shape == "graph":
+        walk = _square_path_dfs(g, c.colors)
+    else:
+        walk = _square_factor(g, c.colors)
+    if walk is None:
+        return None
+    w = Walk(walk)
+    return Witness(w, classify_walk(g, c, w), "path")
+
+
+def _square_factor(g: Graph, cols) -> Optional[tuple]:
+    """The witness of exists_repetitive_path on a path or cycle, or None.
+
+    The vertices are laid out along the line, from the lower-numbered end of
+    a path or from vertex 0 around a cycle (doubled, so that factors may
+    wrap).  A factor of 2t vertices is a square iff eq[i] = (word[i] ==
+    word[i + t]) holds at the t positions from its start, so each half-length
+    is one bytes.find for a run of t ones.  The reverse of a square is a
+    square, so each square found gives both directions as candidates.
+    """
+    n, adj, cyclic = g.n, g._adj, g.shape == "cycle"
+    v = 0 if cyclic else min(u for u in range(n) if len(adj[u]) < 2)
+    line, prev = [v], None
+    for _ in range(n - 1):
+        a = adj[v]
+        prev, v = v, a[1] if a[0] == prev else a[0]
+        line.append(v)
+    if cyclic:
+        line += line
+    word = [cols[v] for v in line]
+    for t in range(1, n // 2 + 1):
+        eq = bytes(map(operator.eq, word, word[t:]))
+        run = b"\x01" * t
+        end = n + t - 1 if cyclic else len(eq)  # starts below n on a cycle
+        squares = []
+        i = eq.find(run, 0, end)
+        while i >= 0:
+            seg = tuple(line[i:i + 2 * t])
+            squares += (seg, seg[::-1])
+            i = eq.find(run, i + 1, end)
+        if squares:
+            return min(squares)
+    return None
+
+
+def _square_path_dfs(g: Graph, cols) -> Optional[tuple]:
+    """The witness of exists_repetitive_path on any graph, or None, by DFS.
+
+    Simple paths are enumerated shortest order first; within one order,
+    starts ascend and extensions follow the sorted adjacency, so the first
+    square found is the lexicographically least.
+    """
     n = g.n
-    cols = c.colors
     adj = g._adj
     for order in range(2, n + 1, 2):
         t = order // 2
@@ -179,8 +231,7 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
                 on_path[nxt] = True
                 if len(path) == order:
                     if all(cols[path[i]] == cols[path[i + t]] for i in range(t)):
-                        w = Walk(tuple(path))
-                        return Witness(w, classify_walk(g, c, w), "path")
+                        return tuple(path)
                     on_path[path.pop()] = False
                 else:
                     iters.append(iter(adj[nxt]))

@@ -85,6 +85,16 @@ class TestVerify:
                          "--colors-file", str(path), "--property", "walk")
         assert code == 0
 
+    @pytest.mark.parametrize("text", ["[1.7, 2, 3]", "[[1], 2, 3]",
+                                      "[true, 2, 3]"])
+    def test_non_integer_colors_file(self, capsys, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "path:3",
+                             "--colors-file", str(path), "--property", "path")
+        assert code == 2 and out == ""
+        assert "cannot load coloring" in err
+
 
 class TestSolve:
     def test_six_cycle_stroll_value(self, capsys):

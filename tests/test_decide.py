@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from nonrepcolor.construct import figure1_fixture, table1_coloring
 from nonrepcolor.decide import (
+    _square_path_dfs,
     exists_repetitive_nonboring_walk,
     exists_repetitive_path,
     exists_repetitive_stroll,
@@ -85,6 +87,35 @@ class TestPathDecider:
         g = path_graph(2)
         w = exists_repetitive_path(g, Coloring((1, 1), 1))
         assert w is not None and w.walk.vertices == (0, 1)
+
+
+def _same_path_witness(g, c):
+    w = exists_repetitive_path(g, c)
+    assert (w and w.walk.vertices) == _square_path_dfs(g, c.colors), c.colors
+
+
+@pytest.mark.parametrize("make_graph,n", [(path_graph, n) for n in range(1, 10)]
+                         + [(cycle_graph, n) for n in range(3, 10)])
+def test_square_factor_matches_dfs(make_graph, n):
+    """On paths and cycles the square scan returns the DFS's witness."""
+    g = make_graph(n)
+    for cols in itertools.product((1, 2, 3), repeat=n):
+        _same_path_witness(g, Coloring(cols, 3))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_square_factor_matches_dfs_relabelled(k):
+    """Paths and cycles whose vertex ids do not follow the line."""
+    rng = random.Random(k)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        cyclic = n >= 3 and rng.random() < 0.5
+        ids = rng.sample(range(n), n)
+        edges = list(zip(ids, ids[1:])) + ([(ids[-1], ids[0])] if cyclic else [])
+        g = Graph.from_edges(n, edges)
+        assert g.shape == ("cycle" if cyclic else "path")
+        cols = tuple(rng.randint(1, k) for _ in range(n))
+        _same_path_witness(g, Coloring(cols, k))
 
 
 class TestCycleFastCheck:

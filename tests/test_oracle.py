@@ -1,12 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nonrepcolor.construct import figure1_fixture
 from nonrepcolor.decide import (
     exists_repetitive_nonboring_walk,
+    exists_repetitive_path,
     exists_repetitive_stroll,
 )
-from nonrepcolor.model import Coloring, classify_walk, cycle_graph, path_graph
+from nonrepcolor.model import (Coloring, Graph, classify_walk, cycle_graph,
+                               path_graph)
 from nonrepcolor.oracle import brute_force_check, brute_force_check_many
 
 
@@ -76,3 +80,51 @@ def test_small_graph_agreement_with_decider(make_graph):
             w = decider(g, c)
             dec_found = w is not None and len(w.walk) <= 16
             assert dec_found == verdicts[prop].found, (cols, prop)
+
+
+@st.composite
+def _small_graphs(draw):
+    """Trees, unicyclic graphs and dense graphs on at most 7 vertices."""
+    kind, smallest = draw(st.sampled_from(
+        [("tree", 1), ("unicyclic", 3), ("dense", 2)]))
+    n = draw(st.integers(smallest, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    if kind == "dense":
+        return Graph.from_edges(n, draw(st.lists(
+            st.sampled_from(pairs), min_size=len(pairs) // 2, unique=True)))
+    ids = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((ids[v], ids[draw(st.integers(0, v - 1))])))
+             for v in range(1, n)}
+    if kind == "unicyclic":
+        edges.add(draw(st.sampled_from([e for e in pairs if e not in edges])))
+    return Graph.from_edges(n, edges)
+
+
+def _colored(graphs):
+    return graphs.flatmap(lambda g: st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.integers(1, k), min_size=g.n, max_size=g.n).map(
+            lambda cols: (g, Coloring(tuple(cols), k)))))
+
+
+def _path_agreement(g, c):
+    # T = n covers every simple path, so "not found" is a full claim
+    v = brute_force_check_many(g, c, ("path",), T=g.n)["path"]
+    w = exists_repetitive_path(g, c)
+    assert not v.aborted and (w and w.walk) == v.witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored(_small_graphs()))
+def test_path_decider_matches_oracle(gc):
+    """Both return the shortest, then lexicographically least, witness."""
+    _path_agreement(*gc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_colored(st.just(figure1_fixture()[0])))
+def test_path_decider_matches_oracle_on_figure1_graph(gc):
+    _path_agreement(*gc)
+
+
+def test_path_decider_matches_oracle_on_figure1_fixture():
+    _path_agreement(*figure1_fixture())

@@ -117,3 +117,14 @@ def test_search_depth_does_not_recurse():
     finally:
         sys.setrecursionlimit(limit)
     assert not aborted and final_check(path_graph(120), cert, "path")
+
+
+def test_long_path_solves():
+    """The leaf checks on a long path scan the color word, not all paths."""
+    r = solve(path_graph(300), "path", 3)
+    assert r.value == 3 and final_check(path_graph(300), r.certificate, "path")
+
+
+def test_cycle_sixty_solves():
+    r = solve(cycle_graph(60), "path", 3)
+    assert r.value == 3 and final_check(cycle_graph(60), r.certificate, "path")

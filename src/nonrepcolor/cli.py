@@ -36,10 +36,21 @@ class UsageError(Exception):
 
 
 def _node_budget(args) -> int:
+    """--budget, else NONREP_BUDGET, else the default; a positive integer."""
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("NONREP_BUDGET")
-    return int(env) if env else search.DEFAULT_NODE_BUDGET
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get("NONREP_BUDGET")
+        if not env:
+            return search.DEFAULT_NODE_BUDGET
+        source = "NONREP_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise UsageError(f"{source} must be an integer, not {env!r}")
+    if budget < 1:
+        raise UsageError(f"{source} must be a positive node count, not {budget}")
+    return budget
 
 
 def _load_graph(args) -> Graph:
@@ -242,9 +253,10 @@ def _add_graph_arg(p) -> None:
 
 
 def _add_coloring_args(p) -> None:
-    p.add_argument("--colors", help="digit-string coloring (k <= 9)")
-    p.add_argument("--colors-file",
-                   help="JSON array coloring file (for k > 9)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--colors", help="digit-string coloring (k <= 9)")
+    group.add_argument("--colors-file",
+                       help="JSON array coloring file (for k > 9)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,10 +2,18 @@
 
 A repetitive walk v_1..v_2t is equivalent to a walk of length t-1 through
 product states s_i = (v_i, v_{t+i}) with c(v_i) = c(v_{t+i}), closed by the
-link condition v_t ~ v_{t+1}.  Reachability over at most n^2 such states
-(x2 with the "left the diagonal" bit) is finite, which makes the stroll and
-walk checks terminate exactly.  The oracle module cross-validates this
-reduction empirically.
+link condition v_t ~ v_{t+1}.  The product graph on these at most n^2
+states (off the diagonal, for strolls) is undirected: a move joins two
+color-matched states, and adjacency is symmetric.  So a start state reaches another exactly when both lie in one
+connected component, and deciding the stroll or walk property is one
+labelling of the components (accepting_starts): a repetitive stroll exists
+iff a component holds states (a, b) and (x, y) with x ~ b; a repetitive
+nonboring walk iff such a component also holds an off-diagonal state.  Only
+when one does is a witness built, by BFS from the accepting start states
+alone.  The oracle module cross-validates this reduction empirically.
+
+The path property is a square scan of the color word on paths and cycles,
+and a DFS over simple paths on other graphs.
 """
 
 from __future__ import annotations
@@ -47,6 +55,41 @@ def _check_coloring(g: Graph, c: Coloring) -> None:
         raise InvalidArgumentError("coloring size does not match graph")
 
 
+def accepting_starts(adj, cols, allow_diagonal: bool, seeds) -> set:
+    """The states of the seeds' components that start an accepted product walk.
+
+    adj[v] lists the neighbours of vertex v and cols[v] is its color; the
+    seeds are color-matched states, off the diagonal unless allow_diagonal.
+    The product graph is undirected: a move joins two color-matched states, and
+    adjacency is symmetric.  So a start (a, b) reaches a state (x, y) exactly
+    when both lie in one connected component, and it accepts iff its
+    component holds a state whose first coordinate is adjacent to b.  For
+    nonboring walks (allow_diagonal) the component must also hold an
+    off-diagonal state, which sets the bit on the way.  Each component that
+    holds a seed is labelled once, in O(S * maxdeg^2) for its S states.
+    """
+    seen, accepting = set(), set()
+    for seed in seeds:
+        if seed in seen:
+            continue
+        seen.add(seed)
+        comp = [seed]
+        for u, w in comp:  # comp grows while it is read: the BFS queue
+            for u2 in adj[u]:
+                col = cols[u2]
+                for w2 in adj[w]:
+                    if cols[w2] == col and (allow_diagonal or u2 != w2):
+                        state = (u2, w2)
+                        if state not in seen:
+                            seen.add(state)
+                            comp.append(state)
+        if allow_diagonal and all(u == w for u, w in comp):
+            continue  # every walk in it is boring
+        near = {x for u, _ in comp for x in adj[u]}
+        accepting.update(s for s in comp if s[1] in near)
+    return accepting
+
+
 def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     """Find the best repetitive stroll (or nonboring walk) via product BFS.
 
@@ -56,10 +99,16 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     when first(s_t) is adjacent to second(s_1), reconstructing the walk
     firsts + seconds of length 2t.
 
+    Deciding is one pass: accepting_starts labels the components of the
+    (undirected) product graph, and without an accepting start there is no
+    witness.  Explaining runs a BFS from each accepting start only, in state
+    order; it yields that start's shortest product walks, and stops at the
+    depth where its walks would be longer than the best found so far.
+
     Returns the lexicographically smallest (2t, walk) over all start states,
-    or None.  BFS from each start state yields shortest product walks, so the
-    returned witness is shortest; ties break to the lowest starting vertex
-    and then the lexicographically smallest walk.
+    or None: the witness is shortest, ties break to the lowest starting
+    vertex and then the lexicographically smallest walk reconstructed from
+    the BFS.
     """
     n = g.n
     cols = c.colors
@@ -69,25 +118,37 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
             if cols[u] == cols[w] and (allow_diagonal or u != w):
                 states.append((u, w))
     adj = g._adj
+    starts = accepting_starts(adj, cols, allow_diagonal, states)
+    if not starts:
+        return None
 
     best = None  # (length, walk tuple)
     for s0 in states:
+        if s0 not in starts:
+            continue
         a, b = s0
-        start_bit = a != b
-        if not allow_diagonal:
-            start_bit = True
+        # walks from s0 begin with a, and starts ascend: past best's first
+        # vertex, only a strictly shorter walk can be better
+        longest = (None if best is None else
+                   best[0] if a == best[1][0] else best[0] - 2)
+        if longest is not None and longest < 2:
+            break  # best is an edge, and every later start is past it
+        start_bit = a != b  # always set for strolls: no diagonal states
         # BFS over (state, off_diagonal_seen)
         dist = {(s0, start_bit): 0}
         pred = {(s0, start_bit): None}
         frontier = [(s0, start_bit)]
         accepted = []  # nodes satisfying the link condition, at their dist
         accept_dist = None
-        if start_bit and g.adjacent(a, b):
+        link = adj[b]  # first(s_t) must be one of these
+        if start_bit and a in link:
             accepted.append((s0, start_bit))
             accept_dist = 0
         d = 0
         while frontier and accept_dist is None:
             d += 1
+            if longest is not None and 2 * (d + 1) > longest:
+                break  # walks found from here on cannot beat best
             nxt = []
             for (u, w), bit in frontier:
                 for u2 in adj[u]:
@@ -103,13 +164,11 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
                         dist[node] = d
                         pred[node] = ((u, w), bit)
                         nxt.append(node)
-                        if node[1] and g.adjacent(u2, b):
+                        if node[1] and u2 in link:
                             accepted.append(node)
             frontier = nxt
             if accepted:
                 accept_dist = d
-        if not accepted:
-            continue
         # reconstruct all accepted product walks at minimal distance and
         # keep the lexicographically smallest resulting walk
         for node in accepted:
@@ -123,7 +182,7 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
             cand = (len(walk), walk)
             if best is None or cand < best:
                 best = cand
-    return None if best is None else best[1]
+    return best[1]
 
 
 def exists_repetitive_stroll(g: Graph, c: Coloring) -> Optional[Witness]:

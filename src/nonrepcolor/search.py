@@ -5,8 +5,11 @@ appeared (all three properties are invariant under color permutation).
 Pruning uses only facts inherited by colored prefixes: proper edges, the
 distance-2 constraint (walk property), repetitive contiguous even segments
 inside the colored arc (path/cycle vertex order), and for the stroll
-property a full product-graph check of the colored prefix path.  Completed
-colorings are always re-checked with the full decider.
+property repetitive strolls inside the colored arc, read as a path.  The
+last two rules are incremental: the shorter prefix already passed, so they
+look only at what the newly colored vertex can close (the suffix squares,
+and the product-graph components through that vertex).  Completed colorings
+are always re-checked with the full decider.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import decide
-from .model import Coloring, Graph, InvalidArgumentError, path_graph
+from .model import Coloring, Graph, InvalidArgumentError
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -131,12 +134,18 @@ def _suffix_squares(g, order, colors, depth):
 
 def _stroll_prefix(g, order, colors, depth):
     if depth < 3:
-        return True
-    # the colored prefix along a path/cycle arc is an induced path;
-    # any repetitive stroll inside it survives in the full graph
-    sub = path_graph(depth + 1)
-    pref = Coloring.from_colors(colors[order[i]] for i in range(depth + 1))
-    return decide.exists_repetitive_stroll(sub, pref) is None
+        return True  # a proper coloring of P3 has no repetitive stroll
+    # the colored prefix along a path/cycle arc is an induced path; any
+    # repetitive stroll inside it survives in the full graph.  The prefix
+    # order[:depth] passed this rule, so a new one passes through the new
+    # vertex: a product state on it lies in an accepting component.
+    # Swapping the coordinates maps a component onto one that accepts
+    # alike, so the states (depth, w) suffice.
+    pref = [colors[order[i]] for i in range(depth + 1)]
+    arc = [(1,), *((i - 1, i + 1) for i in range(1, depth)), (depth - 1,)]
+    col = pref[depth]
+    seeds = [(depth, w) for w in range(depth) if pref[w] == col]
+    return not decide.accepting_starts(arc, pref, False, seeds)
 
 
 def _prefix_rules(g: Graph, property: str, prune: bool) -> tuple:

@@ -85,6 +85,13 @@ class TestVerify:
                          "--colors-file", str(path), "--property", "walk")
         assert code == 0
 
+    def test_colors_and_colors_file_conflict(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "path:3", "--property", "stroll", "--colors",
+                  "121", "--colors-file", str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["[1.7, 2, 3]", "[[1], 2, 3]",
                                       "[true, 2, 3]"])
     def test_non_integer_colors_file(self, capsys, tmp_path, text):
@@ -119,6 +126,25 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "cycle:9",
                          "--property", "path", "--max-colors", "3")
         assert code == 3
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_budget(self, capsys, budget):
+        code, out, err = run(capsys, "solve", "path:5", "--property", "stroll",
+                             "--max-colors", "4", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err == f"error: --budget must be a positive node count, " \
+                      f"not {budget}\n"
+
+    @pytest.mark.parametrize("env,message", [
+        ("abc", "NONREP_BUDGET must be an integer, not 'abc'"),
+        ("-5", "NONREP_BUDGET must be a positive node count, not -5"),
+        ("0", "NONREP_BUDGET must be a positive node count, not 0"),
+    ], ids=["abc", "-5", "0"])
+    def test_bad_budget_env_var(self, capsys, monkeypatch, env, message):
+        monkeypatch.setenv("NONREP_BUDGET", env)
+        code, out, err = run(capsys, "solve", "path:5", "--property", "stroll",
+                             "--max-colors", "4")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestSa:
@@ -196,6 +222,11 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "sigma-cycle", "--n", "24",
                            "--budget", "5")
         assert code == 3 and "ABORTED" in err
+
+    def test_bad_budget_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("NONREP_BUDGET", "1e3")
+        code, _, err = run(capsys, "construct", "rho-path", "--n", "30")
+        assert code == 2 and "NONREP_BUDGET must be an integer" in err
 
     def test_failed_self_verification_is_internal_error(self, capsys,
                                                         monkeypatch):

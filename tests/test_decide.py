@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from nonrepcolor.model import (
 )
 
 P21_WORD = "121312321323123213121"
+PRODUCT_WITNESSES = Path(__file__).parent / "data" / "product_witnesses.json"
 
 
 class TestStrollDecider:
@@ -68,6 +71,17 @@ class TestWalkDecider:
         w = exists_repetitive_nonboring_walk(g, c)
         assert w is not None
         assert not w.walk_class.boring
+
+    @pytest.mark.parametrize("n,edges,colors", [
+        (5, [(0, 1), (0, 3), (1, 4), (2, 3), (3, 4)], (1, 2, 1, 4, 1)),
+        (6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)], (3, 2, 1, 1, 3, 3)),
+    ])
+    def test_later_start_from_same_vertex_wins_tie(self, n, edges, colors):
+        # an earlier start from vertex 0 accepts at length 4 first; the later
+        # start (0, 4) gives a lexicographically smaller walk of that length
+        g = Graph.from_edges(n, edges)
+        w = exists_repetitive_nonboring_walk(g, Coloring(colors, 4))
+        assert w.walk.vertices == (0, 1, 4, 1)
 
 
 class TestPathDecider:
@@ -173,3 +187,40 @@ def test_hierarchy_on_table_rows():
         g = cycle_graph(n)
         assert exists_repetitive_stroll(g, c) is None
         assert exists_repetitive_path(g, c) is None
+
+
+def _recorded_cases():
+    """(graph, coloring, {property: witness digits or None}) from the record.
+
+    product_witnesses.json holds the stroll and walk witnesses the product
+    deciders returned, vertex for vertex: under "families", one list per
+    property for every 3-coloring of P2..P6 and C3..C6, in
+    itertools.product((1, 2, 3), repeat=n) order; under "graphs", the
+    figure-1 fixture and 200 seeded random graphs on at most 7 vertices with
+    k <= 4.  Vertex ids are single digits, so a walk is a digit string.
+    """
+    with open(PRODUCT_WITNESSES) as fh:
+        record = json.load(fh)
+    for name, found in record["families"].items():
+        make = path_graph if name[0] == "P" else cycle_graph
+        n = int(name[1:])
+        for i, cols in enumerate(itertools.product((1, 2, 3), repeat=n)):
+            yield make(n), Coloring(cols, 3), {p: found[p][i] for p in found}
+    for case in record["graphs"]:
+        g = Graph.from_edges(case["n"], case["edges"])
+        cols = tuple(int(ch) for ch in case["colors"])
+        yield g, Coloring(cols, case["k"]), case
+
+
+def test_product_witnesses_match_record():
+    """The stroll and walk deciders return the recorded witnesses exactly."""
+    deciders = (("stroll", exists_repetitive_stroll),
+                ("walk", exists_repetitive_nonboring_walk))
+    cases = 0
+    for g, c, found in _recorded_cases():
+        for prop, decider in deciders:
+            w = decider(g, c)
+            got = w and "".join(map(str, w.walk.vertices))
+            assert got == found[prop], (g.edges, c.colors, prop)
+        cases += 1
+    assert cases == 9 + 27 + 81 + 243 + 729 + 27 + 81 + 243 + 729 + 201

@@ -128,3 +128,28 @@ def test_path_decider_matches_oracle_on_figure1_graph(gc):
 
 def test_path_decider_matches_oracle_on_figure1_fixture():
     _path_agreement(*figure1_fixture())
+
+
+def _product_agreement(g, c, T=4):
+    # the oracle sees walks of at most 2T vertices; past that only "none"
+    verdicts = brute_force_check_many(g, c, ("stroll", "walk"), T=T)
+    for prop, decider in (("stroll", exists_repetitive_stroll),
+                          ("walk", exists_repetitive_nonboring_walk)):
+        w = decider(g, c)
+        v = verdicts[prop]
+        assert not v.aborted
+        if w is not None and len(w.walk) <= 2 * T:
+            assert v.witness == w.walk, (prop, g.edges, c.colors)
+        else:
+            assert v.witness is None, (prop, g.edges, c.colors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored(_small_graphs()))
+def test_product_deciders_match_oracle(gc):
+    """Stroll and walk witnesses up to 8 vertices equal the oracle's."""
+    _product_agreement(*gc)
+
+
+def test_product_deciders_match_oracle_on_figure1_fixture():
+    _product_agreement(*figure1_fixture())

@@ -88,6 +88,14 @@ def test_prefix_pruning_sound_on_paths(n):
     assert pruned.value == unpruned.value
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_prefix_pruning_sound_on_cycles(n):
+    """On a cycle the stroll rule sees the colored arc as a path."""
+    pruned = solve(cycle_graph(n), "stroll", 4, prune=True)
+    unpruned = solve(cycle_graph(n), "stroll", 4, prune=False)
+    assert pruned.value == unpruned.value
+
+
 @pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
 @pytest.mark.parametrize("n", range(3, 11))
 @pytest.mark.parametrize("prop", ["path", "walk"])
@@ -101,6 +109,17 @@ def test_square_and_distance2_pruning_sound(make_graph, n, prop):
 def test_fixed_k_exhaustion_is_complete():
     cert, nodes, aborted = search_fixed_k(path_graph(22), "stroll", 3)
     assert cert is None and not aborted and nodes > 0
+
+
+@pytest.mark.parametrize("g,k,digits,nodes", [
+    (path_graph(22), 3, None, 513),
+    (cycle_graph(15), 3, None, 384),
+    (path_graph(23), 4, "12131214121312313212324", 50),
+])
+def test_stroll_search_node_counts(g, k, digits, nodes):
+    """The stroll prefix rule prunes exactly as a full decider on the prefix."""
+    cert, visited, aborted = search_fixed_k(g, "stroll", k)
+    assert (cert and cert.to_digits(), visited, aborted) == (digits, nodes, False)
 
 
 def test_search_depth_does_not_recurse():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -229,7 +230,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    rows, aborted = reproduce.run_claim(args.claim, budget=args.time_budget)
+    budget = args.time_budget
+    if budget is not None and not 0 < budget < math.inf:  # nan fails too
+        raise UsageError("--time-budget must be a positive, finite number "
+                         f"of seconds, not {budget:g}")
+    rows, aborted = reproduce.run_claim(args.claim, budget=budget)
     ok = all(r["pass"] for r in rows) and not aborted
     if args.json:
         print(json.dumps({"schema": 1, "claim": args.claim, "pass": ok,

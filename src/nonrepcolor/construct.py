@@ -109,18 +109,19 @@ def is_symmetrical(g: Graph, c: Coloring, v: int) -> bool:
 def classify_edges(g: Graph, c: Coloring) -> list:
     """Good/bad classification of the matching e_i = (v_2i, v_2i+1).
 
-    Requires an even cycle with a proper path-nonrepetitive 3-coloring.
-    For cycles of length >= 16 at least two matching edges must come out
-    good; a violation on valid input indicates an upstream bug.
+    v_0, v_1, ... is g.line, the order around the cycle.  Requires an even
+    cycle with a proper path-nonrepetitive 3-coloring.  For cycles of
+    length >= 16 at least two matching edges must come out good; a
+    violation on valid input indicates an upstream bug.
     """
     if not g.is_cycle() or g.n % 2:
         raise InvalidArgumentError("matching classification needs an even cycle")
     if max(c.colors) > 3:
         raise InvalidArgumentError("edge classification is defined for 3-colorings")
-    k = g.n // 2
+    k, line = g.n // 2, g.line
     out = []
     for i in range(k):
-        u, v = 2 * i, 2 * i + 1
+        u, v = line[2 * i], line[2 * i + 1]
         good = not (is_symmetrical(g, c, u) or is_symmetrical(g, c, v))
         out.append(EdgeClass((u, v), good))
     _require(k < 8 or sum(e.good for e in out) >= 2,

@@ -210,7 +210,7 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
 
     The witness is the shortest repetitive simple path, and among those the
     lexicographically least vertex sequence: lowest start vertex, then the
-    direction in g.neighbors(start) order.  On paths and cycles (g.shape) a
+    direction in g.neighbors(start) order.  On paths and cycles (g.line) a
     simple path is a factor of the color word, of the circular word on a
     cycle, and the check is an O(n^2) scan for squares; on any other graph
     it is a DFS over simple paths, exponential in general.
@@ -229,20 +229,13 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
 def _square_factor(g: Graph, cols) -> Optional[tuple]:
     """The witness of exists_repetitive_path on a path or cycle, or None.
 
-    The vertices are laid out along the line, from the lower-numbered end of
-    a path or from vertex 0 around a cycle (doubled, so that factors may
-    wrap).  A factor of 2t vertices is a square iff eq[i] = (word[i] ==
+    The color word is read along g.line, doubled on a cycle so that factors
+    may wrap.  A factor of 2t vertices is a square iff eq[i] = (word[i] ==
     word[i + t]) holds at the t positions from its start, so each half-length
     is one bytes.find for a run of t ones.  The reverse of a square is a
     square, so each square found gives both directions as candidates.
     """
-    n, adj, cyclic = g.n, g._adj, g.shape == "cycle"
-    v = 0 if cyclic else min(u for u in range(n) if len(adj[u]) < 2)
-    line, prev = [v], None
-    for _ in range(n - 1):
-        a = adj[v]
-        prev, v = v, a[1] if a[0] == prev else a[0]
-        line.append(v)
+    n, line, cyclic = g.n, g.line, g.shape == "cycle"
     if cyclic:
         line += line
     word = [cols[v] for v in line]
@@ -253,7 +246,7 @@ def _square_factor(g: Graph, cols) -> Optional[tuple]:
         squares = []
         i = eq.find(run, 0, end)
         while i >= 0:
-            seg = tuple(line[i:i + 2 * t])
+            seg = line[i:i + 2 * t]
             squares += (seg, seg[::-1])
             i = eq.find(run, i + 1, end)
         if squares:

@@ -58,27 +58,32 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edges
 
     @cached_property
-    def shape(self) -> str:
-        """Kind of graph: "path" (a lone vertex too), "cycle" or "graph".
+    def line(self) -> Optional[tuple]:
+        """The vertices along a path or around a cycle; None for other graphs.
 
-        Computed on first use: most graphs (prefix paths built during search)
-        never ask.
+        A path reads from its lower-numbered end, a cycle from vertex 0
+        towards its lower-numbered neighbour, so path_graph(n) and
+        cycle_graph(n) read 0..n-1.  Computed once, on first use.
         """
-        degs = sorted(len(a) for a in self._adj)
-        if degs == [0] or (degs[:2] == [1, 1] and set(degs[2:]) <= {2}):
-            kind = "path"
-        elif degs and degs[0] == degs[-1] == 2:
-            kind = "cycle"
-        else:
+        adj = self._adj
+        if not adj or max(map(len, adj)) > 2:
+            return None
+        v = next((u for u, a in enumerate(adj) if len(a) < 2), 0)
+        line, prev = [v], None
+        while len(line) < self.n:
+            step = [w for w in adj[v] if w != prev]
+            if not step or step[0] == line[0]:
+                return None  # the component of line[0] is not the whole graph
+            prev, v = v, step[0]
+            line.append(v)
+        return tuple(line)
+
+    @cached_property
+    def shape(self) -> str:
+        """Kind of graph: "path" (a lone vertex too), "cycle" or "graph"."""
+        if self.line is None:
             return "graph"
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return kind if len(seen) == self.n else "graph"
+        return "cycle" if len(self.edges) == self.n else "path"
 
     def is_cycle(self) -> bool:
         return self.shape == "cycle"

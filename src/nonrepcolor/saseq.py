@@ -42,31 +42,24 @@ def _third_color(a: int, b: int) -> int:
 def encode_sa(g: Graph, c: Coloring) -> str:
     """SA-word of a proper 3-coloring: one letter per degree-2 vertex.
 
-    Paths yield the word for interior vertices 1..n-2 (length n-2), cycles
-    one letter per vertex (length n).  Requires colors within {1, 2, 3} and
-    a proper coloring, otherwise symmetry is not well defined.
+    Letters follow g.line: paths yield the word of the interior vertices
+    (length n-2), cycles one letter per vertex (length n).  Requires colors
+    within {1, 2, 3} and a proper coloring, otherwise symmetry is not well
+    defined; a cycle's closing edge may be improper (closure contradictions
+    are still classified letter by letter).
     """
     if c.n != g.n:
         raise InvalidArgumentError("coloring size does not match graph")
     if max(c.colors) > 3:
         raise InvalidArgumentError("SA encoding requires a 3-coloring")
-    if g.shape == "graph":
+    if g.line is None:
         raise InvalidArgumentError("SA encoding applies to paths and cycles")
-    is_cyc = g.shape == "cycle"
-    cols = c.colors
-    for u, v in g.edges:
-        # the wrap edge of a cycle may be improper: closure contradictions
-        # are still classified letter by letter
-        if is_cyc and (u, v) == (0, g.n - 1):
-            continue
-        if cols[u] == cols[v]:
-            raise InvalidArgumentError("SA encoding requires a proper coloring")
-    vertices = range(g.n) if is_cyc else range(1, g.n - 1)
-    letters = []
-    for v in vertices:
-        a, b = g.neighbors(v)
-        letters.append("S" if cols[a] == cols[b] else "A")
-    return "".join(letters)
+    word = c.sequence_of(g.line)
+    if any(a == b for a, b in zip(word, word[1:])):
+        raise InvalidArgumentError("SA encoding requires a proper coloring")
+    if g.shape == "cycle":
+        word = word[-1:] + word + word[:1]
+    return "".join("S" if a == b else "A" for a, b in zip(word, word[2:]))
 
 
 def decode_sa(word: str, graph_kind: str) -> Coloring:

@@ -4,12 +4,12 @@ Symmetry breaking: color j may be introduced only after colors 1..j-1 have
 appeared (all three properties are invariant under color permutation).
 Pruning uses only facts inherited by colored prefixes: proper edges, the
 distance-2 constraint (walk property), repetitive contiguous even segments
-inside the colored arc (path/cycle vertex order), and for the stroll
-property repetitive strolls inside the colored arc, read as a path.  The
-last two rules are incremental: the shorter prefix already passed, so they
-look only at what the newly colored vertex can close (the suffix squares,
-and the product-graph components through that vertex).  Completed colorings
-are always re-checked with the full decider.
+inside the colored arc (paths and cycles are colored along Graph.line),
+and for the stroll property repetitive strolls inside the colored arc,
+read as a path.  The last two rules are incremental: the shorter prefix
+already passed, so they look only at what the newly colored vertex can
+close (the suffix squares, and the product-graph components through that
+vertex).  Completed colorings are always re-checked with the full decider.
 """
 
 from __future__ import annotations
@@ -66,16 +66,17 @@ class SolveReport:
 
 
 def _graph_descriptor(g: Graph) -> dict:
+    """Kind and size; the edges too unless the labels follow g.line."""
     desc = {"kind": g.shape, "n": g.n}
-    if g.shape == "graph":
+    if g.line != tuple(range(g.n)):
         desc["edges"] = sorted(map(list, g.edges))
     return desc
 
 
 def _vertex_order(g: Graph) -> list:
-    """Natural order on paths/cycles, otherwise BFS from vertex 0."""
-    if g.shape != "graph":
-        return list(range(g.n))
+    """g.line on paths and cycles, otherwise BFS from vertex 0."""
+    if g.line is not None:
+        return list(g.line)
     order, seen, head = [], set(), 0  # order[head:] is the BFS queue
     for root in range(g.n):
         if root not in seen:
@@ -150,7 +151,7 @@ def _stroll_prefix(g, order, colors, depth):
 
 def _prefix_rules(g: Graph, property: str, prune: bool) -> tuple:
     """The proper-edge rule, then the pruning rules the property allows."""
-    linear = g.shape != "graph"
+    linear = g.line is not None
     return tuple(rule for rule, wanted in (
         (_proper, True),
         (_distance2, prune and property == "walk"),

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from nonrepcolor import decide
 from nonrepcolor.cli import main
 from nonrepcolor.model import cycle_graph
+
+# P7 laid out 1-6-3-5-2-0-4
+P7_RELABELLED = str(Path(__file__).parent / "data" / "p7_relabelled.json")
 
 
 def run(capsys, *argv):
@@ -116,6 +120,17 @@ class TestSolve:
         data = json.loads(out)
         assert data["schema"] == 1 and data["value"] == 4
 
+    def test_relabelled_path_file(self, capsys):
+        code, out, _ = run(capsys, "solve", P7_RELABELLED, "--property",
+                           "stroll", "--max-colors", "4", "--json")
+        data = json.loads(out)
+        assert code == 0 and data["value"] == 3 and data["exhausted_k"] == [1, 2]
+        assert data["graph"]["edges"] == [[0, 2], [0, 4], [1, 6], [2, 5],
+                                          [3, 5], [3, 6]]
+        code, _, _ = run(capsys, "verify", P7_RELABELLED, "--colors",
+                         data["certificate"], "--property", "stroll")
+        assert code == 0
+
     def test_budget_exhausted(self, capsys):
         code, out, _ = run(capsys, "solve", "cycle:9", "--property", "path",
                            "--max-colors", "3", "--budget", "5")
@@ -158,6 +173,13 @@ class TestSa:
         code, out, _ = run(capsys, "sa", "encode", "path:4",
                            "--colors", "1213")
         assert code == 0 and out.strip() == "SA"
+
+    def test_encode_relabelled_path_file(self, capsys, tmp_path):
+        path = tmp_path / "p4.json"
+        path.write_text('{"n": 4, "edges": [[0, 1], [0, 3], [2, 3]]}')
+        code, out, err = run(capsys, "sa", "encode", str(path),
+                             "--colors", "2131")
+        assert (code, out, err) == (0, "SA\n", "")
 
     def test_encode_needs_graph(self, capsys):
         code, _, err = run(capsys, "sa", "encode", "--colors", "1213")
@@ -245,6 +267,15 @@ class TestReproduce:
         code, out, _ = run(capsys, "reproduce", "fig1", "--json")
         data = json.loads(out)
         assert code == 0 and data["pass"] is True and data["schema"] == 1
+
+    @pytest.mark.parametrize("budget,shown", [
+        ("-1", "-1"), ("0", "0"), ("nan", "nan"), ("inf", "inf")])
+    def test_bad_time_budget(self, capsys, budget, shown):
+        code, out, err = run(capsys, "reproduce", "lemma5",
+                             "--time-budget", budget)
+        assert (code, out, err) == (
+            2, "", f"error: --time-budget must be a positive, finite number "
+                   f"of seconds, not {shown}\n")
 
     def test_time_budget_abort(self, capsys):
         code, out, _ = run(capsys, "reproduce", "table1",

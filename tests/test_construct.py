@@ -22,6 +22,7 @@ from nonrepcolor.decide import (
 )
 from nonrepcolor.model import (
     Coloring,
+    Graph,
     InvalidArgumentError,
     cycle_graph,
     is_distance2,
@@ -61,6 +62,14 @@ class TestEdgeClassification:
         assert is_symmetrical(g, c, 1)  # neighbors 0 and 2 both colored 1
         classes = {e.edge: e.good for e in classify_edges(g, c)}
         assert classes[(0, 1)] is False
+
+    def test_relabelled_cycle_matching_follows_the_line(self):
+        # C6 laid out 0-3-1-5-2-4, colored 121323 along the line
+        g = Graph.from_edges(6, [(0, 3), (3, 1), (1, 5), (5, 2), (2, 4), (4, 0)])
+        classes = classify_edges(g, Coloring.from_digits("112233"))
+        assert [(e.edge, e.good) for e in classes] == [
+            ((0, 3), False), ((1, 5), True), ((2, 4), False)]
+        assert all(g.adjacent(*e.edge) for e in classes)
 
     def test_rejects_odd_cycle_and_path(self):
         with pytest.raises(InvalidArgumentError):

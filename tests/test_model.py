@@ -52,24 +52,34 @@ class TestGraphConstructors:
         with pytest.raises(InvalidArgumentError):
             Graph.from_edges(2, [(1, 1)])
 
-    @pytest.mark.parametrize("g,shape", [
-        (Graph(0, frozenset()), "graph"),
-        (path_graph(1), "path"),
-        (path_graph(2), "path"),
-        (path_graph(5), "path"),
-        (cycle_graph(5), "cycle"),
+    @pytest.mark.parametrize("g,shape,line", [
+        (Graph(0, frozenset()), "graph", None),
+        (path_graph(1), "path", (0,)),
+        (path_graph(2), "path", (0, 1)),
+        (path_graph(5), "path", (0, 1, 2, 3, 4)),
+        (cycle_graph(5), "cycle", (0, 1, 2, 3, 4)),
+        # relabelled: a path reads from its lower-numbered end, a cycle from
+        # vertex 0 towards its lower-numbered neighbour
+        (Graph.from_edges(5, [(3, 1), (1, 4), (4, 0), (0, 2)]), "path",
+         (2, 0, 4, 1, 3)),
+        (Graph.from_edges(5, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)]),
+         "cycle", (0, 2, 4, 1, 3)),
         # path degrees but disconnected: P2 plus a triangle
-        (Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)]), "graph"),
+        (Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)]), "graph", None),
         # cycle degrees but disconnected: two triangles
         (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
-         "graph"),
-        (Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), "graph"),  # K1,3
-        (figure1_fixture()[0], "graph"),
-    ], ids=["empty", "vertex", "P2", "P5", "C5", "P2+C3", "2C3", "K13", "fig1"])
-    def test_shape_predicates(self, g, shape):
+         "graph", None),
+        # a lone vertex beside a path
+        (Graph.from_edges(3, [(1, 2)]), "graph", None),
+        (Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), "graph", None),  # K1,3
+        (figure1_fixture()[0], "graph", None),
+    ], ids=["empty", "vertex", "P2", "P5", "C5", "P5-relabelled",
+            "C5-relabelled", "P2+C3", "2C3", "K1+P2", "K13", "fig1"])
+    def test_shape_predicates(self, g, shape, line):
         assert g.is_path() == (shape == "path")
         assert g.is_cycle() == (shape == "cycle")
         assert g.shape == shape
+        assert g.line == line
 
     def test_json_round_trip(self):
         g = cycle_graph(6)

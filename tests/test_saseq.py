@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from nonrepcolor.decide import exists_repetitive_stroll
 from nonrepcolor.model import (
     Coloring,
+    Graph,
     InvalidArgumentError,
     classify_walk,
     cycle_graph,
@@ -40,6 +42,29 @@ class TestEncode:
         c = Coloring.from_digits("123121321231")
         word = encode_sa(cycle_graph(12), c)
         assert word[1:11] == "AAASAAASAA"
+
+    def test_relabelled_path_reads_along_the_line(self):
+        # P5 laid out 0-2-1-3-4, colored 12132 along the line
+        g = Graph.from_edges(5, [(0, 2), (2, 1), (1, 3), (3, 4)])
+        assert encode_sa(g, Coloring.from_digits("11232")) == "SAA"
+
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["path", "cycle"])
+    def test_relabelled_word_is_the_word_along_the_line(self, cyclic):
+        rng = random.Random(6)
+        for _ in range(200):
+            n = rng.randint(3, 12)
+            ids = rng.sample(range(n), n)
+            edges = list(zip(ids, ids[1:])) + ([(ids[-1], ids[0])] if cyclic else [])
+            g = Graph.from_edges(n, edges)
+            along = [rng.randint(1, 3)]
+            while len(along) < n:
+                along.append(rng.choice([x for x in (1, 2, 3) if x != along[-1]]))
+            colors = [0] * n
+            for v, col in zip(g.line, along):
+                colors[v] = col
+            natural = (cycle_graph if cyclic else path_graph)(n)
+            assert (encode_sa(g, Coloring(tuple(colors), 3))
+                    == encode_sa(natural, Coloring(tuple(along), 3)))
 
     def test_rejects_improper(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,11 +1,12 @@
 import json
+import random
 import sys
 
 import pytest
 
 from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE
-from nonrepcolor.model import (Coloring, InvalidArgumentError, cycle_graph,
-                               path_graph)
+from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
+                               cycle_graph, path_graph)
 from nonrepcolor.search import final_check, search_fixed_k, solve
 
 P21_WORD = "121312321323123213121"
@@ -64,6 +65,16 @@ class TestReportContract:
                              "exhausted_k", "nodes_visited", "wall_time"}
         assert data["graph"] == {"kind": "cycle", "n": 6}
 
+    def test_relabelled_graph_lists_its_edges(self):
+        # P7 laid out 1-6-3-5-2-0-4: the certificate colors these labels
+        g = Graph.from_edges(7, [(1, 6), (6, 3), (3, 5), (5, 2), (2, 0), (0, 4)])
+        data = solve(g, "stroll", 4).to_json_dict()
+        assert data["graph"] == {"kind": "path", "n": 7,
+                                 "edges": sorted(map(list, g.edges))}
+        assert (data["value"], data["exhausted_k"]) == (3, [1, 2])
+        assert final_check(g, Coloring.from_digits(data["certificate"]), "stroll")
+        assert solve(path_graph(7), "stroll", 4).graph == {"kind": "path", "n": 7}
+
     def test_budget_abort_makes_no_claim(self):
         r = solve(cycle_graph(9), "path", 3, node_budget=5)
         assert r.aborted and r.value is None and r.nodes_visited >= 5
@@ -104,6 +115,24 @@ def test_square_and_distance2_pruning_sound(make_graph, n, prop):
     pruned = solve(make_graph(n), prop, 5, prune=True)
     unpruned = solve(make_graph(n), prop, 5, prune=False)
     assert pruned.value == unpruned.value
+
+
+@pytest.mark.parametrize("make_graph,ns", [(path_graph, range(3, 12)),
+                                           (cycle_graph, range(3, 12))])
+@pytest.mark.parametrize("prop", ["path", "stroll", "walk"])
+def test_relabelled_search_matches_natural(make_graph, ns, prop):
+    """Labels that do not follow the line change no value and no exhaustion."""
+    rng = random.Random(f"{make_graph.__name__} {prop}")
+    for n in ns:
+        natural = solve(make_graph(n), prop, 5)
+        for _ in range(3):
+            ids = rng.sample(range(n), n)
+            g = Graph.from_edges(
+                n, [(ids[v], ids[w]) for v, w in make_graph(n).edges])
+            r = solve(g, prop, 5)
+            assert (r.value, r.exhausted_k) == (
+                natural.value, natural.exhausted_k), (ids, prop)
+            assert final_check(g, r.certificate, prop), (ids, prop)
 
 
 def test_fixed_k_exhaustion_is_complete():

@@ -20,6 +20,7 @@ from .decide import (
     exists_repetitive_path,
     exists_repetitive_stroll,
     find_witness,
+    holds,
     is_walk_nonrepetitive_cycle_fast,
 )
 from .oracle import OracleVerdict, brute_force_check

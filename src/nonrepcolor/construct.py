@@ -183,7 +183,7 @@ def sigma_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     _require(all(v // 2 in kept for v in range(2 * k)
                  if is_symmetrical(base_graph, base, v)),
              "symmetrical vertex left uncovered")
-    if decide.exists_repetitive_nonboring_walk(g, coloring) is not None:
+    if not decide.holds(g, coloring, "walk"):
         raise RuntimeError("constructed coloring failed self-verification")
     trace = ConstructionTrace(
         base_cycle_n=2 * k,
@@ -219,7 +219,7 @@ def rho_path_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
         _require(cert is not None,
                  "no stroll-nonrepetitive 4-coloring of the path")
         value, coloring = 4, cert
-    if decide.exists_repetitive_stroll(g, coloring) is not None:
+    if not decide.holds(g, coloring, "stroll"):
         raise RuntimeError("constructed coloring failed self-verification")
     return value, coloring
 
@@ -254,7 +254,7 @@ def rho_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     else:
         _, coloring = sigma_cycle_coloring(n, node_budget=node_budget)
         value = 4
-    if decide.exists_repetitive_stroll(g, coloring) is not None:
+    if not decide.holds(g, coloring, "stroll"):
         raise RuntimeError("constructed coloring failed self-verification")
     return value, coloring
 

@@ -14,6 +14,9 @@ alone.  The oracle module cross-validates this reduction empirically.
 
 The path property is a square scan of the color word on paths and cycles,
 and a DFS over simple paths on other graphs.
+
+holds gives the verdict alone: the labelling stops at the first accepting
+component, and no witness is built.  find_witness explains a failure.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ def _check_coloring(g: Graph, c: Coloring) -> None:
         raise InvalidArgumentError("coloring size does not match graph")
 
 
-def accepting_starts(adj, cols, allow_diagonal: bool, seeds) -> set:
-    """The states of the seeds' components that start an accepted product walk.
+def accepting_starts(adj, cols, allow_diagonal: bool, seeds):
+    """The states that start an accepted product walk, per component, lazily.
 
     adj[v] lists the neighbours of vertex v and cols[v] is its color; the
     seeds are color-matched states, off the diagonal unless allow_diagonal.
@@ -65,10 +68,11 @@ def accepting_starts(adj, cols, allow_diagonal: bool, seeds) -> set:
     when both lie in one connected component, and it accepts iff its
     component holds a state whose first coordinate is adjacent to b.  For
     nonboring walks (allow_diagonal) the component must also hold an
-    off-diagonal state, which sets the bit on the way.  Each component that
-    holds a seed is labelled once, in O(S * maxdeg^2) for its S states.
+    off-diagonal state.  Components are labelled in seed order, each once, in
+    O(S * maxdeg^2) for its S states, and each accepting one yields the list
+    of its accepting states: asking whether one exists stops at the first.
     """
-    seen, accepting = set(), set()
+    seen = set()
     for seed in seeds:
         if seed in seen:
             continue
@@ -86,8 +90,18 @@ def accepting_starts(adj, cols, allow_diagonal: bool, seeds) -> set:
         if allow_diagonal and all(u == w for u, w in comp):
             continue  # every walk in it is boring
         near = {x for u, _ in comp for x in adj[u]}
-        accepting.update(s for s in comp if s[1] in near)
-    return accepting
+        starts = [s for s in comp if s[1] in near]
+        if starts:
+            yield starts
+
+
+def _seeds(cols, allow_diagonal: bool) -> list:
+    """Every color-matched state (u, w), off the diagonal unless allowed, ascending."""
+    classes = {}
+    for v, col in enumerate(cols):
+        classes.setdefault(col, []).append(v)
+    return [(u, w) for u, col in enumerate(cols) for w in classes[col]
+            if allow_diagonal or u != w]
 
 
 def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
@@ -110,15 +124,10 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     vertex and then the lexicographically smallest walk reconstructed from
     the BFS.
     """
-    n = g.n
     cols = c.colors
-    states = []
-    for u in range(n):
-        for w in range(n):
-            if cols[u] == cols[w] and (allow_diagonal or u != w):
-                states.append((u, w))
+    states = _seeds(cols, allow_diagonal)
     adj = g._adj
-    starts = accepting_starts(adj, cols, allow_diagonal, states)
+    starts = set().union(*accepting_starts(adj, cols, allow_diagonal, states))
     if not starts:
         return None
 
@@ -216,14 +225,16 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
     it is a DFS over simple paths, exponential in general.
     """
     _check_coloring(g, c)
-    if g.shape == "graph":
-        walk = _square_path_dfs(g, c.colors)
-    else:
-        walk = _square_factor(g, c.colors)
+    walk = _square_path(g, c.colors)
     if walk is None:
         return None
     w = Walk(walk)
     return Witness(w, classify_walk(g, c, w), "path")
+
+
+def _square_path(g: Graph, cols) -> Optional[tuple]:
+    """The witness of exists_repetitive_path: a square scan, or DFS off lines."""
+    return (_square_path_dfs if g.shape == "graph" else _square_factor)(g, cols)
 
 
 def _square_factor(g: Graph, cols) -> Optional[tuple]:
@@ -305,9 +316,25 @@ def find_witness(g: Graph, c: Coloring, property: str) -> Optional[Witness]:
     raise InvalidArgumentError(f"unknown property {property!r}")
 
 
+def holds(g: Graph, c: Coloring, property: str) -> bool:
+    """True iff find_witness(g, c, property) is None, without building one.
+
+    Stroll and walk label no state past the first accepting component.
+    """
+    if property not in PROPERTIES:
+        raise InvalidArgumentError(f"unknown property {property!r}")
+    _check_coloring(g, c)
+    cols = c.colors
+    if property == "path":
+        return _square_path(g, cols) is None
+    diagonal = property == "walk"
+    starts = accepting_starts(g._adj, cols, diagonal, _seeds(cols, diagonal))
+    return next(starts, None) is None
+
+
 def is_walk_nonrepetitive_cycle_fast(g: Graph, c: Coloring) -> bool:
     """Cycle shortcut: walk-nonrepetitive iff distance-2 and path-nonrepetitive."""
     if not g.is_cycle():
         raise InvalidArgumentError("fast check applies to cycles only")
     _check_coloring(g, c)
-    return is_distance2(g, c) is None and exists_repetitive_path(g, c) is None
+    return is_distance2(g, c) is None and holds(g, c, "path")

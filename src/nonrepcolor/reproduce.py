@@ -54,7 +54,7 @@ def claim_table1(run):
     """Embedded cycle table: every row walk-verifies; small lower bounds exhaust."""
     for n in range(4, 22):
         value, c = construct.table1_coloring(n)
-        ok = decide.exists_repetitive_nonboring_walk(cycle_graph(n), c) is None
+        ok = decide.holds(cycle_graph(n), c, "walk")
         tight = c.colors_used() == value
         run.add(f"C{n} row verifies with {value} colors", ok and tight)
     for n in range(4, 22):
@@ -102,7 +102,7 @@ def claim_thm2(run):
     """Stroll chromatic values of paths: 3 up to 21 vertices, then 4."""
     word = Coloring.from_colors(construct.STROLL_NONREP_P21)
     run.add("21-vertex word is stroll-nonrepetitive",
-            decide.exists_repetitive_stroll(path_graph(21), word) is None)
+            decide.holds(path_graph(21), word, "stroll"))
     r = search.solve(path_graph(22), "stroll", 3)
     run.add("P22: no stroll-nonrepetitive 3-coloring (search)",
             not r.aborted and r.value is None, f"nodes={r.nodes_visited}")
@@ -127,7 +127,7 @@ def claim_thm3(run):
     for n, digits in ((6, "212313"), (8, "12132123")):
         c = Coloring.from_digits(digits)
         run.add(f"C{n} coloring {digits} is stroll-nonrepetitive",
-                decide.exists_repetitive_stroll(cycle_graph(n), c) is None)
+                decide.holds(cycle_graph(n), c, "stroll"))
 
 
 @_claim
@@ -149,7 +149,7 @@ def claim_lemma4(run):
         run.add(f"{h}: stroll {seq_str} is repetitive",
                 wc.stroll and wc.repetitive is True and seq == expected[h])
         run.add(f"{h}: decider finds a repetitive stroll",
-                decide.exists_repetitive_stroll(g, c) is not None)
+                not decide.holds(g, c, "stroll"))
 
 
 @_claim
@@ -171,7 +171,7 @@ def claim_fig1(run):
     g, c = construct.figure1_fixture()
     run.add("fixture is a distance-2 coloring", is_distance2(g, c) is None)
     run.add("fixture is path-nonrepetitive",
-            decide.exists_repetitive_path(g, c) is None)
+            decide.holds(g, c, "path"))
     w = decide.exists_repetitive_nonboring_walk(g, c)
     run.add("fixture has a repetitive nonboring walk", w is not None,
             "" if w is None else f"witness {list(w.walk.vertices)}")
@@ -191,9 +191,9 @@ def claim_hierarchy(run):
         count = 0
         for k in (3, 4):
             for c in search.Colorings(g, k):
-                walk_ok = decide.exists_repetitive_nonboring_walk(g, c) is None
-                stroll_ok = decide.exists_repetitive_stroll(g, c) is None
-                path_ok = decide.exists_repetitive_path(g, c) is None
+                walk_ok = decide.holds(g, c, "walk")
+                stroll_ok = decide.holds(g, c, "stroll")
+                path_ok = decide.holds(g, c, "path")
                 fast = (is_distance2(g, c) is None) and path_ok
                 if fast != walk_ok:
                     equiv_bad += 1

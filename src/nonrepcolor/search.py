@@ -9,7 +9,10 @@ and for the stroll property repetitive strolls inside the colored arc,
 read as a path.  The last two rules are incremental: the shorter prefix
 already passed, so they look only at what the newly colored vertex can
 close (the suffix squares, and the product-graph components through that
-vertex).  Completed colorings are always re-checked with the full decider.
+vertex).  On a cycle, the stroll and walk searches also scan the completed
+color word for squares through the closing edge: a repetitive simple path
+is a repetitive stroll and a nonboring walk.  Completed colorings are
+always re-checked by decide.holds.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def _vertex_order(g: Graph) -> list:
 
 def final_check(g: Graph, c: Coloring, property: str) -> bool:
     """True iff the property's decider finds no violating witness."""
-    return decide.find_witness(g, c, property) is None
+    return decide.holds(g, c, property)
 
 
 class BudgetExhausted(RuntimeError):
@@ -133,6 +136,12 @@ def _suffix_squares(g, order, colors, depth):
                for t in range(2, (depth + 1) // 2 + 1))
 
 
+def _closing_squares(g, order, colors, depth):
+    # at the last vertex, squares through the closing edge included: each is
+    # a repetitive stroll and a nonboring walk
+    return depth < g.n - 1 or decide._square_factor(g, colors) is None
+
+
 def _stroll_prefix(g, order, colors, depth):
     if depth < 3:
         return True  # a proper coloring of P3 has no repetitive stroll
@@ -146,7 +155,7 @@ def _stroll_prefix(g, order, colors, depth):
     arc = [(1,), *((i - 1, i + 1) for i in range(1, depth)), (depth - 1,)]
     col = pref[depth]
     seeds = [(depth, w) for w in range(depth) if pref[w] == col]
-    return not decide.accepting_starts(arc, pref, False, seeds)
+    return next(decide.accepting_starts(arc, pref, False, seeds), None) is None
 
 
 def _prefix_rules(g: Graph, property: str, prune: bool) -> tuple:
@@ -156,6 +165,7 @@ def _prefix_rules(g: Graph, property: str, prune: bool) -> tuple:
         (_proper, True),
         (_distance2, prune and property == "walk"),
         (_suffix_squares, prune and linear and property != "stroll"),
+        (_closing_squares, prune and g.shape == "cycle" and property != "path"),
         (_stroll_prefix, prune and linear and property == "stroll"),
     ) if wanted)
 

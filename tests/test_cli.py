@@ -252,8 +252,7 @@ class TestConstruct:
 
     def test_failed_self_verification_is_internal_error(self, capsys,
                                                         monkeypatch):
-        monkeypatch.setattr(decide, "exists_repetitive_stroll",
-                            lambda g, c: object())
+        monkeypatch.setattr(decide, "holds", lambda g, c, prop: False)
         code, _, err = run(capsys, "construct", "rho-cycle", "--n", "8")
         assert code == 4 and "internal error" in err
 

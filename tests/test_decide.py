@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from nonrepcolor.construct import figure1_fixture, table1_coloring
 from nonrepcolor.decide import (
@@ -11,6 +12,8 @@ from nonrepcolor.decide import (
     exists_repetitive_nonboring_walk,
     exists_repetitive_path,
     exists_repetitive_stroll,
+    find_witness,
+    holds,
     is_walk_nonrepetitive_cycle_fast,
 )
 from nonrepcolor.model import (
@@ -22,6 +25,8 @@ from nonrepcolor.model import (
     is_repetitive,
     path_graph,
 )
+
+from test_oracle import _colored, _small_graphs
 
 P21_WORD = "121312321323123213121"
 PRODUCT_WITNESSES = Path(__file__).parent / "data" / "product_witnesses.json"
@@ -224,3 +229,42 @@ def test_product_witnesses_match_record():
             assert got == found[prop], (g.edges, c.colors, prop)
         cases += 1
     assert cases == 9 + 27 + 81 + 243 + 729 + 27 + 81 + 243 + 729 + 201
+
+
+def _same_verdicts(g, c):
+    for prop in ("path", "stroll", "walk"):
+        assert holds(g, c, prop) == (find_witness(g, c, prop) is None), (
+            g.edges, c.colors, prop)
+
+
+@pytest.mark.parametrize("make_graph,n,k",
+                         [(path_graph, n, 3) for n in range(1, 9)]
+                         + [(cycle_graph, n, 3) for n in range(3, 9)]
+                         + [(cycle_graph, n, 4) for n in range(3, 8)])
+def test_holds_matches_find_witness(make_graph, n, k):
+    """The verdict route agrees with the explaining deciders, exhaustively."""
+    g = make_graph(n)
+    for cols in itertools.product(range(1, k + 1), repeat=n):
+        _same_verdicts(g, Coloring(cols, k))
+
+
+def test_holds_matches_find_witness_on_record():
+    for g, c, _ in _recorded_cases():
+        _same_verdicts(g, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored(_small_graphs()))
+def test_holds_matches_find_witness_on_small_graphs(gc):
+    _same_verdicts(*gc)
+
+
+def test_holds_on_figure1_fixture():
+    g, c = figure1_fixture()
+    assert not holds(g, c, "walk") and holds(g, c, "path")
+    _same_verdicts(g, c)
+
+
+def test_holds_rejects_unknown_property():
+    with pytest.raises(InvalidArgumentError):
+        holds(path_graph(2), Coloring((1, 2), 2), "trail")

@@ -7,7 +7,9 @@ import pytest
 from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE
 from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                cycle_graph, path_graph)
-from nonrepcolor.search import final_check, search_fixed_k, solve
+from nonrepcolor.decide import holds
+from nonrepcolor.search import (Colorings, _closing_squares, final_check,
+                                search_fixed_k, solve)
 
 P21_WORD = "121312321323123213121"
 
@@ -148,6 +150,45 @@ def test_stroll_search_node_counts(g, k, digits, nodes):
     """The stroll prefix rule prunes exactly as a full decider on the prefix."""
     cert, visited, aborted = search_fixed_k(g, "stroll", k)
     assert (cert and cert.to_digits(), visited, aborted) == (digits, nodes, False)
+
+
+@pytest.mark.parametrize("prop,n,digits,nodes", [
+    ("stroll", 16, "1213121412312134", 168),
+    ("stroll", 17, "12131214123121314", 385),
+    ("stroll", 18, "121312141231213214", 951),
+    ("stroll", 19, "1213121412312131424", 2391),
+    ("stroll", 20, "12131214123121314134", 6105),
+    ("stroll", 21, "121312141231213141234", 15695),
+    ("walk", 22, "1231241231421321431234", 94),
+    ("walk", 23, "12312412314213214231234", 72),
+    ("walk", 24, "123124123142132142134234", 72),
+    ("walk", 25, "1231241231421321423124134", 133),
+    ("walk", 26, "12312412314213214231431234", 264),
+    ("walk", 27, "123124123142132142134124134", 90),
+    ("walk", 28, "1231241231421321421341324134", 193),
+    ("walk", 29, "12312412314213214213412314234", 83),
+    ("walk", 30, "123124123142132142134124132134", 232),
+    ("walk", 31, "1231241231421321421341231431234", 179),
+    ("walk", 32, "12312412314213214213412312431234", 113),
+    ("walk", 33, "123124123142132142134123124132134", 102),
+    ("walk", 34, "1231241231421321421341231241342134", 194),
+])
+def test_cycle_search_node_counts(prop, n, digits, nodes):
+    """Rejecting leaves before the final check moves no node and no certificate."""
+    cert, visited, aborted = search_fixed_k(cycle_graph(n), prop, 4)
+    assert (cert.to_digits(), visited, aborted) == (digits, nodes, False)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_closing_squares_rejects_only_failing_colorings(n):
+    """A coloring with a square on the cycle has no stroll or walk property."""
+    g = cycle_graph(n)
+    rejected = 0
+    for c in Colorings(g, 4):
+        if not _closing_squares(g, list(g.line), list(c.colors), n - 1):
+            assert not holds(g, c, "stroll") and not holds(g, c, "walk"), c
+            rejected += 1
+    assert rejected > 0
 
 
 def test_search_depth_does_not_recurse():

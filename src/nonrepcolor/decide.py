@@ -4,13 +4,17 @@ A repetitive walk v_1..v_2t is equivalent to a walk of length t-1 through
 product states s_i = (v_i, v_{t+i}) with c(v_i) = c(v_{t+i}), closed by the
 link condition v_t ~ v_{t+1}.  The product graph on these at most n^2
 states (off the diagonal, for strolls) is undirected: a move joins two
-color-matched states, and adjacency is symmetric.  So a start state reaches another exactly when both lie in one
-connected component, and deciding the stroll or walk property is one
-labelling of the components (accepting_starts): a repetitive stroll exists
-iff a component holds states (a, b) and (x, y) with x ~ b; a repetitive
-nonboring walk iff such a component also holds an off-diagonal state.  Only
-when one does is a witness built, by BFS from the accepting start states
-alone.  The oracle module cross-validates this reduction empirically.
+color-matched states, and adjacency is symmetric.  So a start state reaches
+another exactly when both lie in one connected component, and deciding the
+stroll or walk property is one labelling of the components
+(accepting_starts): a repetitive stroll exists iff a component holds states
+(a, b) and (x, y) with x ~ b; a repetitive nonboring walk iff such a
+component also holds an off-diagonal state.  The reverse v_2t..v_1 of such
+a walk is one too, through the swapped states in reverse order, so swapping
+coordinates maps each component onto one that accepts alike: only seeds
+(u, w) with u < w are labelled, once per mirror pair.  Only when one accepts
+is a witness built, by BFS from the accepting start states alone.  The
+oracle module cross-validates this reduction empirically.
 
 The path property is a square scan of the color word on paths and cycles,
 and a DFS over simple paths on other graphs.
@@ -71,13 +75,19 @@ def accepting_starts(adj, cols, allow_diagonal: bool, seeds):
     off-diagonal state.  Components are labelled in seed order, each once, in
     O(S * maxdeg^2) for its S states, and each accepting one yields the list
     of its accepting states: asking whether one exists stops at the first.
+
+    Reversing a walk swaps its states' coordinates, so the mirror swap(K) of
+    a component K accepts iff K does.  A seed whose mirror is labelled is
+    skipped, and an accepting K other than swap(K) yields swap(K)'s accepting
+    states as a second list, unlabelled.  So the seeds (u, w) with u < w
+    (_seeds) suffice: K or swap(K) holds one if K has an off-diagonal state.
     """
     seen = set()
-    for seed in seeds:
-        if seed in seen:
+    for a, b in seeds:
+        if (a, b) in seen or (b, a) in seen:
             continue
-        seen.add(seed)
-        comp = [seed]
+        seen.add((a, b))
+        comp = [(a, b)]
         for u, w in comp:  # comp grows while it is read: the BFS queue
             for u2 in adj[u]:
                 col = cols[u2]
@@ -93,15 +103,17 @@ def accepting_starts(adj, cols, allow_diagonal: bool, seeds):
         starts = [s for s in comp if s[1] in near]
         if starts:
             yield starts
+            if (b, a) not in seen:  # swap(K) is another component
+                far = {x for _, w in comp for x in adj[w]}
+                yield [(w, u) for u, w in comp if u in far]
 
 
-def _seeds(cols, allow_diagonal: bool) -> list:
-    """Every color-matched state (u, w), off the diagonal unless allowed, ascending."""
+def _seeds(cols) -> list:
+    """Every color-matched state (u, w) with u < w, ascending."""
     classes = {}
     for v, col in enumerate(cols):
         classes.setdefault(col, []).append(v)
-    return [(u, w) for u, col in enumerate(cols) for w in classes[col]
-            if allow_diagonal or u != w]
+    return [(u, w) for u, col in enumerate(cols) for w in classes[col] if u < w]
 
 
 def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
@@ -125,16 +137,13 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     the BFS.
     """
     cols = c.colors
-    states = _seeds(cols, allow_diagonal)
     adj = g._adj
-    starts = set().union(*accepting_starts(adj, cols, allow_diagonal, states))
+    starts = set().union(*accepting_starts(adj, cols, allow_diagonal, _seeds(cols)))
     if not starts:
         return None
 
     best = None  # (length, walk tuple)
-    for s0 in states:
-        if s0 not in starts:
-            continue
+    for s0 in sorted(starts):
         a, b = s0
         # walks from s0 begin with a, and starts ascend: past best's first
         # vertex, only a strictly shorter walk can be better
@@ -328,7 +337,7 @@ def holds(g: Graph, c: Coloring, property: str) -> bool:
     if property == "path":
         return _square_path(g, cols) is None
     diagonal = property == "walk"
-    starts = accepting_starts(g._adj, cols, diagonal, _seeds(cols, diagonal))
+    starts = accepting_starts(g._adj, cols, diagonal, _seeds(cols))
     return next(starts, None) is None
 
 

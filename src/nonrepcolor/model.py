@@ -100,11 +100,11 @@ class Graph:
         if not isinstance(data, dict):
             raise InvalidArgumentError("a graph must be a JSON object")
         n, edges = data["n"], data["edges"]
-        if not (type(n) is int and isinstance(edges, list) and all(
+        if not (type(n) is int and n >= 1 and isinstance(edges, list) and all(
                 isinstance(e, list) and len(e) == 2
                 and all(type(v) is int for v in e) for e in edges)):
-            raise InvalidArgumentError(
-                "n must be an integer and edges a list of integer [u, v] pairs")
+            raise InvalidArgumentError("n must be a positive integer and "
+                                       "edges a list of integer [u, v] pairs")
         return Graph.from_edges(n, edges)
 
 

@@ -148,9 +148,9 @@ def _stroll_prefix(g, order, colors, depth):
     # the colored prefix along a path/cycle arc is an induced path; any
     # repetitive stroll inside it survives in the full graph.  The prefix
     # order[:depth] passed this rule, so a new one passes through the new
-    # vertex: a product state on it lies in an accepting component.
-    # Swapping the coordinates maps a component onto one that accepts
-    # alike, so the states (depth, w) suffice.
+    # vertex: a product state on it lies in an accepting component, and
+    # the states (depth, w) suffice by the mirror argument of
+    # decide.accepting_starts.
     pref = [colors[order[i]] for i in range(depth + 1)]
     arc = [(1,), *((i - 1, i + 1) for i in range(1, depth)), (depth - 1,)]
     col = pref[depth]

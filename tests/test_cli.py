@@ -70,6 +70,18 @@ class TestVerify:
         assert (code, out, err) == (
             2, "", "error: path needs at least one vertex\n")
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--property", "stroll", "--max-colors", "3"],
+        ["verify", "--colors", "1", "--property", "path"],
+    ])
+    def test_empty_graph_file(self, capsys, tmp_path, command):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 0, "edges": []}')
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot load graph from {str(path)!r}: n must be "
+                       "a positive integer and edges a list of integer [u, v] pairs\n")
+
     @pytest.mark.parametrize("text", [
         "[1,2]",
         '{"n": 3, "edges": [[0, "a"]]}',

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 
 from nonrepcolor.construct import figure1_fixture, table1_coloring
 from nonrepcolor.decide import (
+    _seeds,
     _square_path_dfs,
+    accepting_starts,
     exists_repetitive_nonboring_walk,
     exists_repetitive_path,
     exists_repetitive_stroll,
@@ -268,3 +270,102 @@ def test_holds_on_figure1_fixture():
 def test_holds_rejects_unknown_property():
     with pytest.raises(InvalidArgumentError):
         holds(path_graph(2), Coloring((1, 2), 2), "trail")
+
+
+def _reference_starts(adj, cols, allow_diagonal):
+    """Every accepting state, labelling the component of every matched state.
+
+    No mirror is skipped: each color-matched state (off the diagonal unless
+    allow_diagonal) is labelled in its own component, by DFS.
+    """
+    n = len(cols)
+    labelled, accepting = set(), set()
+    for s in itertools.product(range(n), repeat=2):
+        if cols[s[0]] != cols[s[1]] or s in labelled:
+            continue
+        if s[0] == s[1] and not allow_diagonal:
+            continue
+        comp, stack = {s}, [s]
+        while stack:
+            u, w = stack.pop()
+            for t in itertools.product(adj[u], adj[w]):
+                if (cols[t[0]] == cols[t[1]] and t not in comp
+                        and (allow_diagonal or t[0] != t[1])):
+                    comp.add(t)
+                    stack.append(t)
+        labelled |= comp
+        if any(u != w for u, w in comp):  # else every walk in it is boring
+            firsts_adj = {x for u, _ in comp for x in adj[u]}
+            accepting |= {t for t in comp if t[1] in firsts_adj}
+    return accepting
+
+
+def _same_starts(adj, cols, allow_diagonal, seeds=None):
+    """accepting_starts agrees with the reference; returns its lists."""
+    lists = list(accepting_starts(adj, cols, allow_diagonal,
+                                  _seeds(cols) if seeds is None else seeds))
+    union = set().union(*lists)
+    assert len(union) == sum(map(len, lists))  # no state yielded twice
+    ref = _reference_starts(adj, cols, allow_diagonal)
+    if seeds is None:
+        assert union == ref, (adj, cols, allow_diagonal)
+    else:
+        assert union <= ref, (adj, cols, seeds)
+    first = next(accepting_starts(adj, cols, allow_diagonal,
+                                  _seeds(cols) if seeds is None else seeds), None)
+    assert (first is None) == (not lists)
+    return lists
+
+
+def test_seeds_are_matched_pairs_below_the_diagonal():
+    assert _seeds((1, 2, 1, 2, 1)) == [(0, 2), (0, 4), (1, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("allow_diagonal", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(_colored(_small_graphs()))
+def test_accepting_starts_matches_reference(allow_diagonal, gc):
+    """Labelling one component per mirror pair misses no accepting state."""
+    g, c = gc
+    _same_starts(g._adj, c.colors, allow_diagonal)
+
+
+def test_self_mirror_component_is_yielded_once():
+    """On C4 colored 1212, (1, 3) and (3, 1) share one component."""
+    g = cycle_graph(4)
+    lists = _same_starts(g._adj, (1, 2, 1, 2), False)
+    assert [sorted(x) for x in lists] == [[(0, 2), (1, 3), (2, 0), (3, 1)]]
+
+
+def test_walk_component_through_the_diagonal():
+    """On P3 colored 121, (0, 2) reaches (1, 1) only when walks may."""
+    g = path_graph(3)
+    assert _same_starts(g._adj, (1, 2, 1), False) == []
+    lists = _same_starts(g._adj, (1, 2, 1), True)
+    assert [sorted(x) for x in lists] == [
+        [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]]
+
+
+def test_mirror_component_is_reported_unlabelled():
+    """On P4 colored 1212 the stroll 0 1 2 3 starts at (0, 2) and its
+    reverse 3 2 1 0 at (3, 1), in the mirror component, never labelled."""
+    g = path_graph(4)
+    lists = _same_starts(g._adj, (1, 2, 1, 2), False)
+    assert lists == [[(0, 2)], [(3, 1)]]
+
+
+@pytest.mark.parametrize("depth", range(3, 9))
+def test_stroll_prefix_seeds(depth):
+    """Seeds (depth, w) find a new repetitive stroll through vertex depth.
+
+    Every 3-word on the path 0..depth whose prefix without the last vertex
+    has no repetitive stroll, with the seeds search._stroll_prefix uses.
+    """
+    arc = [(1,), *((i - 1, i + 1) for i in range(1, depth)), (depth - 1,)]
+    prefix_arc = [*arc[:depth - 1], (depth - 2,)]
+    for word in itertools.product((1, 2, 3), repeat=depth + 1):
+        if _reference_starts(prefix_arc, word[:depth], False):
+            continue
+        seeds = [(depth, w) for w in range(depth) if word[w] == word[depth]]
+        lists = _same_starts(arc, word, False, seeds)
+        assert (not lists) == (not _reference_starts(arc, word, False)), word

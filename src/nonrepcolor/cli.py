@@ -66,7 +66,7 @@ def _load_graph(args) -> Graph:
     try:
         with open(spec) as fh:
             return Graph.from_json(fh.read())
-    except (OSError, ValueError, KeyError, InvalidArgumentError) as exc:
+    except (OSError, ValueError, InvalidArgumentError) as exc:
         raise UsageError(f"cannot load graph from {spec!r}: {exc}")
 
 

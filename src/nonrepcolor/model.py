@@ -99,6 +99,9 @@ class Graph:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise InvalidArgumentError("a graph must be a JSON object")
+        for key in ("n", "edges"):
+            if key not in data:
+                raise InvalidArgumentError(f"missing key {key!r}")
         n, edges = data["n"], data["edges"]
         if not (type(n) is int and n >= 1 and isinstance(edges, list) and all(
                 isinstance(e, list) and len(e) == 2

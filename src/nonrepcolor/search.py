@@ -8,7 +8,8 @@ inside the colored arc (paths and cycles are colored along Graph.line),
 and for the stroll property repetitive strolls inside the colored arc,
 read as a path.  The last two rules are incremental: the shorter prefix
 already passed, so they look only at what the newly colored vertex can
-close (the suffix squares, and the product-graph components through that
+close (the suffix squares, by one regex match on the reversed color word
+that Colorings keeps, and the product-graph components through that
 vertex).  On a cycle, the stroll and walk searches also scan the completed
 color word for squares through the closing edge: a repetitive simple path
 is a repetitive stroll and a nonboring walk.  Completed colorings are
@@ -17,7 +18,9 @@ always re-checked by decide.holds.
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -103,11 +106,11 @@ class BudgetExhausted(RuntimeError):
     """A search stopped at its node budget; no claim can be made."""
 
 
-# Prefix rules: rule(g, order, colors, depth) tests the color of order[depth]
-# against the colored prefix order[:depth]; True = keep descending.  Each
-# uses only facts inherited by colored prefixes.
+# Prefix rules: rule(g, order, colors, word, rev, depth) tests the color of
+# order[depth] against the colored prefix (Colorings keeps word and rev);
+# True = keep descending.  Each uses only facts inherited by colored prefixes.
 
-def _proper(g, order, colors, depth):
+def _proper(g, order, colors, word, rev, depth):
     # proper edges (all properties imply properness for t=1 witnesses,
     # except the path property on a 1-edge repetitive path - same test)
     v = order[depth]
@@ -118,7 +121,7 @@ def _proper(g, order, colors, depth):
     return True
 
 
-def _distance2(g, order, colors, depth):
+def _distance2(g, order, colors, word, rev, depth):
     # distance-2: v against colored vertices two steps away
     v = order[depth]
     col = colors[v]
@@ -129,20 +132,28 @@ def _distance2(g, order, colors, depth):
     return True
 
 
-def _suffix_squares(g, order, colors, depth):
-    # contiguous even segments of the colored arc ending at depth
-    pref = [colors[order[i]] for i in range(depth + 1)]
-    return all(pref[-2 * t:-t] != pref[-t:]
-               for t in range(2, (depth + 1) // 2 + 1))
+# DOTALL because color 10 is "\n"; chr, not bytes, keeps colors above 255
+_SQUARE_START = re.compile(r"(..+)\1", re.DOTALL).match
 
 
-def _closing_squares(g, order, colors, depth):
+def _suffix_squares(g, order, colors, word, rev, depth):
+    # a square at the start of the reversed arc ends at depth: its last t
+    # colors repeat the t before them, t >= 2 (t = 1 is _proper's)
+    return _SQUARE_START(rev[depth]) is None
+
+
+def _closing_squares(g, order, colors, word, rev, depth):
     # at the last vertex, squares through the closing edge included: each is
     # a repetitive stroll and a nonboring walk
     return depth < g.n - 1 or decide._square_factor(g, colors) is None
 
 
-def _stroll_prefix(g, order, colors, depth):
+@functools.lru_cache(maxsize=1)
+def _line_adjacency(n):  # positions 0..n-1 of a line, shared by every arc
+    return ((1,), *((i - 1, i + 1) for i in range(1, n)))
+
+
+def _stroll_prefix(g, order, colors, word, rev, depth):
     if depth < 3:
         return True  # a proper coloring of P3 has no repetitive stroll
     # the colored prefix along a path/cycle arc is an induced path; any
@@ -150,12 +161,12 @@ def _stroll_prefix(g, order, colors, depth):
     # order[:depth] passed this rule, so a new one passes through the new
     # vertex: a product state on it lies in an accepting component, and
     # the states (depth, w) suffice by the mirror argument of
-    # decide.accepting_starts.
-    pref = [colors[order[i]] for i in range(depth + 1)]
-    arc = [(1,), *((i - 1, i + 1) for i in range(1, depth)), (depth - 1,)]
-    col = pref[depth]
-    seeds = [(depth, w) for w in range(depth) if pref[w] == col]
-    return next(decide.accepting_starts(arc, pref, False, seeds), None) is None
+    # decide.accepting_starts.  The arc reaches no position past depth, so
+    # the stale end of word is never read.
+    arc = _line_adjacency(g.n)[:depth] + ((depth - 1,),)
+    col = word[depth]
+    seeds = [(depth, w) for w in range(depth) if word[w] == col]
+    return next(decide.accepting_starts(arc, word, False, seeds), None) is None
 
 
 def _prefix_rules(g: Graph, property: str, prune: bool) -> tuple:
@@ -177,6 +188,10 @@ class Colorings:
     symmetry breaking, color j is introduced only after colors 1..j-1 have
     appeared.  `nodes` counts the colors tried so far; trying one more than
     node_budget raises BudgetExhausted.
+
+    The rules read the arc's color word: word[depth] = colors[order[depth]]
+    and rev[depth] = chr(word[depth]) + rev[depth - 1], the reversed arc as
+    one string, where a suffix square is one C-level regex match at the start.
     """
 
     def __init__(self, g: Graph, k: int, rules: tuple = (),
@@ -192,6 +207,7 @@ class Colorings:
         order = _vertex_order(g)
         colors = [0] * n  # by vertex; 0 = uncolored, else last color tried
         max_used = [0] * (n + 1)  # largest color on order[:depth]
+        word, rev = [0] * n, [""] * (n + 1)  # rev[-1] is the empty arc
         depth = 0
         while depth >= 0:
             if depth == n:
@@ -208,9 +224,10 @@ class Colorings:
             self.nodes += 1
             if self.nodes > self.node_budget:
                 raise BudgetExhausted(f"node budget {self.node_budget} exceeded")
-            colors[v] = col
+            colors[v] = word[depth] = col
+            rev[depth] = chr(col) + rev[depth - 1]
             for rule in self.rules:
-                if not rule(g, order, colors, depth):
+                if not rule(g, order, colors, word, rev, depth):
                     break
             else:
                 max_used[depth + 1] = max(max_used[depth], col)

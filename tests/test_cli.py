@@ -82,6 +82,20 @@ class TestVerify:
         assert err == (f"error: cannot load graph from {str(path)!r}: n must be "
                        "a positive integer and edges a list of integer [u, v] pairs\n")
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"n": 3}', "edges"),
+        ('{"edges": [[0, 1]]}', "n"),
+        ("{}", "n"),
+    ])
+    def test_graph_file_missing_key(self, capsys, tmp_path, text, key):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "solve", str(path), "--property", "path",
+                             "--max-colors", "3")
+        assert (code, out, err) == (
+            2, "", f"error: cannot load graph from {str(path)!r}: "
+                   f"missing key {key!r}\n")
+
     @pytest.mark.parametrize("text", [
         "[1,2]",
         '{"n": 3, "edges": [[0, "a"]]}',

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -8,8 +9,9 @@ from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE
 from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                cycle_graph, path_graph)
 from nonrepcolor.decide import holds
-from nonrepcolor.search import (Colorings, _closing_squares, final_check,
-                                search_fixed_k, solve)
+from nonrepcolor.search import (Colorings, _closing_squares, _proper,
+                                _suffix_squares, final_check, search_fixed_k,
+                                solve)
 
 P21_WORD = "121312321323123213121"
 
@@ -179,13 +181,126 @@ def test_cycle_search_node_counts(prop, n, digits, nodes):
     assert (cert.to_digits(), visited, aborted) == (digits, nodes, False)
 
 
+@pytest.mark.parametrize("m,digits,nodes", [
+    (16, "1213123213121323", 133),
+    (18, "121312313212321323", 57),
+    (20, "12131231321312132123", 107),
+    (22, "1213123132123213121323", 100),
+    (24, "121312313212321312132123", 145),
+    (26, "12131231321231213212321323", 135),
+    (28, "1213123132123121312321231323", 103),
+    (30, "121312313212312132123213121323", 298),
+    (32, "12131231321231213123132312321323", 154),
+    (34, "1213123132123121321231321312132123", 614),
+    (36, "121312313212312131231323121312321323", 218),
+    (38, "12131231321231213123212312132312321323", 726),
+    (40, "1213123132123121312313231213123213121323", 510),
+])
+def test_sigma_base_search_node_counts(m, digits, nodes):
+    """The path search on the sigma base cycles: certificates and nodes."""
+    cert, visited, aborted = search_fixed_k(cycle_graph(m), "path", 3)
+    assert (cert.to_digits(), visited, aborted) == (digits, nodes, False)
+
+
+P300_WORD = (
+    "1213123132123121312313213121321231213123132123121321231321312132123121"
+    "3123132123213121321231213123132131213212312131232123121321231321312132"
+    "1231213123132123121321231321312132123121312321231213212313213121321231"
+    "2132312321231213123132123121312321231213212313213121321231213123132123"
+    "12132123132131213212")
+
+
+@pytest.mark.parametrize("n,digits,nodes", [
+    (10, "1213123132", 31),
+    (40, "1213123132123121312313213121321231213123", 91),
+    (300, P300_WORD, 672),
+])
+def test_path_search_node_counts(n, digits, nodes):
+    """solve(P_n, path, 3): exhausts k = 1, 2, then the same certificate."""
+    r = solve(path_graph(n), "path", 3)
+    assert (r.value, r.certificate.to_digits(), r.nodes_visited,
+            r.exhausted_k, r.aborted) == (3, digits, nodes, [1, 2], False)
+
+
+def _slice_suffix_squares(g, order, colors, word, rev, depth):
+    """Reference: compare list slices for every half-length t >= 2."""
+    pref = [colors[order[i]] for i in range(depth + 1)]
+    return all(pref[-2 * t:-t] != pref[-t:]
+               for t in range(2, (depth + 1) // 2 + 1))
+
+
+def _arc(word):
+    """The word and reversed-arc stack Colorings keeps after coloring word."""
+    rev = [""] * (len(word) + 1)
+    for depth, col in enumerate(word):
+        rev[depth] = chr(col) + rev[depth - 1]
+    return list(word), rev
+
+
+def test_suffix_squares_matches_slice_loop():
+    """Every word over {1, 2, 3} of length 1..12, at every depth.
+
+    Both rules only compare colors for equality, so renaming the colors
+    changes neither verdict: the words whose colors first appear in the
+    order 1, 2, 3 stand for all of them.  They are walked depth first, with
+    the word and reversed-arc stack kept as Colorings keeps them.
+    """
+    order = range(12)
+    word, rev = [0] * 12, [""] * 13
+    todo = [(0, 1, 1)]  # (depth, color, largest color on word[:depth + 1])
+    visited, wrong = 0, []
+    while todo:
+        depth, col, top = todo.pop()
+        word[depth] = col
+        rev[depth] = chr(col) + rev[depth - 1]
+        visited += 1
+        if (_suffix_squares(None, order, word, word, rev, depth)
+                != _slice_suffix_squares(None, order, word, word, rev, depth)):
+            wrong.append(word[:depth + 1])
+        if depth < 11:
+            todo += [(depth + 1, c, max(top, c))
+                     for c in range(min(3, top + 1), 0, -1)]
+    # words of length n with 1, 2 or 3 colors: Stirling numbers S(n, j)
+    words = sum(1 + (2**n - 2) // 2 + (3**n - 3 * 2**n + 3) // 6
+                for n in range(1, 13))
+    assert (visited, wrong) == (words, [])
+
+
+@pytest.mark.parametrize("word,square_free", [
+    ((10, 11, 10, 11), False),  # chr(10) is a newline: needs re.DOTALL
+    ((11, 10, 11, 10), False),
+    ((10, 11, 10, 12), True),
+    ((300, 301, 300, 301), False),  # above 255: a bytes buffer cannot hold it
+    ((300, 301, 302, 300, 301), True),
+    ((1, 300, 301, 300, 301), False),
+])
+def test_suffix_squares_large_colors(word, square_free):
+    args = (None, range(len(word)), word, *_arc(word), len(word) - 1)
+    assert _slice_suffix_squares(*args) == square_free
+    assert _suffix_squares(*args) == square_free
+
+
+@pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
+def test_suffix_squares_follows_relabelled_line(make_graph):
+    """On P7 or C7 laid out 1-6-3-5-2-0-4 the word follows g.line."""
+    ids = (1, 6, 3, 5, 2, 0, 4)
+    g = Graph.from_edges(7, [(ids[v], ids[w]) for v, w in make_graph(7).edges])
+    assert list(g.line) != list(range(7))
+    runs = []
+    for rule in (_suffix_squares, _slice_suffix_squares):
+        colorings = Colorings(g, 3, (_proper, rule))
+        runs.append(([c.colors for c in colorings], colorings.nodes))
+    assert runs[0] == runs[1] and runs[0][0]
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_closing_squares_rejects_only_failing_colorings(n):
     """A coloring with a square on the cycle has no stroll or walk property."""
     g = cycle_graph(n)
     rejected = 0
     for c in Colorings(g, 4):
-        if not _closing_squares(g, list(g.line), list(c.colors), n - 1):
+        if not _closing_squares(g, list(g.line), list(c.colors), None, None,
+                                n - 1):
             assert not holds(g, c, "stroll") and not holds(g, c, "walk"), c
             rejected += 1
     assert rejected > 0

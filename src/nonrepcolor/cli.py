@@ -118,7 +118,8 @@ def cmd_verify(args) -> int:
               f"OK: coloring is {prop}-nonrepetitive")
         return EXIT_OK
     verts = list(w.walk.vertices)
-    seq = "".join(str(x) for x in c.sequence_of(verts))
+    seq = c.sequence_of(verts)  # as solve prints certificates
+    seq = "".join(map(str, seq)) if c.k <= 9 else list(seq)
     _emit(args, {"property": prop, "holds": False,
                  "witness": {"walk": verts, "colors": seq,
                              "violated": w.violated}},

@@ -13,8 +13,10 @@ component also holds an off-diagonal state.  The reverse v_2t..v_1 of such
 a walk is one too, through the swapped states in reverse order, so swapping
 coordinates maps each component onto one that accepts alike: only seeds
 (u, w) with u < w are labelled, once per mirror pair.  Only when one accepts
-is a witness built, by BFS from the accepting start states alone.  The
-oracle module cross-validates this reduction empirically.
+is a witness built, by BFS from the accepting start states alone; on paths
+and cycles the shortest square bounds its length, and so the band of states
+that can start it.  The oracle module cross-validates this reduction
+empirically.
 
 The path property is a square scan of the color word on paths and cycles,
 and a DFS over simple paths on other graphs.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Optional
 
 from .model import (
@@ -108,12 +111,23 @@ def accepting_starts(adj, cols, allow_diagonal: bool, seeds):
                 yield [(w, u) for u, w in comp if u in far]
 
 
-def _seeds(cols) -> list:
-    """Every color-matched state (u, w) with u < w, ascending."""
+def _seeds(cols):
+    """Every color-matched state (u, w) with u < w, class by class, lazily."""
     classes = {}
     for v, col in enumerate(cols):
         classes.setdefault(col, []).append(v)
-    return [(u, w) for u, col in enumerate(cols) for w in classes[col] if u < w]
+    return chain.from_iterable(combinations(P, 2) for P in classes.values())
+
+
+def _band_seeds(g: Graph, cols, h: int):
+    """The seeds at most h apart along g.line, circularly on a cycle."""
+    line, n, cyclic = g.line, g.n, g.shape == "cycle"
+    for d in range(1, h + 1):
+        far = line[d:] + line[:d] if cyclic else line[d:]
+        # on a cycle of 2d vertices, (line[i], line[i + d]) once
+        for u, w in zip(line[:n // 2] if 2 * d == n else line, far):
+            if cols[u] == cols[w]:
+                yield (u, w) if u < w else (w, u)
 
 
 def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
@@ -125,11 +139,17 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     when first(s_t) is adjacent to second(s_1), reconstructing the walk
     firsts + seconds of length 2t.
 
-    Deciding is one pass: accepting_starts labels the components of the
-    (undirected) product graph, and without an accepting start there is no
-    witness.  Explaining runs a BFS from each accepting start only, in state
-    order; it yields that start's shortest product walks, and stops at the
-    depth where its walks would be longer than the best found so far.
+    Deciding stops at the first accepting component of the (undirected)
+    product graph that accepting_starts labels: without one there is no
+    witness.  On a path or cycle the shortest square (_square_factor) is
+    then a witness of L vertices, so the best has at most L: a walk
+    v_1..v_2t with 2t <= L starts at (v_1, v_{t+1}), at most t <= L/2 apart
+    along g.line, and only components holding such a seed (_band_seeds) are
+    labelled for starts.  Elsewhere, or with no square, the rest of the
+    first labelling gives every accepting start.  Explaining runs a BFS from
+    each accepting start only, in state order; it yields that start's
+    shortest product walks, and stops at the depth where its walks would be
+    longer than L or than the best found so far.
 
     Returns the lexicographically smallest (2t, walk) over all start states,
     or None: the witness is shortest, ties break to the lowest starting
@@ -138,16 +158,24 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     """
     cols = c.colors
     adj = g._adj
-    starts = set().union(*accepting_starts(adj, cols, allow_diagonal, _seeds(cols)))
-    if not starts:
+    comps = accepting_starts(adj, cols, allow_diagonal, _seeds(cols))
+    first = next(comps, None)
+    if first is None:
         return None
+    sq = _square_factor(g, cols) if g.line else None
+    if sq is None:
+        bound, starts = None, set(first).union(*comps)
+    else:  # no witness is longer than sq; its starts lie in the band
+        bound = len(sq)
+        band = _band_seeds(g, cols, bound // 2)
+        starts = set().union(*accepting_starts(adj, cols, allow_diagonal, band))
 
     best = None  # (length, walk tuple)
     for s0 in sorted(starts):
         a, b = s0
         # walks from s0 begin with a, and starts ascend: past best's first
         # vertex, only a strictly shorter walk can be better
-        longest = (None if best is None else
+        longest = (bound if best is None else
                    best[0] if a == best[1][0] else best[0] - 2)
         if longest is not None and longest < 2:
             break  # best is an edge, and every later start is past it

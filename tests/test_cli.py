@@ -132,6 +132,29 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "cannot load coloring" in err
 
+    def test_witness_colors_above_nine_human(self, capsys, tmp_path):
+        """Colors above 9 print as a list, never as run-together digits."""
+        path = tmp_path / "c.json"
+        path.write_text("[10, 11, 10, 11]")
+        code, out, _ = run(capsys, "verify", "path:4",
+                           "--colors-file", str(path), "--property", "path")
+        assert code == 1
+        assert out == ("FAIL: repetitive path witness [0, 1, 2, 3] "
+                       "with colors [10, 11, 10, 11]\n")
+
+    @pytest.mark.parametrize("colors, want", [
+        ([10, 11, 10, 11], [10, 11, 10, 11]),
+        ([1, 2, 1, 2], "1212"),
+    ])
+    def test_witness_colors_json(self, capsys, tmp_path, colors, want):
+        """A digit string when k <= 9, else a list of ints, as solve does."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(colors))
+        code, out, _ = run(capsys, "verify", "path:4", "--colors-file",
+                           str(path), "--property", "path", "--json")
+        assert code == 1
+        assert json.loads(out)["witness"]["colors"] == want
+
 
 class TestSolve:
     def test_six_cycle_stroll_value(self, capsys):

@@ -32,6 +32,7 @@ from test_oracle import _colored, _small_graphs
 
 P21_WORD = "121312321323123213121"
 PRODUCT_WITNESSES = Path(__file__).parent / "data" / "product_witnesses.json"
+LINE_WITNESSES = Path(__file__).parent / "data" / "line_witnesses.json"
 
 
 class TestStrollDecider:
@@ -233,6 +234,34 @@ def test_product_witnesses_match_record():
     assert cases == 9 + 27 + 81 + 243 + 729 + 27 + 81 + 243 + 729 + 201
 
 
+@pytest.mark.parametrize("family", ["P3", "P4", "C3", "C4", "P3-square-free"])
+def test_line_witnesses_match_record(family):
+    """Stroll and walk witnesses on long paths and cycles, vertex for vertex.
+
+    line_witnesses.json lists, per family, the vertices along the line, the
+    coloring by vertex id and both witnesses.  P3, P4, C3 and C4 hold two
+    cases for each n in 20, 24, .., 80: a seeded square-free word with k
+    colors (and no xyx factor for k = 4), one square of half-length 2..8
+    planted so that every edge stays proper, through the closing edge on
+    half of the cycle sizes; the second case of each n is read along a
+    shuffled line.  P3-square-free holds square-free 3-colorings of
+    P22..P30, which have a repetitive stroll but no repetitive simple path.
+    """
+    with open(LINE_WITNESSES) as fh:
+        cases = json.load(fh)[family]
+    assert len(cases) == (18 if family == "P3-square-free" else 32)
+    for case in cases:
+        line = case["line"]
+        edges = list(zip(line, line[1:]))
+        if family[0] == "C":
+            edges.append((line[-1], line[0]))
+        g = Graph.from_edges(len(line), edges)
+        c = Coloring(tuple(int(ch) for ch in case["colors"]), int(family[1]))
+        for prop in ("stroll", "walk"):
+            w = find_witness(g, c, prop)
+            assert list(w.walk.vertices) == case[prop], (line, c.colors, prop)
+
+
 def _same_verdicts(g, c):
     for prop in ("path", "stroll", "walk"):
         assert holds(g, c, prop) == (find_witness(g, c, prop) is None), (
@@ -318,7 +347,7 @@ def _same_starts(adj, cols, allow_diagonal, seeds=None):
 
 
 def test_seeds_are_matched_pairs_below_the_diagonal():
-    assert _seeds((1, 2, 1, 2, 1)) == [(0, 2), (0, 4), (1, 3), (2, 4)]
+    assert list(_seeds((1, 2, 1, 2, 1))) == [(0, 2), (0, 4), (2, 4), (1, 3)]
 
 
 @pytest.mark.parametrize("allow_diagonal", [False, True])

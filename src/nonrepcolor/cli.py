@@ -164,8 +164,6 @@ def cmd_sa(args) -> int:
         _emit(args, {"word": word}, word)
         return EXIT_OK
     if action == "decode":
-        if args.word is None:
-            raise UsageError("decode needs --word")
         try:
             c = saseq.decode_sa(args.word, args.kind)
         except saseq.InconsistentWordError as exc:
@@ -176,8 +174,6 @@ def cmd_sa(args) -> int:
               c.to_digits())
         return EXIT_OK
     if action == "check":
-        if args.word is None:
-            raise UsageError("check needs --word")
         hit = saseq.is_h_free(args.word, cyclic=args.cyclic)
         if hit is None:
             _emit(args, {"h_free": True}, "OK: no forbidden factor")
@@ -186,8 +182,6 @@ def cmd_sa(args) -> int:
               f"FAIL: forbidden factor {hit[1]} at position {hit[0]}")
         return EXIT_FAIL
     if action == "witness":
-        if args.word is None:
-            raise UsageError("witness needs --word (a forbidden factor)")
         n, walk, seq = saseq.h_witness_stroll(args.word)
         seq_str = "".join(map(str, seq))
         _emit(args, {"path_order": n, "walk": list(walk.vertices),
@@ -288,28 +282,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
+    # one sub-parser per sa action and per construct target, each with only
+    # the flags it reads, so that argparse rejects any other
     p = sub.add_parser("sa", help="symmetry-word operations")
-    p.add_argument("action",
-                   choices=("encode", "decode", "check", "longest", "witness"))
-    p.add_argument("graph", nargs="?",
-                   help="graph spec (encode only)")
-    _add_coloring_args(p)
-    p.add_argument("--word", help="word over {S, A}")
-    p.add_argument("--kind", choices=("path", "cycle"), default="path")
-    p.add_argument("--cyclic", action="store_true",
-                   help="check factors over all rotations")
-    p.add_argument("--max-len", type=int, default=25)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sa)
+    acts = p.add_subparsers(dest="action", required=True)
+    q = acts.add_parser("encode", help="the word of a proper 3-coloring")
+    q.add_argument("graph", nargs="?",
+                   help="graph spec: path:N, cycle:N, or a JSON file path")
+    _add_coloring_args(q)
+    q = acts.add_parser("decode", help="the 3-coloring a word determines")
+    q.add_argument("--word", required=True, help="word over {S, A}")
+    q.add_argument("--kind", choices=("path", "cycle"), default="path")
+    q = acts.add_parser("check", help="find a forbidden factor")
+    q.add_argument("--word", required=True, help="word over {S, A}")
+    q.add_argument("--cyclic", action="store_true",
+                   help="check factors over all rotations")
+    q = acts.add_parser("longest", help="the longest words with no "
+                                        "forbidden factor")
+    q.add_argument("--max-len", type=int, default=25)
+    q = acts.add_parser("witness", help="the repetitive stroll of a "
+                                        "forbidden factor")
+    q.add_argument("--word", required=True, help="a forbidden factor")
+    for q in acts.choices.values():
+        q.add_argument("--json", action="store_true")
 
     p = sub.add_parser("construct", help="build certificate colorings")
-    p.add_argument("what", choices=("table1", "sigma-cycle", "rho-path",
-                                    "rho-cycle", "fig1"))
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--budget", type=int, help="node budget override")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
+    targets = p.add_subparsers(dest="what", required=True)
+    for what in ("table1", "sigma-cycle", "rho-path", "rho-cycle", "fig1"):
+        q = targets.add_parser(what)
+        if what != "fig1":
+            q.add_argument("--n", type=int, default=0)
+        if what == "sigma-cycle":
+            q.add_argument("--trace", action="store_true")
+        if what not in ("table1", "fig1"):
+            q.add_argument("--budget", type=int, help="node budget override")
+        q.add_argument("--json", action="store_true")
 
     p = sub.add_parser("reproduce", help="re-derive a published claim")
     p.add_argument("claim", choices=sorted(reproduce.CLAIMS))

@@ -3,9 +3,10 @@
 Walk-nonrepetitive colorings for cycles up to 21 vertices are embedded as
 data; longer cycles get a 4-coloring built by subdividing a matching of an
 even base cycle carrying a path-nonrepetitive 3-coloring, with the new
-vertices colored 4.  Stroll certificates for paths come from one embedded
-21-vertex word; longer paths fall back to search.  Every constructed
-coloring is re-checked by the corresponding decider before it is returned.
+vertices colored 4.  Stroll certificates for paths come from one 21-vertex
+word, lemma 5's longest symmetry word decoded; longer paths fall back to
+search.  Every constructed coloring is re-checked by the corresponding
+decider before it is returned.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import decide, search
+from . import decide, saseq, search
 from .model import (
     Coloring,
     Graph,
@@ -46,9 +47,9 @@ WALK_NONREP_CYCLE_TABLE = {
     21: (4, (1, 2, 3, 4, 1, 2, 4, 1, 3, 4, 2, 1, 3, 2, 4, 3, 2, 1, 4, 2, 3)),
 }
 
-# stroll-nonrepetitive 3-coloring of the 21-vertex path; its prefixes cover
-# every shorter path
-STROLL_NONREP_P21 = (1, 2, 1, 3, 1, 2, 3, 2, 1, 3, 2, 3, 1, 2, 3, 2, 1, 3, 1, 2, 1)
+# stroll-nonrepetitive 3-coloring of the 21-vertex path, decoded from the
+# longest word lemma 5 allows; its prefixes cover every shorter path
+STROLL_NONREP_P21 = saseq.decode_sa(saseq.LONGEST_H_FREE_WORD, "path").colors
 
 # desk-scale cap: base searches beyond this are not calibrated
 SIGMA_CYCLE_MAX_N = 90

@@ -12,11 +12,14 @@ stroll or walk property is one labelling of the components
 component also holds an off-diagonal state.  The reverse v_2t..v_1 of such
 a walk is one too, through the swapped states in reverse order, so swapping
 coordinates maps each component onto one that accepts alike: only seeds
-(u, w) with u < w are labelled, once per mirror pair.  Only when one accepts
-is a witness built, by BFS from the accepting start states alone; on paths
-and cycles the shortest square bounds its length, and so the band of states
-that can start it.  The oracle module cross-validates this reduction
-empirically.
+(u, w) with u < w are labelled, once per mirror pair.  The seeds pair each
+vertex with the next vertex of its color first: a square in the color word
+usually has such a state, so a rejection is found within n seeds.
+Only when one accepts is a witness built, by BFS from the accepting start
+states alone; on paths and cycles the shortest square bounds its length,
+and so the band of states that can start it, and that band is labelled
+with the same seen set, so no component is labelled twice.  The oracle
+module cross-validates this reduction empirically.
 
 The path property is a square scan of the color word on paths and cycles,
 and a DFS over simple paths on other graphs.
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, pairwise, repeat
 from typing import Optional
 
 from .model import (
@@ -65,7 +68,7 @@ def _check_coloring(g: Graph, c: Coloring) -> None:
         raise InvalidArgumentError("coloring size does not match graph")
 
 
-def accepting_starts(adj, cols, allow_diagonal: bool, seeds):
+def accepting_starts(adj, cols, allow_diagonal: bool, seeds, seen=None):
     """The states that start an accepted product walk, per component, lazily.
 
     adj[v] lists the neighbours of vertex v and cols[v] is its color; the
@@ -75,48 +78,71 @@ def accepting_starts(adj, cols, allow_diagonal: bool, seeds):
     when both lie in one connected component, and it accepts iff its
     component holds a state whose first coordinate is adjacent to b.  For
     nonboring walks (allow_diagonal) the component must also hold an
-    off-diagonal state.  Components are labelled in seed order, each once, in
-    O(S * maxdeg^2) for its S states, and each accepting one yields the list
-    of its accepting states: asking whether one exists stops at the first.
+    off-diagonal state, which it does whenever its seed is off the diagonal.
+    Components are labelled in seed order, each once, in O(S * maxdeg^2) for
+    its S states, and each accepting one yields the list of its accepting
+    states: asking whether one exists stops at the first.  The labelled
+    states go into seen, which a caller may pass in and share between two
+    labellings, so that the second skips every component the first labelled.
 
     Reversing a walk swaps its states' coordinates, so the mirror swap(K) of
     a component K accepts iff K does.  A seed whose mirror is labelled is
     skipped, and an accepting K other than swap(K) yields swap(K)'s accepting
     states as a second list, unlabelled.  So the seeds (u, w) with u < w
     (_seeds) suffice: K or swap(K) holds one if K has an off-diagonal state.
+    The second list follows the first exactly when (y, x) is not in seen for
+    a state (x, y) of the first: a caller that wants K's mirror and no more
+    takes one more list only then.
     """
-    seen = set()
+    if seen is None:
+        seen = set()
+    add = seen.add
     for a, b in seeds:
         if (a, b) in seen or (b, a) in seen:
             continue
-        seen.add((a, b))
+        add((a, b))
         comp = [(a, b)]
+        grow = comp.append
         for u, w in comp:  # comp grows while it is read: the BFS queue
+            adj_w = adj[w]
             for u2 in adj[u]:
                 col = cols[u2]
-                for w2 in adj[w]:
+                for w2 in adj_w:
                     if cols[w2] == col and (allow_diagonal or u2 != w2):
                         state = (u2, w2)
                         if state not in seen:
-                            seen.add(state)
-                            comp.append(state)
-        if allow_diagonal and all(u == w for u, w in comp):
+                            add(state)
+                            grow(state)
+        if a == b and allow_diagonal and all(u == w for u, w in comp):
             continue  # every walk in it is boring
-        near = {x for u, _ in comp for x in adj[u]}
+        near = set()
+        for u, _ in comp:
+            near.update(adj[u])
         starts = [s for s in comp if s[1] in near]
         if starts:
             yield starts
             if (b, a) not in seen:  # swap(K) is another component
-                far = {x for _, w in comp for x in adj[w]}
+                far = set()
+                for _, w in comp:
+                    far.update(adj[w])
                 yield [(w, u) for u, w in comp if u in far]
 
 
 def _seeds(cols):
-    """Every color-matched state (u, w) with u < w, class by class, lazily."""
+    """Every color-matched state (u, w) with u < w, nearest pairs first, lazily.
+
+    First each vertex with the next vertex of its color, class by class;
+    then every pair, class by class, where a pair drawn twice costs
+    accepting_starts one seen lookup.  A square xx in the color word whose
+    half x holds some color once has its state (v, v + t) for that color
+    among the nearest pairs, so a rejection is usually found within n seeds.
+    """
     classes = {}
     for v, col in enumerate(cols):
         classes.setdefault(col, []).append(v)
-    return chain.from_iterable(combinations(P, 2) for P in classes.values())
+    members = classes.values()
+    return chain(chain.from_iterable(map(pairwise, members)),
+                 chain.from_iterable(map(combinations, members, repeat(2))))
 
 
 def _band_seeds(g: Graph, cols, h: int):
@@ -145,8 +171,11 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     then a witness of L vertices, so the best has at most L: a walk
     v_1..v_2t with 2t <= L starts at (v_1, v_{t+1}), at most t <= L/2 apart
     along g.line, and only components holding such a seed (_band_seeds) are
-    labelled for starts.  Elsewhere, or with no square, the rest of the
-    first labelling gives every accepting start.  Explaining runs a BFS from
+    labelled for starts.  That labelling shares the first one's seen, so it
+    skips every component already labelled: the ones before K accept
+    nothing, and K gives its list and, if swap(K) is another component, the
+    mirror list.  Elsewhere, or with no square, the rest of the first
+    labelling gives every accepting start.  Explaining runs a BFS from
     each accepting start only, in state order; it yields that start's
     shortest product walks, and stops at the depth where its walks would be
     longer than L or than the best found so far.
@@ -158,7 +187,8 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     """
     cols = c.colors
     adj = g._adj
-    comps = accepting_starts(adj, cols, allow_diagonal, _seeds(cols))
+    seen = set()
+    comps = accepting_starts(adj, cols, allow_diagonal, _seeds(cols), seen)
     first = next(comps, None)
     if first is None:
         return None
@@ -167,8 +197,12 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
         bound, starts = None, set(first).union(*comps)
     else:  # no witness is longer than sq; its starts lie in the band
         bound = len(sq)
+        starts = set(first)
+        x, y = first[0]
+        if (y, x) not in seen:  # swap(K) is another component: its list
+            starts.update(next(comps))
         band = _band_seeds(g, cols, bound // 2)
-        starts = set().union(*accepting_starts(adj, cols, allow_diagonal, band))
+        starts.update(*accepting_starts(adj, cols, allow_diagonal, band, seen))
 
     best = None  # (length, walk tuple)
     for s0 in sorted(starts):

@@ -17,6 +17,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def main_exit(capsys, *argv):
+    """The exit code of a command line argparse rejects; nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+    return exc.value.code
+
+
 class TestVerify:
     def test_walk_holds(self, capsys):
         code, out, _ = run(capsys, "verify", "cycle:8",
@@ -254,6 +263,15 @@ class TestSa:
         code, out, _ = run(capsys, "sa", "witness", "--word", "SS")
         assert code == 0 and "1212" in out
 
+    def test_longest_rejects_colors(self, capsys):
+        code = main_exit(capsys, "sa", "longest", "--colors", "12")
+        assert code == 2
+
+    def test_check_rejects_kind(self, capsys):
+        code = main_exit(capsys, "sa", "check", "--word", "SS", "--kind",
+                         "cycle")
+        assert code == 2
+
 
 class TestConstruct:
     def test_table1(self, capsys):
@@ -298,6 +316,19 @@ class TestConstruct:
         monkeypatch.setenv("NONREP_BUDGET", "1e3")
         code, _, err = run(capsys, "construct", "rho-path", "--n", "30")
         assert code == 2 and "NONREP_BUDGET must be an integer" in err
+
+    def test_fig1_rejects_n(self, capsys):
+        assert main_exit(capsys, "construct", "fig1", "--n", "3") == 2
+
+    def test_table1_rejects_trace_and_budget(self, capsys):
+        code = main_exit(capsys, "construct", "table1", "--n", "5", "--trace",
+                         "--budget", "3")
+        assert code == 2
+
+    def test_rho_path_rejects_trace(self, capsys):
+        code = main_exit(capsys, "construct", "rho-path", "--n", "5",
+                         "--trace")
+        assert code == 2
 
     def test_failed_self_verification_is_internal_error(self, capsys,
                                                         monkeypatch):

@@ -153,6 +153,10 @@ class TestRhoPath:
         value, c = rho_path_coloring(21)
         assert value == 3 and c.colors == STROLL_NONREP_P21
 
+    def test_word_digits(self):
+        """Lemma 5's longest word decodes to the pinned 21-vertex word."""
+        assert STROLL_NONREP_P21 == tuple(map(int, "121312321323123213121"))
+
     def test_three_vertices_two_colors(self):
         value, c = rho_path_coloring(3)
         assert value == 2 and c.colors_used() == 2

@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from nonrepcolor.construct import figure1_fixture, table1_coloring
+from nonrepcolor import decide
+from nonrepcolor.construct import (
+    figure1_fixture,
+    rho_path_coloring,
+    table1_coloring,
+)
 from nonrepcolor.decide import (
     _seeds,
     _square_path_dfs,
@@ -347,7 +352,40 @@ def _same_starts(adj, cols, allow_diagonal, seeds=None):
 
 
 def test_seeds_are_matched_pairs_below_the_diagonal():
-    assert list(_seeds((1, 2, 1, 2, 1))) == [(0, 2), (0, 4), (2, 4), (1, 3)]
+    """Every matched pair (u, w) with u < w, each vertex with the next
+    vertex of its color first."""
+    assert list(_seeds((1, 2, 1, 2, 1)))[:3] == [(0, 2), (2, 4), (1, 3)]
+    words = [(1, 2, 1, 2, 1), (3, 1, 3, 3, 2, 1, 1, 3, 2, 3)]
+    words += [random.Random(s).choices((1, 2, 3, 4), k=30) for s in range(5)]
+    for cols in words:
+        seeds = list(_seeds(cols))
+        pairs = {(u, w) for u, w in itertools.combinations(range(len(cols)), 2)
+                 if cols[u] == cols[w]}
+        assert set(seeds) == pairs
+        nearest = {(u, w) for u, w in pairs if cols[u] not in cols[u + 1:w]}
+        assert set(seeds[:len(nearest)]) == nearest, cols
+
+
+def test_nearest_pairs_find_a_far_square_within_n_seeds(monkeypatch):
+    """A square near the far end of a long stroll certificate is explained
+    after at most n seeds, not after about half of all matched pairs."""
+    drawn = []
+
+    def counted(cols, seeds=decide._seeds):
+        for s in seeds(cols):
+            drawn.append(s)
+            yield s
+
+    monkeypatch.setattr(decide, "_seeds", counted)
+    n = 200
+    _, c = rho_path_coloring(n)
+    for p in (172, 183, 195):  # plant c[p] c[p+1] c[p] c[p+1]
+        cols = list(c.colors)
+        cols[p + 2:p + 4] = cols[p:p + 2]
+        drawn.clear()
+        w = find_witness(path_graph(n), Coloring.from_colors(cols), "stroll")
+        assert w.walk.vertices == (p, p + 1, p + 2, p + 3)
+        assert 0 < len(drawn) <= n, (p, len(drawn))
 
 
 @pytest.mark.parametrize("allow_diagonal", [False, True])

@@ -156,8 +156,6 @@ def cmd_sa(args) -> int:
               f"maximum length {max_len}: {' '.join(longest)}")
         return EXIT_OK
     if action == "encode":
-        if args.graph is None:
-            raise UsageError("encode needs a graph spec")
         g = _load_graph(args)
         c = _load_coloring(args, g)
         word = saseq.encode_sa(g, c)
@@ -288,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sa)
     acts = p.add_subparsers(dest="action", required=True)
     q = acts.add_parser("encode", help="the word of a proper 3-coloring")
-    q.add_argument("graph", nargs="?",
-                   help="graph spec: path:N, cycle:N, or a JSON file path")
+    _add_graph_arg(q)
     _add_coloring_args(q)
     q = acts.add_parser("decode", help="the 3-coloring a word determines")
     q.add_argument("--word", required=True, help="word over {S, A}")
@@ -330,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
+        return exc.code
     try:
         return args.func(args)
     except (UsageError, InvalidArgumentError) as exc:

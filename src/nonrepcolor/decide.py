@@ -174,9 +174,10 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     labelled for starts.  That labelling shares the first one's seen, so it
     skips every component already labelled: the ones before K accept
     nothing, and K gives its list and, if swap(K) is another component, the
-    mirror list.  Elsewhere, or with no square, the rest of the first
-    labelling gives every accepting start.  Explaining runs a BFS from
-    each accepting start only, in state order; it yields that start's
+    mirror list; of all these starts, only the ones in the band are kept.
+    Elsewhere, or with no square, the rest of the first labelling gives
+    every accepting start.  Explaining runs a BFS from each kept accepting
+    start only, in state order; it yields that start's
     shortest product walks, and stops at the depth where its walks would be
     longer than L or than the best found so far.
 
@@ -201,8 +202,14 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
         x, y = first[0]
         if (y, x) not in seen:  # swap(K) is another component: its list
             starts.update(next(comps))
-        band = _band_seeds(g, cols, bound // 2)
+        h = bound // 2
+        band = _band_seeds(g, cols, h)
         starts.update(*accepting_starts(adj, cols, allow_diagonal, band, seen))
+        # a start more than h apart along the line begins no such witness
+        n, cyclic = g.n, g.shape == "cycle"
+        pos = {v: i for i, v in enumerate(g.line)}
+        starts = [(u, w) for u, w in starts
+                  if (d := abs(pos[u] - pos[w])) <= h or cyclic and n - d <= h]
 
     best = None  # (length, walk tuple)
     for s0 in sorted(starts):

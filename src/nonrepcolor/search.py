@@ -8,17 +8,21 @@ inside the colored arc (paths and cycles are colored along Graph.line),
 and for the stroll property repetitive strolls inside the colored arc,
 read as a path.  The last two rules are incremental: the shorter prefix
 already passed, so they look only at what the newly colored vertex can
-close (the suffix squares, by one regex match on the reversed color word
-that Colorings keeps, and the product-graph components through that
-vertex).  On a cycle, the stroll and walk searches also scan the completed
-color word for squares through the closing edge: a repetitive simple path
-is a repetitive stroll and a nonboring walk.  Completed colorings are
-always re-checked by decide.holds.
+close: the suffix squares, by one regex match on the reversed color word
+that Colorings keeps, and the product states through that vertex, joined
+to a union-find of the arc's product components (_StrollPrefix).  On a
+properly colored arc each component projects onto two intervals of
+positions, so whether it accepts is read off two ints at its root, and
+each call first undoes what calls at its own depth or deeper joined, so
+the structure describes the arc as it is colored now without an undo hook
+in Colorings.  On a cycle, the stroll and walk searches also scan the
+completed color word for squares through the closing edge: a repetitive
+simple path is a repetitive stroll and a nonboring walk.  Completed
+colorings are always re-checked by decide.holds.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 import time
@@ -148,25 +152,69 @@ def _closing_squares(g, order, colors, word, rev, depth):
     return depth < g.n - 1 or decide._square_factor(g, colors) is None
 
 
-@functools.lru_cache(maxsize=1)
-def _line_adjacency(n):  # positions 0..n-1 of a line, shared by every arc
-    return ((1,), *((i - 1, i + 1) for i in range(1, n)))
+class _StrollPrefix:
+    """The stroll rule: no repetitive stroll inside the colored arc.
 
+    The arc order[:depth + 1] is an induced path, so a repetitive stroll in
+    it is one in g.  Its product states are the color-matched positions
+    (x, y), x < y: decide.accepting_starts reads the mirrors (y, x) alike,
+    and on a properly colored arc no move reaches the diagonal.  Each move
+    shifts each coordinate by one, so a component projects onto two
+    intervals, and it accepts, holding (a, b) and (x, y) with |x - b| = 1,
+    iff its least second is at most its greatest first + 1 (x < y bounds
+    the other two ends).  A union-find (union by size, no path compression)
+    keeps the components, with those two ints at each root.
 
-def _stroll_prefix(g, order, colors, word, rev, depth):
-    if depth < 3:
-        return True  # a proper coloring of P3 has no repetitive stroll
-    # the colored prefix along a path/cycle arc is an induced path; any
-    # repetitive stroll inside it survives in the full graph.  The prefix
-    # order[:depth] passed this rule, so a new one passes through the new
-    # vertex: a product state on it lies in an accepting component, and
-    # the states (depth, w) suffice by the mirror argument of
-    # decide.accepting_starts.  The arc reaches no position past depth, so
-    # the stale end of word is never read.
-    arc = _line_adjacency(g.n)[:depth] + ((depth - 1,),)
-    col = word[depth]
-    seeds = [(depth, w) for w in range(depth) if word[w] == col]
-    return next(decide.accepting_starts(arc, word, False, seeds), None) is None
+    At depth d a new state (w, d) joins only (w +- 1, d - 1), found by the
+    color bigram of positions d - 1, d in rev[d]; the other new states stay
+    implicit singletons, which accept nothing.  The prefix passed, so only
+    a union can make a component accept.  Each union is logged with its
+    depth, and each call first undoes the entries of its own depth and
+    deeper.  The last call at each depth j < d came after positions 0..j
+    were last recolored, since descending past j needs it, so the rest
+    describes positions 0..d - 1 as colored now, whichever rule rejected.
+    """
+
+    def __init__(self):
+        self.parent = {}  # state -> parent, roots absent
+        self.comp = {}  # root -> (size, greatest first, least second)
+        self.log = []  # (depth, attached root, root, its old comp entry)
+
+    def __call__(self, g, order, colors, word, rev, depth):
+        parent, comp, log = self.parent, self.comp, self.log
+        while log and log[-1][0] >= depth:
+            _, child, root, old = log.pop()
+            del parent[child]
+            if old is None:
+                del comp[root]
+            else:
+                comp[root] = old
+        arc = rev[depth]  # arc[i] is the color of position depth - i
+        # word[w - 1:w + 1] == word[d - 1:d + 1] joins (w, d) to (w - 1, d - 1)
+        # and word[w:w + 2] == its reverse joins (w, d) to (w + 1, d - 1);
+        # arc.find gives i = d - w or d - w - 1, past the bigram itself and,
+        # for the reverse, past the diagonal (d - 1, d - 1)
+        for bigram, i, ds, dt in ((arc[:2], 1, 0, 1), (arc[1::-1], 2, 1, 0)):
+            i = arc.find(bigram, i)
+            while i > 0:
+                s, t = (depth - i - ds, depth), (depth - i - dt, depth - 1)
+                while s in parent:
+                    s = parent[s]
+                while t in parent:
+                    t = parent[t]
+                if s != t:
+                    size_s, hi_s, lo_s = comp.get(s) or (1, *s)
+                    size_t, hi_t, lo_t = comp.get(t) or (1, *t)
+                    if size_s > size_t:
+                        s, t = t, s
+                    parent[s] = t
+                    log.append((depth, s, t, comp.get(t)))
+                    hi, lo = max(hi_s, hi_t), min(lo_s, lo_t)
+                    comp[t] = (size_s + size_t, hi, lo)
+                    if lo - hi <= 1:
+                        return False
+                i = arc.find(bigram, i + 1)
+        return True
 
 
 def _prefix_rules(g: Graph, property: str, prune: bool) -> tuple:
@@ -177,7 +225,7 @@ def _prefix_rules(g: Graph, property: str, prune: bool) -> tuple:
         (_distance2, prune and property == "walk"),
         (_suffix_squares, prune and linear and property != "stroll"),
         (_closing_squares, prune and g.shape == "cycle" and property != "path"),
-        (_stroll_prefix, prune and linear and property == "stroll"),
+        (_StrollPrefix(), prune and linear and property == "stroll"),
     ) if wanted)
 
 

@@ -17,13 +17,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def main_exit(capsys, *argv):
+def rejected(capsys, *argv):
     """The exit code of a command line argparse rejects; nothing on stdout."""
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    captured = capsys.readouterr()
-    assert captured.out == "" and "unrecognized arguments" in captured.err
-    return exc.value.code
+    code, out, err = run(capsys, *argv)
+    assert out == "" and "unrecognized arguments" in err
+    return code
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sa", "encode", "--help"]])
+def test_help_returns_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: nonrepcolor") and err == ""
+
+
+def test_usage_errors_return_two(capsys):
+    """Usage errors argparse finds and ones main finds take one exit path."""
+    code, out, err = run(capsys, "solve", "path:5")
+    assert (code, out) == (2, "") and "required: --property" in err
+    code, out, err = run(capsys, "solve", "path:x", "--property", "stroll",
+                         "--max-colors", "3")
+    assert (code, out) == (2, "") and "bad graph size" in err
 
 
 class TestVerify:
@@ -125,11 +138,11 @@ class TestVerify:
         assert code == 0
 
     def test_colors_and_colors_file_conflict(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "path:3", "--property", "stroll", "--colors",
-                  "121", "--colors-file", str(tmp_path / "missing.json")])
-        assert exc.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
+        code, out, err = run(capsys, "verify", "path:3", "--property",
+                             "stroll", "--colors", "121", "--colors-file",
+                             str(tmp_path / "missing.json"))
+        assert code == 2 and out == ""
+        assert "not allowed with argument" in err
 
     @pytest.mark.parametrize("text", ["[1.7, 2, 3]", "[[1], 2, 3]",
                                       "[true, 2, 3]"])
@@ -240,8 +253,9 @@ class TestSa:
         assert (code, out, err) == (0, "SA\n", "")
 
     def test_encode_needs_graph(self, capsys):
-        code, _, err = run(capsys, "sa", "encode", "--colors", "1213")
-        assert code == 2
+        code, out, err = run(capsys, "sa", "encode", "--colors", "1213")
+        assert code == 2 and out == ""
+        assert "the following arguments are required: graph" in err
 
     def test_decode_inconsistent_cycle(self, capsys):
         code, out, _ = run(capsys, "sa", "decode",
@@ -264,11 +278,11 @@ class TestSa:
         assert code == 0 and "1212" in out
 
     def test_longest_rejects_colors(self, capsys):
-        code = main_exit(capsys, "sa", "longest", "--colors", "12")
+        code = rejected(capsys, "sa", "longest", "--colors", "12")
         assert code == 2
 
     def test_check_rejects_kind(self, capsys):
-        code = main_exit(capsys, "sa", "check", "--word", "SS", "--kind",
+        code = rejected(capsys, "sa", "check", "--word", "SS", "--kind",
                          "cycle")
         assert code == 2
 
@@ -318,15 +332,15 @@ class TestConstruct:
         assert code == 2 and "NONREP_BUDGET must be an integer" in err
 
     def test_fig1_rejects_n(self, capsys):
-        assert main_exit(capsys, "construct", "fig1", "--n", "3") == 2
+        assert rejected(capsys, "construct", "fig1", "--n", "3") == 2
 
     def test_table1_rejects_trace_and_budget(self, capsys):
-        code = main_exit(capsys, "construct", "table1", "--n", "5", "--trace",
+        code = rejected(capsys, "construct", "table1", "--n", "5", "--trace",
                          "--budget", "3")
         assert code == 2
 
     def test_rho_path_rejects_trace(self, capsys):
-        code = main_exit(capsys, "construct", "rho-path", "--n", "5",
+        code = rejected(capsys, "construct", "rho-path", "--n", "5",
                          "--trace")
         assert code == 2
 

@@ -426,7 +426,9 @@ def test_stroll_prefix_seeds(depth):
     """Seeds (depth, w) find a new repetitive stroll through vertex depth.
 
     Every 3-word on the path 0..depth whose prefix without the last vertex
-    has no repetitive stroll, with the seeds search._stroll_prefix uses.
+    has no repetitive stroll: the components through the new vertex decide
+    the stroll property of the longer path, as the incremental stroll rule
+    of the search assumes.
     """
     arc = [(1,), *((i - 1, i + 1) for i in range(1, depth)), (depth - 1,)]
     prefix_arc = [*arc[:depth - 1], (depth - 2,)]

@@ -10,8 +10,8 @@ from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                cycle_graph, path_graph)
 from nonrepcolor.decide import holds
 from nonrepcolor.search import (Colorings, _closing_squares, _proper,
-                                _suffix_squares, final_check, search_fixed_k,
-                                solve)
+                                _StrollPrefix, _suffix_squares, final_check,
+                                search_fixed_k, solve)
 
 P21_WORD = "121312321323123213121"
 
@@ -152,6 +152,48 @@ def test_stroll_search_node_counts(g, k, digits, nodes):
     """The stroll prefix rule prunes exactly as a full decider on the prefix."""
     cert, visited, aborted = search_fixed_k(g, "stroll", k)
     assert (cert and cert.to_digits(), visited, aborted) == (digits, nodes, False)
+
+
+P400_STROLL_WORD = (
+    "1213121412131231321232412131214123121314121312141231321232412131214123"
+    "2124121312141241312131412131214123121314121413121314132123121314131213"
+    "2123121323134121312141231213141213121412313212324121312141232124121312"
+    "1412413121314121312141231213141214131213141321231213212313234121312141"
+    "2312131412131214123132123241213121412321241213121412413121314121312141"
+    "23121314121413121314132123132341213121412312131412")
+
+
+def test_stroll_search_on_a_long_path():
+    """The first stroll-nonrepetitive 4-coloring of P400 and its nodes."""
+    cert, visited, aborted = search_fixed_k(path_graph(400), "stroll", 4)
+    assert (cert.to_digits(), visited, aborted) == (P400_STROLL_WORD, 893,
+                                                    False)
+
+
+@pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("k", [3, 4])
+def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k):
+    """Every verdict of the stroll rule is decide.holds on the colored arc.
+
+    Without symmetry breaking the enumeration recolors each position with
+    every color, after rejections by the rule itself and by _proper (at
+    the closing edge too, on a cycle), so the union-find is undone at every
+    depth in every way the search can leave it.
+    """
+    rule, calls = _StrollPrefix(), [0] * n
+
+    def checked(g, order, colors, word, rev, depth):
+        verdict = rule(g, order, colors, word, rev, depth)
+        arc = Coloring.from_colors(word[:depth + 1])
+        assert verdict == holds(path_graph(depth + 1), arc, "stroll"), arc
+        calls[depth] += 1
+        return verdict
+
+    colorings = Colorings(make_graph(n), k, (_proper, checked),
+                          symmetry_break=False)
+    leaves = sum(1 for _ in colorings)
+    assert leaves > 0 and all(calls)
 
 
 @pytest.mark.parametrize("prop,n,digits,nodes", [

@@ -115,16 +115,14 @@ def path_graph(n: int) -> Graph:
     """Path on vertices 0..n-1 with edges {i, i+1}."""
     if n < 1:
         raise InvalidArgumentError("path needs at least one vertex")
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    return Graph(n, frozenset(zip(range(n - 1), range(1, n))))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on vertices 0..n-1; n >= 3 (smaller would need loops/multi-edges)."""
     if n < 3:
         raise InvalidArgumentError("cycle needs at least three vertices")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges.append((0, n - 1))
-    return Graph.from_edges(n, edges)
+    return Graph(n, frozenset([*zip(range(n - 1), range(1, n)), (0, n - 1)]))
 
 
 @dataclass(frozen=True)

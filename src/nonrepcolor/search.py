@@ -2,7 +2,9 @@
 
 Symmetry breaking: color j may be introduced only after colors 1..j-1 have
 appeared (all three properties are invariant under color permutation).
-Pruning uses only facts inherited by colored prefixes: proper edges, the
+Pruning uses only facts inherited by colored prefixes: proper edges (on
+paths and cycles a color skip, not a rule call: the new vertex's color
+against the previous vertex's and, closing a cycle, the first's), the
 distance-2 constraint (walk property), repetitive contiguous even segments
 inside the colored arc (paths and cycles are colored along Graph.line),
 and for the stroll property repetitive strolls inside the colored arc,
@@ -15,10 +17,11 @@ properly colored arc each component projects onto two intervals of
 positions, so whether it accepts is read off two ints at its root, and
 each call first undoes what calls at its own depth or deeper joined, so
 the structure describes the arc as it is colored now without an undo hook
-in Colorings.  On a cycle, the stroll and walk searches also scan the
-completed color word for squares through the closing edge: a repetitive
-simple path is a repetitive stroll and a nonboring walk.  Completed
-colorings are always re-checked by decide.holds.
+in Colorings.  On a cycle, every search also rejects a completed coloring
+whose circular color word holds a square, through the closing edge
+included, by one regex search for a square of at most n vertices: a
+repetitive simple path is a repetitive stroll and a nonboring walk.
+Completed colorings are always re-checked by decide.holds.
 """
 
 from __future__ import annotations
@@ -148,8 +151,15 @@ def _suffix_squares(g, order, colors, word, rev, depth):
 
 def _closing_squares(g, order, colors, word, rev, depth):
     # at the last vertex, squares through the closing edge included: each is
-    # a repetitive stroll and a nonboring walk
-    return depth < g.n - 1 or decide._square_factor(g, colors) is None
+    # a repetitive simple path, stroll and nonboring walk.  Read from its
+    # second vertex round to its last but one, the circular word holds
+    # every circular factor of at most n vertices, up to rotation, and a
+    # half of at most n // 2 keeps the square inside n vertices
+    if depth < g.n - 1:
+        return True
+    arc = "".join([chr(colors[v]) for v in order])
+    square = re.compile(rf"(.{{1,{g.n // 2}}})\1", re.DOTALL).search
+    return square(arc[1:] + arc[:-1]) is None
 
 
 class _StrollPrefix:
@@ -224,7 +234,7 @@ def _prefix_rules(g: Graph, property: str, prune: bool) -> tuple:
         (_proper, True),
         (_distance2, prune and property == "walk"),
         (_suffix_squares, prune and linear and property != "stroll"),
-        (_closing_squares, prune and g.shape == "cycle" and property != "path"),
+        (_closing_squares, prune and g.shape == "cycle"),
         (_StrollPrefix(), prune and linear and property == "stroll"),
     ) if wanted)
 
@@ -235,7 +245,10 @@ class Colorings:
     Vertices are colored in _vertex_order(g), colors ascending.  With
     symmetry breaking, color j is introduced only after colors 1..j-1 have
     appeared.  `nodes` counts the colors tried so far; trying one more than
-    node_budget raises BudgetExhausted.
+    node_budget raises BudgetExhausted.  On a path or cycle, _proper among
+    the rules is a color skip instead of a rule call: a color equal to the
+    previous vertex's (or, closing a cycle, to the first's) is tried and
+    counted, then passed over.
 
     The rules read the arc's color word: word[depth] = colors[order[depth]]
     and rev[depth] = chr(word[depth]) + rev[depth - 1], the reversed arc as
@@ -251,35 +264,51 @@ class Colorings:
         self.nodes = 0
 
     def __iter__(self):
-        g, k, n = self.g, self.k, self.g.n
+        g, k, n, rules = self.g, self.k, self.g.n, self.rules
+        budget = self.node_budget
         order = _vertex_order(g)
+        # on a line, _proper is a color skip: order[depth] differs from
+        # order[depth - 1] and, closing a cycle, from order[0]
+        skip = g.line is not None and _proper in rules
+        if skip:
+            rules = tuple(rule for rule in rules if rule is not _proper)
+        closing = n - 1 if g.shape == "cycle" else -1
         colors = [0] * n  # by vertex; 0 = uncolored, else last color tried
-        max_used = [0] * (n + 1)  # largest color on order[:depth]
-        word, rev = [0] * n, [""] * (n + 1)  # rev[-1] is the empty arc
-        depth = 0
+        tops = [0] * (n + 1)  # largest color order[depth] may take
+        tops[0] = 1 if self.symmetry_break else k
+        # word[-1] and rev[-1] stand before the arc: no color, the empty arc
+        word, rev = [0] * (n + 1), [""] * (n + 1)
+        nodes, depth = self.nodes, 0
         while depth >= 0:
             if depth == n:
+                self.nodes = nodes
                 yield Coloring(tuple(colors), k)
                 depth -= 1
                 continue
             v = order[depth]
             col = colors[v] + 1
-            top = min(k, max_used[depth] + 1) if self.symmetry_break else k
+            top = tops[depth]
             if col > top:
                 colors[v] = 0
                 depth -= 1
                 continue
-            self.nodes += 1
-            if self.nodes > self.node_budget:
-                raise BudgetExhausted(f"node budget {self.node_budget} exceeded")
-            colors[v] = word[depth] = col
+            nodes += 1
+            if nodes > budget:
+                self.nodes = nodes
+                raise BudgetExhausted(f"node budget {budget} exceeded")
+            colors[v] = col
+            if skip and (col == word[depth - 1]
+                         or depth == closing and col == word[0]):
+                continue
+            word[depth] = col
             rev[depth] = chr(col) + rev[depth - 1]
-            for rule in self.rules:
+            for rule in rules:
                 if not rule(g, order, colors, word, rev, depth):
                     break
             else:
-                max_used[depth + 1] = max(max_used[depth], col)
+                tops[depth + 1] = top + (col == top < k)  # a new color
                 depth += 1
+        self.nodes = nodes
 
 
 def search_fixed_k(

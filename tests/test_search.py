@@ -8,7 +8,7 @@ import pytest
 from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE
 from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                cycle_graph, path_graph)
-from nonrepcolor.decide import holds
+from nonrepcolor.decide import _square_factor, holds
 from nonrepcolor.search import (Colorings, _closing_squares, _proper,
                                 _StrollPrefix, _suffix_squares, final_check,
                                 search_fixed_k, solve)
@@ -346,6 +346,125 @@ def test_closing_squares_rejects_only_failing_colorings(n):
             assert not holds(g, c, "stroll") and not holds(g, c, "walk"), c
             rejected += 1
     assert rejected > 0
+
+
+def _closing_verdicts_agree(g, colorings):
+    """The closing rule rejects iff _square_factor finds a square; count them."""
+    order, rejected = list(g.line), 0
+    for cols in colorings:
+        cols = list(cols)
+        kept = _closing_squares(g, order, cols, None, None, g.n - 1)
+        assert kept == (_square_factor(g, cols) is None), cols
+        rejected += not kept
+    return rejected
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_closing_squares_matches_square_factor(n):
+    """Every 3- and 4-coloring of C_n, up to renaming the colors."""
+    g = cycle_graph(n)
+    colorings = [c.colors for c in Colorings(g, 4)]
+    assert 0 < _closing_verdicts_agree(g, colorings) < len(colorings)
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_closing_squares_follows_shuffled_line(n):
+    """C_n laid out along a shuffled line: every 4-coloring of C7, and the
+    leaves a square-free arc reaches on C12, which close either way."""
+    ids = random.Random(n).sample(range(n), n)
+    g = Graph.from_edges(n, [(ids[v], ids[w]) for v, w in cycle_graph(n).edges])
+    assert list(g.line) != list(range(n))
+    rules = () if n == 7 else (_proper, _suffix_squares)
+    colorings = [c.colors for c in Colorings(g, 4, rules)]
+    assert 0 < _closing_verdicts_agree(g, colorings) < len(colorings)
+
+
+def _random_square_free(n, k, rng):
+    """A random square-free word of n colors from 1..k, by backtracking."""
+    word, todo = [], [rng.sample(range(1, k + 1), k)]
+    while len(word) < n:
+        if not todo[-1]:
+            todo.pop()
+            word.pop()
+            continue
+        word.append(todo[-1].pop())
+        if any(word[-2 * t:-t] == word[-t:]
+               for t in range(1, len(word) // 2 + 1)):
+            word.pop()
+        else:
+            todo.append(rng.sample(range(1, k + 1), k))
+    return word
+
+
+def test_closing_squares_on_long_random_cycles():
+    """Square-free arcs on C20..C200, closed as they come and with a square
+    planted through the closing edge."""
+    rng, closed = random.Random(13), 0
+    for n in range(20, 201, 9):
+        g = cycle_graph(n)
+        for k in (3, 4, 5):
+            word = _random_square_free(n, k, rng)
+            planted = word[:]
+            t = rng.randint(1, n // 2)
+            i = rng.randint(n - 2 * t + 1, n - 1)  # i + 2t - 1 >= n: it wraps
+            for j in range(i, i + t):
+                planted[(j + t) % n] = planted[j % n]
+            assert not _closing_squares(g, list(g.line), planted, None, None,
+                                        n - 1), (word, t, i)
+            closed += _closing_verdicts_agree(g, [word, planted]) == 1
+    assert closed > 0  # some words also close square-free as they come
+
+
+def _stirling2(n, j):
+    """Partitions of n things into j nonempty blocks."""
+    if j == 0:
+        return int(n == 0)
+    return j * _stirling2(n - 1, j) + _stirling2(n - 1, j - 1) if n else 0
+
+
+@pytest.mark.parametrize("make_graph,ns", [(path_graph, range(1, 9)),
+                                           (cycle_graph, range(3, 9))])
+def test_rule_free_enumeration_counts(make_graph, ns):
+    """Without rules nothing is skipped: improper colorings are enumerated
+    too, one per partition of the vertices into at most k color classes."""
+    for n in ns:
+        for k in range(1, 5):
+            colorings = list(Colorings(make_graph(n), k))
+            assert len(colorings) == sum(_stirling2(n, j)
+                                         for j in range(1, k + 1)), (n, k)
+            assert len(set(colorings)) == len(colorings)
+
+
+@pytest.mark.parametrize("make_graph,ns", [(path_graph, range(1, 9)),
+                                           (cycle_graph, range(3, 9))])
+def test_proper_skip_keeps_the_proper_colorings(make_graph, ns):
+    """On a line _proper is a color skip: it yields the proper colorings of
+    the rule-free enumeration, in its order, and counts the same nodes as
+    the same test called as a rule."""
+    for n in ns:
+        g = make_graph(n)
+        for k in range(1, 5):
+            skip = Colorings(g, k, (_proper,))
+            called = Colorings(g, k, (lambda *args: _proper(*args),))
+            assert (list(skip), skip.nodes) == (list(called), called.nodes)
+            assert list(skip) == [
+                c for c in Colorings(g, k)
+                if all(c.colors[u] != c.colors[v] for u, v in g.edges)], (n, k)
+
+
+@pytest.mark.parametrize("g,prop,k,digits,nodes", [
+    (path_graph(12), "stroll", 3, "121312313212", 25),
+    (cycle_graph(24), "path", 3, "121312313212321312132123", 145),
+    (cycle_graph(10), "walk", 4, "1231241324", 31),
+])
+def test_budget_aborts_across_budgets(g, prop, k, digits, nodes):
+    """Every budget from 1 to 300: below the search's own node count it
+    aborts having tried node_budget + 1 colors, skipped ones included."""
+    for budget in range(1, 301):
+        cert, visited, aborted = search_fixed_k(g, prop, k, node_budget=budget)
+        expected = ((None, budget + 1, True) if budget < nodes
+                    else (digits, nodes, False))
+        assert (cert and cert.to_digits(), visited, aborted) == expected, budget
 
 
 def test_search_depth_does_not_recurse():

@@ -62,8 +62,9 @@ class Graph:
         """The vertices along a path or around a cycle; None for other graphs.
 
         A path reads from its lower-numbered end, a cycle from vertex 0
-        towards its lower-numbered neighbour, so path_graph(n) and
-        cycle_graph(n) read 0..n-1.  Computed once, on first use.
+        towards its lower-numbered neighbour.  For a graph given by its
+        edges it is found by one walk, once, on first use; path_graph(n)
+        and cycle_graph(n) are built with it already set to 0..n-1.
         """
         adj = self._adj
         if not adj or max(map(len, adj)) > 2:
@@ -111,18 +112,39 @@ class Graph:
         return Graph.from_edges(n, edges)
 
 
+def _line_graph(n: int, cycle: bool) -> Graph:
+    """P_n or C_n along 0..n-1 in closed form.  Each field and cached
+    property holds what Graph(n, edges) and its first reads would compute,
+    but neither __post_init__'s edge checks nor line's walk runs."""
+    g = object.__new__(Graph)
+    line = tuple(range(n))  # its ints are shared by the edges and neighbours
+    edges = zip(line, line[1:])
+    inner = zip(line, line[2:])  # (v - 1, v + 1) for 0 < v < n - 1
+    if cycle:
+        edges = [*edges, (0, n - 1)]
+        adj = ((1, n - 1), *inner, (0, n - 2))
+    else:
+        adj = ((1,), *inner, (n - 2,)) if n > 1 else ((),)
+    # a frozen dataclass refuses setattr; its fields live in the instance
+    # dict, where the cached properties line and shape are stored too
+    vars(g).update(n=n, edges=frozenset(edges), _adj=adj,
+                   line=line, shape="cycle" if cycle else "path")
+    return g
+
+
 def path_graph(n: int) -> Graph:
-    """Path on vertices 0..n-1 with edges {i, i+1}."""
+    """Path on vertices 0..n-1 with edges {i, i+1}, built in closed form."""
     if n < 1:
         raise InvalidArgumentError("path needs at least one vertex")
-    return Graph(n, frozenset(zip(range(n - 1), range(1, n))))
+    return _line_graph(n, False)
 
 
 def cycle_graph(n: int) -> Graph:
-    """Cycle on vertices 0..n-1; n >= 3 (smaller would need loops/multi-edges)."""
+    """Cycle on vertices 0..n-1, built in closed form; n >= 3 (smaller
+    would need loops/multi-edges)."""
     if n < 3:
         raise InvalidArgumentError("cycle needs at least three vertices")
-    return Graph(n, frozenset([*zip(range(n - 1), range(1, n)), (0, n - 1)]))
+    return _line_graph(n, True)
 
 
 @dataclass(frozen=True)

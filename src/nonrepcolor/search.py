@@ -150,14 +150,14 @@ def _suffix_squares(g, order, colors, word, rev, depth):
 
 
 def _closing_squares(g, order, colors, word, rev, depth):
-    # at the last vertex, squares through the closing edge included: each is
-    # a repetitive simple path, stroll and nonboring walk.  Read from its
-    # second vertex round to its last but one, the circular word holds
-    # every circular factor of at most n vertices, up to rotation, and a
-    # half of at most n // 2 keeps the square inside n vertices
-    if depth < g.n - 1:
-        return True
-    arc = "".join([chr(colors[v]) for v in order])
+    # at the last vertex only (Colorings calls it there), squares through
+    # the closing edge included: each is a repetitive simple path, stroll
+    # and nonboring walk.  Read from its second vertex round to its last
+    # but one, the circular word holds every circular factor of at most n
+    # vertices, up to rotation, and a half of at most n // 2 keeps the
+    # square inside n vertices.  The same slices of the reversed arc,
+    # rev[depth], read that word reversed, and a reversed square is a square
+    arc = rev[depth]
     square = re.compile(rf"(.{{1,{g.n // 2}}})\1", re.DOTALL).search
     return square(arc[1:] + arc[:-1]) is None
 
@@ -248,7 +248,8 @@ class Colorings:
     node_budget raises BudgetExhausted.  On a path or cycle, _proper among
     the rules is a color skip instead of a rule call: a color equal to the
     previous vertex's (or, closing a cycle, to the first's) is tried and
-    counted, then passed over.
+    counted, then passed over.  _closing_squares among the rules is called
+    at the last vertex of a cycle only.
 
     The rules read the arc's color word: word[depth] = colors[order[depth]]
     and rev[depth] = chr(word[depth]) + rev[depth - 1], the reversed arc as
@@ -273,6 +274,10 @@ class Colorings:
         if skip:
             rules = tuple(rule for rule in rules if rule is not _proper)
         closing = n - 1 if g.shape == "cycle" else -1
+        rules_at = [tuple(rule for rule in rules
+                          if rule is not _closing_squares)] * n
+        if closing >= 0:
+            rules_at[closing] = rules  # _closing_squares closes the cycle
         colors = [0] * n  # by vertex; 0 = uncolored, else last color tried
         tops = [0] * (n + 1)  # largest color order[depth] may take
         tops[0] = 1 if self.symmetry_break else k
@@ -302,7 +307,7 @@ class Colorings:
                 continue
             word[depth] = col
             rev[depth] = chr(col) + rev[depth - 1]
-            for rule in rules:
+            for rule in rules_at[depth]:
                 if not rule(g, order, colors, word, rev, depth):
                     break
             else:

@@ -48,9 +48,31 @@ class TestGraphConstructors:
         with pytest.raises(InvalidArgumentError):
             path_graph(0)
 
-    def test_no_loops(self):
+    @pytest.mark.parametrize("n,edges", [
+        (2, {(1, 1)}),
+        (3, {(0, 3)}),  # endpoint out of range
+        (3, {(2, 1)}),  # stored as (max, min)
+        (-1, set()),
+    ], ids=["loop", "out-of-range", "max-min", "negative-n"])
+    def test_malformed_graphs(self, n, edges):
         with pytest.raises(InvalidArgumentError):
-            Graph.from_edges(2, [(1, 1)])
+            Graph(n, frozenset(edges))
+
+    @pytest.mark.parametrize("make,ns,closed", [
+        (path_graph, [*range(1, 61), 1000], False),
+        (cycle_graph, [*range(3, 61), 1000], True),
+    ], ids=["path", "cycle"])
+    def test_closed_form_matches_edges(self, make, ns, closed):
+        """path_graph and cycle_graph, built in closed form, equal the graph
+        given by its edges, built through __post_init__ and line's walk."""
+        for n in ns:
+            g = make(n)
+            ref = Graph.from_edges(n, [(v, (v + 1) % n)
+                                       for v in range(n if closed else n - 1)])
+            assert (g, hash(g), g.edges, g._adj, g.line, g.shape, g.to_json()) \
+                == (ref, hash(ref), ref.edges, ref._adj, ref.line, ref.shape,
+                    ref.to_json()), n
+            assert Graph.from_json(g.to_json()).line == g.line == tuple(range(n))
 
     @pytest.mark.parametrize("g,shape,line", [
         (Graph(0, frozenset()), "graph", None),

@@ -341,19 +341,26 @@ def test_closing_squares_rejects_only_failing_colorings(n):
     g = cycle_graph(n)
     rejected = 0
     for c in Colorings(g, 4):
-        if not _closing_squares(g, list(g.line), list(c.colors), None, None,
-                                n - 1):
+        if not _closes(g, c.colors):
             assert not holds(g, c, "stroll") and not holds(g, c, "walk"), c
             rejected += 1
     assert rejected > 0
 
 
+def _closes(g, cols):
+    """_closing_squares on colors by vertex, given the word and reversed-arc
+    stack that Colorings keeps along g.line."""
+    order = list(g.line)
+    return _closing_squares(g, order, list(cols),
+                            *_arc([cols[v] for v in order]), g.n - 1)
+
+
 def _closing_verdicts_agree(g, colorings):
     """The closing rule rejects iff _square_factor finds a square; count them."""
-    order, rejected = list(g.line), 0
+    rejected = 0
     for cols in colorings:
         cols = list(cols)
-        kept = _closing_squares(g, order, cols, None, None, g.n - 1)
+        kept = _closes(g, cols)
         assert kept == (_square_factor(g, cols) is None), cols
         rejected += not kept
     return rejected
@@ -377,6 +384,18 @@ def test_closing_squares_follows_shuffled_line(n):
     rules = () if n == 7 else (_proper, _suffix_squares)
     colorings = [c.colors for c in Colorings(g, 4, rules)]
     assert 0 < _closing_verdicts_agree(g, colorings) < len(colorings)
+
+
+@pytest.mark.parametrize("n", [8, 12, 18])
+def test_colorings_call_closing_squares_at_the_last_vertex(n):
+    """With the closing rule, Colorings yields exactly the leaves whose
+    circular word is square-free, after trying the same colors."""
+    g, rules = cycle_graph(n), (_proper, _suffix_squares)
+    closed, open_ = Colorings(g, 3, (*rules, _closing_squares)), Colorings(g, 3, rules)
+    leaves = [c.colors for c in open_]
+    kept = [c.colors for c in closed]
+    assert kept == [c for c in leaves if _square_factor(g, c) is None]
+    assert closed.nodes == open_.nodes and 0 < len(kept) < len(leaves)
 
 
 def _random_square_free(n, k, rng):
@@ -409,8 +428,7 @@ def test_closing_squares_on_long_random_cycles():
             i = rng.randint(n - 2 * t + 1, n - 1)  # i + 2t - 1 >= n: it wraps
             for j in range(i, i + t):
                 planted[(j + t) % n] = planted[j % n]
-            assert not _closing_squares(g, list(g.line), planted, None, None,
-                                        n - 1), (word, t, i)
+            assert not _closes(g, planted), (word, t, i)
             closed += _closing_verdicts_agree(g, [word, planted]) == 1
     assert closed > 0  # some words also close square-free as they come
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 property holds (all claims pass), 1 property fails (witness
 printed), 2 usage error, 3 budget exhausted (partial report), 4 internal
-error (a construction failed its own checks).  All JSON
+error (a construction failed its own checks) or out of memory.  All JSON
 outputs carry a "schema": 1 field.  The NONREP_BUDGET environment variable
 overrides the default search node budget.
 """
@@ -54,15 +54,21 @@ def _node_budget(args) -> int:
     return budget
 
 
+def _line_size(spec: str):
+    """N of the spec path:N or cycle:N; None for a graph file."""
+    if not spec.startswith(("path:", "cycle:")):
+        return None
+    try:
+        return int(spec.partition(":")[2])
+    except ValueError:
+        raise UsageError(f"bad graph size in {spec!r}")
+
+
 def _load_graph(args) -> Graph:
     spec = args.graph
-    if spec.startswith("path:") or spec.startswith("cycle:"):
-        kind, _, num = spec.partition(":")
-        try:
-            n = int(num)
-        except ValueError:
-            raise UsageError(f"bad graph size in {spec!r}")
-        return path_graph(n) if kind == "path" else cycle_graph(n)
+    n = _line_size(spec)
+    if n is not None:
+        return path_graph(n) if spec.startswith("path:") else cycle_graph(n)
     try:
         with open(spec) as fh:
             return Graph.from_json(fh.read())
@@ -70,7 +76,23 @@ def _load_graph(args) -> Graph:
         raise UsageError(f"cannot load graph from {spec!r}: {exc}")
 
 
-def _load_coloring(args, g: Graph) -> Coloring:
+def _load_colored_graph(args):
+    """The graph and coloring that verify and sa encode read, of one size.
+
+    A path:N or cycle:N longer than the coloring is refused before the
+    graph, which takes memory in proportion to N, is built."""
+    n = _line_size(args.graph)
+    c = _load_coloring(args)
+    if n is None or n <= c.n:
+        g = _load_graph(args)
+        n = g.n
+    if c.n != n:
+        raise UsageError(
+            f"coloring has {c.n} entries but the graph has {n} vertices")
+    return g, c
+
+
+def _load_coloring(args) -> Coloring:
     if args.colors is not None:
         c = Coloring.from_digits(args.colors)
     elif args.colors_file is not None:
@@ -85,9 +107,6 @@ def _load_coloring(args, g: Graph) -> Coloring:
             raise UsageError(f"cannot load coloring: {exc}")
     else:
         raise UsageError("a coloring is required (--colors or --colors-file)")
-    if c.n != g.n:
-        raise UsageError(
-            f"coloring has {c.n} entries but the graph has {g.n} vertices")
     return c
 
 
@@ -99,8 +118,7 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args)
-    c = _load_coloring(args, g)
+    g, c = _load_colored_graph(args)
     prop = args.property
     if prop == "dist2":
         pair = is_distance2(g, c)
@@ -156,8 +174,7 @@ def cmd_sa(args) -> int:
               f"maximum length {max_len}: {' '.join(longest)}")
         return EXIT_OK
     if action == "encode":
-        g = _load_graph(args)
-        c = _load_coloring(args, g)
+        g, c = _load_colored_graph(args)
         word = saseq.encode_sa(g, c)
         _emit(args, {"word": word}, word)
         return EXIT_OK
@@ -341,6 +358,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
 
 

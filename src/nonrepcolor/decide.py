@@ -68,11 +68,11 @@ def _check_coloring(g: Graph, c: Coloring) -> None:
         raise InvalidArgumentError("coloring size does not match graph")
 
 
-def accepting_starts(adj, cols, allow_diagonal: bool, seeds, seen=None):
+def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds, seen=None):
     """The states that start an accepted product walk, per component, lazily.
 
-    adj[v] lists the neighbours of vertex v and cols[v] is its color; the
-    seeds are color-matched states, off the diagonal unless allow_diagonal.
+    cols[v] is the color of vertex v of g; the seeds are color-matched
+    states, off the diagonal unless allow_diagonal.
     The product graph is undirected: a move joins two color-matched states, and
     adjacency is symmetric.  So a start (a, b) reaches a state (x, y) exactly
     when both lie in one connected component, and it accepts iff its
@@ -84,6 +84,10 @@ def accepting_starts(adj, cols, allow_diagonal: bool, seeds, seen=None):
     states: asking whether one exists stops at the first.  The labelled
     states go into seen, which a caller may pass in and share between two
     labellings, so that the second skips every component the first labelled.
+    Where no vertex has three neighbours, a state (u, w) has the four
+    candidate moves (nbr[u][i], nbr[w][j]), i, j in 0, 1, over each
+    vertex's lower and higher neighbour (_two_neighbours), in the order of
+    the general loops over g's sorted neighbour lists.
 
     Reversing a walk swaps its states' coordinates, so the mirror swap(K) of
     a component K accepts iff K does.  A seed whose mirror is labelled is
@@ -93,28 +97,74 @@ def accepting_starts(adj, cols, allow_diagonal: bool, seeds, seen=None):
     The second list follows the first exactly when (y, x) is not in seen for
     a state (x, y) of the first: a caller that wants K's mirror and no more
     takes one more list only then.
+
+    On a path or cycle a component K seeded at least 2|K| apart along
+    g.line (round the cycle) accepts nothing, and is not tested.  Were
+    (a, b) and (x, y) in K with x ~ b, a shortest path (a, b) = (v_1,
+    v_{t+1}), ..., (v_t, v_{2t}) = (x, y) in K would have t <= |K| states,
+    each at most t apart, as v_t = x ~ b = v_{t+1} makes v_i..v_{t+i} a
+    walk of t steps; every state of K is at most |K| - t moves from it,
+    and a move changes the distance by at most 2, so all would lie within
+    2|K| - t <= 2|K| - 1.
     """
     if seen is None:
         seen = set()
     add = seen.add
+    adj, line, n = g._adj, g.line, g.n
+    nbr = None
+    if line is not None or max(map(len, adj), default=0) <= 2:
+        nbr, cols = _two_neighbours(g, cols)
+    reach = -1  # the greatest distance along the line; none off lines
+    if line is not None:
+        cyclic = g.shape == "cycle"
+        reach = n // 2 if cyclic else n - 1
+        pos = range(n) if line == tuple(range(n)) else \
+            {v: i for i, v in enumerate(line)}
     for a, b in seeds:
         if (a, b) in seen or (b, a) in seen:
             continue
         add((a, b))
         comp = [(a, b)]
         grow = comp.append
-        for u, w in comp:  # comp grows while it is read: the BFS queue
-            adj_w = adj[w]
-            for u2 in adj[u]:
-                col = cols[u2]
-                for w2 in adj_w:
-                    if cols[w2] == col and (allow_diagonal or u2 != w2):
-                        state = (u2, w2)
-                        if state not in seen:
-                            add(state)
-                            grow(state)
+        if nbr is not None:
+            for u, w in comp:  # comp grows while it is read: the BFS queue
+                u1, u2 = nbr[u]
+                w1, w2 = nbr[w]
+                cu1, cu2 = cols[u1], cols[u2]
+                cw1, cw2 = cols[w1], cols[w2]
+                if cu1 == cw1 and (allow_diagonal or u1 != w1) and \
+                        (s := (u1, w1)) not in seen:
+                    add(s)
+                    grow(s)
+                if cu1 == cw2 and (allow_diagonal or u1 != w2) and \
+                        (s := (u1, w2)) not in seen:
+                    add(s)
+                    grow(s)
+                if cu2 == cw1 and (allow_diagonal or u2 != w1) and \
+                        (s := (u2, w1)) not in seen:
+                    add(s)
+                    grow(s)
+                if cu2 == cw2 and (allow_diagonal or u2 != w2) and \
+                        (s := (u2, w2)) not in seen:
+                    add(s)
+                    grow(s)
+        else:
+            for u, w in comp:
+                adj_w = adj[w]
+                for u2 in adj[u]:
+                    col = cols[u2]
+                    for w2 in adj_w:
+                        if cols[w2] == col and (allow_diagonal or u2 != w2):
+                            state = (u2, w2)
+                            if state not in seen:
+                                add(state)
+                                grow(state)
         if a == b and allow_diagonal and all(u == w for u, w in comp):
             continue  # every walk in it is boring
+        if 2 * len(comp) <= reach:
+            d = abs(pos[a] - pos[b])
+            if 2 * len(comp) <= (min(d, n - d) if cyclic else d):
+                continue  # too far apart to hold a witness
         near = set()
         for u, _ in comp:
             near.update(adj[u])
@@ -126,6 +176,23 @@ def accepting_starts(adj, cols, allow_diagonal: bool, seeds, seen=None):
                 for _, w in comp:
                     far.update(adj[w])
                 yield [(w, u) for u, w in comp if u in far]
+
+
+def _two_neighbours(g: Graph, cols):
+    """nbr[v] = (v's lower neighbour, its higher one) where g has no vertex
+    of degree 3 or more, and the colors that nbr indexes.  A vertex of
+    degree 1 has its one neighbour twice, and one of degree 0 has vertex n,
+    colored nan, twice: nan equals nothing, so no move leaves it."""
+    adj, n = g._adj, g.n
+    if g.shape == "cycle":
+        return adj, cols
+    if g.shape == "path" and n > 1:  # only the two ends have one neighbour
+        nbr = list(adj)
+        for v in g.line[0], g.line[-1]:
+            nbr[v] = adj[v] * 2
+        return nbr, cols
+    return ([a * 2 if len(a) == 1 else a or (n, n) for a in adj],
+            (*cols, float("nan")))
 
 
 def _seeds(cols):
@@ -189,7 +256,7 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     cols = c.colors
     adj = g._adj
     seen = set()
-    comps = accepting_starts(adj, cols, allow_diagonal, _seeds(cols), seen)
+    comps = accepting_starts(g, cols, allow_diagonal, _seeds(cols), seen)
     first = next(comps, None)
     if first is None:
         return None
@@ -204,7 +271,7 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
             starts.update(next(comps))
         h = bound // 2
         band = _band_seeds(g, cols, h)
-        starts.update(*accepting_starts(adj, cols, allow_diagonal, band, seen))
+        starts.update(*accepting_starts(g, cols, allow_diagonal, band, seen))
         # a start more than h apart along the line begins no such witness
         n, cyclic = g.n, g.shape == "cycle"
         pos = {v: i for i, v in enumerate(g.line)}
@@ -406,7 +473,7 @@ def holds(g: Graph, c: Coloring, property: str) -> bool:
     if property == "path":
         return _square_path(g, cols) is None
     diagonal = property == "walk"
-    starts = accepting_starts(g._adj, cols, diagonal, _seeds(cols))
+    starts = accepting_starts(g, cols, diagonal, _seeds(cols))
     return next(starts, None) is None
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from nonrepcolor import decide
+from nonrepcolor import cli, construct, decide
 from nonrepcolor.cli import main
 from nonrepcolor.model import cycle_graph
 
@@ -37,6 +37,42 @@ def test_usage_errors_return_two(capsys):
     code, out, err = run(capsys, "solve", "path:x", "--property", "stroll",
                          "--max-colors", "3")
     assert (code, out) == (2, "") and "bad graph size" in err
+
+
+def _unbuilt(n):
+    raise AssertionError(f"a graph of {n} vertices was built")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "path:900000000", "--colors", "1", "--property", "path"],
+    ["verify", "cycle:900000000", "--colors", "121", "--property", "walk"],
+    ["sa", "encode", "path:900000000", "--colors", "12"],
+])
+def test_line_longer_than_its_coloring_is_not_built(capsys, monkeypatch, argv):
+    """N is checked against the coloring before path:N or cycle:N is built."""
+    monkeypatch.setattr(cli, "path_graph", _unbuilt)
+    monkeypatch.setattr(cli, "cycle_graph", _unbuilt)
+    code, out, err = run(capsys, *argv)
+    n = len(argv[argv.index("--colors") + 1])
+    assert (code, out, err) == (2, "", f"error: coloring has {n} entries but "
+                                       "the graph has 900000000 vertices\n")
+
+
+@pytest.mark.parametrize("target,argv", [
+    ((cli, "path_graph"), ["verify", "path:5", "--colors", "12131",
+                           "--property", "stroll"]),
+    ((construct, "rho_path_coloring"), ["construct", "rho-path", "--n", "9",
+                                        "--budget", "1"]),
+])
+def test_out_of_memory_is_not_a_verdict(capsys, monkeypatch, target, argv):
+    """Running out of memory is exit 4 with one line, not exit 1 (fails)."""
+    monkeypatch.setattr(*target, _out_of_memory)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (4, "", "error: out of memory\n")
 
 
 class TestVerify:

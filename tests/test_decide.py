@@ -306,14 +306,14 @@ def test_holds_rejects_unknown_property():
         holds(path_graph(2), Coloring((1, 2), 2), "trail")
 
 
-def _reference_starts(adj, cols, allow_diagonal):
-    """Every accepting state, labelling the component of every matched state.
+def _reference_components(adj, cols, allow_diagonal):
+    """Every component of the product graph, by DFS, mirrors included.
 
-    No mirror is skipped: each color-matched state (off the diagonal unless
-    allow_diagonal) is labelled in its own component, by DFS.
+    Each color-matched state (off the diagonal unless allow_diagonal) is
+    labelled in its own component; nothing is skipped.
     """
     n = len(cols)
-    labelled, accepting = set(), set()
+    labelled = set()
     for s in itertools.product(range(n), repeat=2):
         if cols[s[0]] != cols[s[1]] or s in labelled:
             continue
@@ -328,24 +328,35 @@ def _reference_starts(adj, cols, allow_diagonal):
                     comp.add(t)
                     stack.append(t)
         labelled |= comp
-        if any(u != w for u, w in comp):  # else every walk in it is boring
-            firsts_adj = {x for u, _ in comp for x in adj[u]}
-            accepting |= {t for t in comp if t[1] in firsts_adj}
-    return accepting
+        yield comp
 
 
-def _same_starts(adj, cols, allow_diagonal, seeds=None):
+def _reference_accepting(adj, comp):
+    """The states (a, b) of comp with a state (x, y) in comp, x ~ b."""
+    if all(u == w for u, w in comp):  # every walk in it is boring
+        return set()
+    firsts_adj = {x for u, _ in comp for x in adj[u]}
+    return {t for t in comp if t[1] in firsts_adj}
+
+
+def _reference_starts(adj, cols, allow_diagonal):
+    """Every accepting state, labelling the component of every matched state."""
+    return set().union(*(_reference_accepting(adj, comp) for comp in
+                         _reference_components(adj, cols, allow_diagonal)))
+
+
+def _same_starts(g, cols, allow_diagonal, seeds=None):
     """accepting_starts agrees with the reference; returns its lists."""
-    lists = list(accepting_starts(adj, cols, allow_diagonal,
+    lists = list(accepting_starts(g, cols, allow_diagonal,
                                   _seeds(cols) if seeds is None else seeds))
     union = set().union(*lists)
     assert len(union) == sum(map(len, lists))  # no state yielded twice
-    ref = _reference_starts(adj, cols, allow_diagonal)
+    ref = _reference_starts(g._adj, cols, allow_diagonal)
     if seeds is None:
-        assert union == ref, (adj, cols, allow_diagonal)
+        assert union == ref, (g, cols, allow_diagonal)
     else:
-        assert union <= ref, (adj, cols, seeds)
-    first = next(accepting_starts(adj, cols, allow_diagonal,
+        assert union <= ref, (g, cols, seeds)
+    first = next(accepting_starts(g, cols, allow_diagonal,
                                   _seeds(cols) if seeds is None else seeds), None)
     assert (first is None) == (not lists)
     return lists
@@ -394,21 +405,21 @@ def test_nearest_pairs_find_a_far_square_within_n_seeds(monkeypatch):
 def test_accepting_starts_matches_reference(allow_diagonal, gc):
     """Labelling one component per mirror pair misses no accepting state."""
     g, c = gc
-    _same_starts(g._adj, c.colors, allow_diagonal)
+    _same_starts(g, c.colors, allow_diagonal)
 
 
 def test_self_mirror_component_is_yielded_once():
     """On C4 colored 1212, (1, 3) and (3, 1) share one component."""
     g = cycle_graph(4)
-    lists = _same_starts(g._adj, (1, 2, 1, 2), False)
+    lists = _same_starts(g, (1, 2, 1, 2), False)
     assert [sorted(x) for x in lists] == [[(0, 2), (1, 3), (2, 0), (3, 1)]]
 
 
 def test_walk_component_through_the_diagonal():
     """On P3 colored 121, (0, 2) reaches (1, 1) only when walks may."""
     g = path_graph(3)
-    assert _same_starts(g._adj, (1, 2, 1), False) == []
-    lists = _same_starts(g._adj, (1, 2, 1), True)
+    assert _same_starts(g, (1, 2, 1), False) == []
+    lists = _same_starts(g, (1, 2, 1), True)
     assert [sorted(x) for x in lists] == [
         [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]]
 
@@ -417,8 +428,68 @@ def test_mirror_component_is_reported_unlabelled():
     """On P4 colored 1212 the stroll 0 1 2 3 starts at (0, 2) and its
     reverse 3 2 1 0 at (3, 1), in the mirror component, never labelled."""
     g = path_graph(4)
-    lists = _same_starts(g._adj, (1, 2, 1, 2), False)
+    lists = _same_starts(g, (1, 2, 1, 2), False)
     assert lists == [[(0, 2)], [(3, 1)]]
+
+
+@pytest.mark.parametrize("allow_diagonal", [False, True])
+@pytest.mark.parametrize("make_graph,n", [(path_graph, n) for n in range(1, 8)]
+                         + [(cycle_graph, n) for n in range(3, 8)])
+def test_accepting_components_lie_within_twice_their_size(make_graph, n,
+                                                          allow_diagonal):
+    """Every state of an accepting component K is less than 2|K| apart along
+    the line, round the cycle on a cycle: the bound accepting_starts uses to
+    skip the acceptance test of components seeded farther apart."""
+    g = make_graph(n)
+    for cols in itertools.product((1, 2, 3), repeat=n):
+        for comp in _reference_components(g._adj, cols, allow_diagonal):
+            if _reference_accepting(g._adj, comp):
+                gaps = [abs(u - w) for u, w in comp]
+                if g.is_cycle():
+                    gaps = [min(d, n - d) for d in gaps]
+                assert max(gaps) <= 2 * len(comp) - 1, (n, cols, comp)
+
+
+def _relabelled(g, rng):
+    ids = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(ids[u], ids[v]) for u, v in g.edges])
+
+
+P7_RELABELLED = Graph.from_json(
+    (Path(__file__).parent / "data" / "p7_relabelled.json").read_text())
+C8_RELABELLED = _relabelled(cycle_graph(8), random.Random(8))
+MATCHING = Graph.from_edges(8, [(0, 5), (1, 2), (3, 7), (4, 6)])
+
+
+@pytest.mark.parametrize("g", [
+    *map(path_graph, range(1, 9)), *map(cycle_graph, range(3, 9)),
+    P7_RELABELLED, C8_RELABELLED, MATCHING,
+], ids=[*(f"P{n}" for n in range(1, 9)), *(f"C{n}" for n in range(3, 9)),
+        "P7-relabelled", "C8-relabelled", "matching"])
+def test_two_neighbour_kernel_matches_reference(g, monkeypatch):
+    """Every word over k <= 3, both modes, through the degree-2 kernel: on
+    the relabelled lines with positions read from g.line, on the perfect
+    matching (degree 1, no line) without the distance rule."""
+    assert max(map(len, g._adj)) <= 2
+    kernels = []
+
+    def counted(g, cols, kernel=decide._two_neighbours):
+        kernels.append(g)
+        return kernel(g, cols)
+
+    monkeypatch.setattr(decide, "_two_neighbours", counted)
+    for cols in itertools.product((1, 2, 3), repeat=g.n):
+        for allow_diagonal in (False, True):
+            _same_starts(g, cols, allow_diagonal)
+    assert len(kernels) == 4 * 3 ** g.n
+
+
+def test_general_loops_past_degree_two(monkeypatch):
+    """A vertex of degree 3 keeps the nested loops over g's neighbours."""
+    monkeypatch.setattr(decide, "_two_neighbours", None)
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    for cols in itertools.product((1, 2, 3), repeat=g.n):
+        _same_starts(g, cols, True)
 
 
 @pytest.mark.parametrize("depth", range(3, 9))
@@ -430,11 +501,10 @@ def test_stroll_prefix_seeds(depth):
     the stroll property of the longer path, as the incremental stroll rule
     of the search assumes.
     """
-    arc = [(1,), *((i - 1, i + 1) for i in range(1, depth)), (depth - 1,)]
-    prefix_arc = [*arc[:depth - 1], (depth - 2,)]
+    arc, prefix_arc = path_graph(depth + 1), path_graph(depth)
     for word in itertools.product((1, 2, 3), repeat=depth + 1):
-        if _reference_starts(prefix_arc, word[:depth], False):
+        if _reference_starts(prefix_arc._adj, word[:depth], False):
             continue
         seeds = [(depth, w) for w in range(depth) if word[w] == word[depth]]
         lists = _same_starts(arc, word, False, seeds)
-        assert (not lists) == (not _reference_starts(arc, word, False)), word
+        assert (not lists) == (not _reference_starts(arc._adj, word, False)), word

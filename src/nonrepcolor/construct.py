@@ -3,10 +3,12 @@
 Walk-nonrepetitive colorings for cycles up to 21 vertices are embedded as
 data; longer cycles get a 4-coloring built by subdividing a matching of an
 even base cycle carrying a path-nonrepetitive 3-coloring, with the new
-vertices colored 4.  Stroll certificates for paths come from one 21-vertex
-word, lemma 5's longest symmetry word decoded; longer paths fall back to
-search.  Every constructed coloring is re-checked by the corresponding
-decider before it is returned.
+vertices colored 4.  The base is Thue's square-free word with a searched
+tail that closes the cycle.  Stroll certificates for paths up to 21
+vertices come from one word, lemma 5's longest symmetry word decoded;
+longer paths take the cycle's walk-nonrepetitive 4-coloring.  Every
+constructed coloring is re-checked by the corresponding decider before it
+is returned.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import decide, saseq, search
 from .model import (
@@ -50,9 +51,6 @@ WALK_NONREP_CYCLE_TABLE = {
 # stroll-nonrepetitive 3-coloring of the 21-vertex path, decoded from the
 # longest word lemma 5 allows; its prefixes cover every shorter path
 STROLL_NONREP_P21 = saseq.decode_sa(saseq.LONGEST_H_FREE_WORD, "path").colors
-
-# desk-scale cap: base searches beyond this are not calibrated
-SIGMA_CYCLE_MAX_N = 90
 
 
 @dataclass(frozen=True)
@@ -131,11 +129,11 @@ def classify_edges(g: Graph, c: Coloring) -> list:
     return out
 
 
-def subdivide_cycle(base: Coloring, subdivide: list, new_color: int = 4):
+def subdivide_cycle(base: Coloring, subdivide: list):
     """Cycle obtained by subdividing the given matching edges of a base cycle.
 
     subdivide lists matching indices i (edge (2i, 2i+1)); the inserted
-    vertices get new_color.  Returns (graph, coloring) with vertices
+    vertices get color 4.  Returns (graph, coloring) with vertices
     relabeled 0..n-1 in cyclic order.
     """
     m = base.n
@@ -144,35 +142,55 @@ def subdivide_cycle(base: Coloring, subdivide: list, new_color: int = 4):
     for v in range(m):
         colors.append(base.colors[v])
         if v % 2 == 0 and v // 2 in chosen:
-            colors.append(new_color)
-    n = len(colors)
-    return cycle_graph(n), Coloring(tuple(colors), max(new_color, base.k))
+            colors.append(4)
+    return cycle_graph(len(colors)), Coloring(tuple(colors), max(4, base.k))
+
+
+def _base_coloring(g: Graph, node_budget: int) -> Coloring:
+    """Path-nonrepetitive 3-coloring of the even base cycle g = C_m.
+
+    Its first m - w vertices follow Thue's square-free word, letter
+    i = t(i) - t(i + 1) + 2 with t the Thue-Morse parity (1231321232...,
+    canonical under symmetry breaking); the search colors the last w.
+    w = m, the lex-least search, up to m = 60; above, w starts at 24 and
+    doubles until a tail closes the cycle or w reaches m.  The windows
+    share node_budget.
+    """
+    m = g.n
+    t = [bin(i).count("1") % 2 for i in range(m + 1)]
+    thue = [t[i] - t[i + 1] + 2 for i in range(m)]
+    w = m if m <= 60 else 24
+    while True:
+        cert, nodes, aborted = search.search_fixed_k(
+            g, "path", 3, node_budget, prefix=thue[:m - w])
+        if aborted:
+            raise search.BudgetExhausted(
+                "base path-nonrepetitive search exceeded its budget")
+        if cert is not None or w == m:
+            break
+        node_budget -= nodes
+        w = min(2 * w, m)
+    _require(cert is not None,
+             "even cycles of length >= 16 are 3-path-colorable")
+    return cert
 
 
 def sigma_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     """Walk-nonrepetitive 4-coloring of C_n for n > 21, with its trace.
 
-    Pipeline: search a path-nonrepetitive 3-coloring of the even base cycle
-    C_2k with k = ceil(n/3); drop m = 3k - n good matching edges; subdivide
-    the remaining matching edges once, coloring the new vertices 4.  The
-    result is checked by the full walk decider before returning.
+    Pipeline: a path-nonrepetitive 3-coloring of the even base cycle C_2k
+    with k = ceil(n/3) (_base_coloring); drop m = 3k - n good matching
+    edges; subdivide the remaining matching edges once, coloring the new
+    vertices 4.  The result is checked by the full walk decider before
+    returning, which bounds n in practice: about 2 s at n = 3,000.
     """
     if n <= 21:
         raise InvalidArgumentError("subdivision construction applies for n > 21")
-    if n > SIGMA_CYCLE_MAX_N:
-        raise InvalidArgumentError(
-            f"desk-scale cap exceeded (n <= {SIGMA_CYCLE_MAX_N})")
     k = math.ceil(n / 3)
     m = 3 * k - n
     _require(m in (0, 1, 2) and k >= 8, f"bad base size k={k}, m={m}")
     base_graph = cycle_graph(2 * k)
-    report = search.solve(base_graph, "path", 3, node_budget=node_budget)
-    if report.aborted:
-        raise search.BudgetExhausted(
-            "base path-nonrepetitive search exceeded its budget")
-    _require(report.value == 3,
-             "even cycles of length >= 16 are 3-path-colorable")
-    base = report.certificate
+    base = _base_coloring(base_graph, node_budget)
     classes = classify_edges(base_graph, base)
     good = [i for i, e in enumerate(classes) if e.good]
     removed = good[:m]
@@ -198,35 +216,26 @@ def sigma_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
 
 
 def rho_path_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
-    """Minimum-stroll certificate for the n-vertex path.
+    """Minimum-stroll certificate for the n-vertex path, using value colors.
 
     3 <= n <= 21 returns a prefix of the embedded 21-vertex word (two colors
     suffice for n = 3, where any repetitive walk pins the middle vertex);
-    n >= 22 searches for a 4-coloring, the value being 4 by exhaustion of
-    the 3-color case.  The certificate is always re-checked.
+    n >= 22 restricts sigma_cycle_coloring(n) to P_n, the value being 4 by
+    exhaustion of the 3-color case.  P_n is C_n less an edge, so each of its
+    walks is one of C_n, and a walk-nonrepetitive coloring has no
+    repetitive stroll.  The certificate is always re-checked.
     """
     if n < 3:
         raise InvalidArgumentError("need at least three vertices")
-    g = path_graph(n)
-    if n <= 21:
-        coloring = Coloring.from_colors(STROLL_NONREP_P21[:n])
-        value = coloring.k
-    else:
-        cert, _, aborted = search.search_fixed_k(
-            g, "stroll", 4, node_budget=node_budget)
-        if aborted:
-            raise search.BudgetExhausted(
-                "stroll certificate search exceeded its budget")
-        _require(cert is not None,
-                 "no stroll-nonrepetitive 4-coloring of the path")
-        value, coloring = 4, cert
-    if not decide.holds(g, coloring, "stroll"):
+    coloring = (Coloring.from_colors(STROLL_NONREP_P21[:n]) if n <= 21
+                else sigma_cycle_coloring(n, node_budget)[1])
+    if not decide.holds(path_graph(n), coloring, "stroll"):
         raise RuntimeError("constructed coloring failed self-verification")
-    return value, coloring
+    return coloring.k, coloring
 
 
 def rho_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
-    """Minimum-stroll certificate for the n-vertex cycle.
+    """Minimum-stroll certificate for the n-vertex cycle, using value colors.
 
     Small cases carry the explicit colorings (two singleton colors for
     n in {3, 4}; one repeated color for n = 5; dedicated words for 6 and 8;
@@ -236,28 +245,17 @@ def rho_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     """
     if n < 3:
         raise InvalidArgumentError("need at least three vertices")
-    g = cycle_graph(n)
-    if n == 3:
-        value, coloring = 3, Coloring.from_colors((1, 2, 3))
-    elif n == 4:
-        value, coloring = 3, Coloring.from_colors((1, 2, 1, 3))
-    elif n == 5:
-        value, coloring = 4, Coloring.from_colors((1, 2, 1, 3, 4))
-    elif n == 6:
-        value, coloring = 3, Coloring.from_colors((2, 1, 2, 3, 1, 3))
-    elif n == 7:
-        value, coloring = 4, Coloring.from_colors(STROLL_NONREP_P21[:6] + (4,))
-    elif n == 8:
-        value, coloring = 3, Coloring.from_colors((1, 2, 1, 3, 2, 1, 2, 3))
-    elif n <= 21:
-        _, coloring = table1_coloring(n)
-        value = 4
+    small = {3: (1, 2, 3), 4: (1, 2, 1, 3), 5: (1, 2, 1, 3, 4),
+             6: (2, 1, 2, 3, 1, 3), 7: STROLL_NONREP_P21[:6] + (4,),
+             8: (1, 2, 1, 3, 2, 1, 2, 3)}
+    if n in small:
+        coloring = Coloring.from_colors(small[n])
     else:
-        _, coloring = sigma_cycle_coloring(n, node_budget=node_budget)
-        value = 4
-    if not decide.holds(g, coloring, "stroll"):
+        coloring = (table1_coloring(n) if n <= 21
+                    else sigma_cycle_coloring(n, node_budget))[1]
+    if not decide.holds(cycle_graph(n), coloring, "stroll"):
         raise RuntimeError("constructed coloring failed self-verification")
-    return value, coloring
+    return coloring.k, coloring
 
 
 def figure1_fixture():

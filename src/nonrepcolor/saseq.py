@@ -72,21 +72,17 @@ def decode_sa(word: str, graph_kind: str) -> Coloring:
     raising InconsistentWordError otherwise.
     """
     _validate_word(word)
-    if graph_kind == "path":
-        n = len(word) + 2
-        colors = [1, 2]
-        for letter in word:
-            prev2, prev = colors[-2], colors[-1]
-            colors.append(prev2 if letter == "S" else _third_color(prev2, prev))
-        return Coloring(tuple(colors), 3)
-    if graph_kind == "cycle":
-        n = len(word)
-        if n < 3:
-            raise InvalidArgumentError("cycle word needs at least three letters")
-        colors = [1, 2]
-        for letter in word[1:n - 1]:
-            prev2, prev = colors[-2], colors[-1]
-            colors.append(prev2 if letter == "S" else _third_color(prev2, prev))
+    if graph_kind not in ("path", "cycle"):
+        raise InvalidArgumentError(f"unknown graph kind {graph_kind!r}")
+    n = len(word)
+    cycle = graph_kind == "cycle"
+    if cycle and n < 3:
+        raise InvalidArgumentError("cycle word needs at least three letters")
+    colors = [1, 2]
+    for letter in word[1:n - 1] if cycle else word:
+        prev2, prev = colors[-2], colors[-1]
+        colors.append(prev2 if letter == "S" else _third_color(prev2, prev))
+    if cycle:
         if colors[-1] == colors[0]:
             raise InconsistentWordError(
                 f"wrap edge improper: c(v{n - 1})c(v0) = {colors[-1]}{colors[0]}")
@@ -95,8 +91,7 @@ def decode_sa(word: str, graph_kind: str) -> Coloring:
         if word[n - 1] != last or word[0] != first:
             raise InconsistentWordError(
                 f"wrap letters are {first}...{last}, word says {word[0]}...{word[n - 1]}")
-        return Coloring(tuple(colors), 3)
-    raise InvalidArgumentError(f"unknown graph kind {graph_kind!r}")
+    return Coloring(tuple(colors), 3)
 
 
 def is_h_free(word: str, cyclic: bool = False) -> Optional[tuple]:

@@ -227,10 +227,14 @@ class _StrollPrefix:
         return True
 
 
-def _prefix_rules(g: Graph, property: str, prune: bool) -> tuple:
-    """The proper-edge rule, then the pruning rules the property allows."""
-    linear = g.line is not None
+def _prefix_rules(g: Graph, property: str, prune: bool, prefix=()) -> tuple:
+    """The fixed prefix if any, the proper-edge rule, then the pruning rules
+    the property allows."""
+    linear, prefix = g.line is not None, tuple(prefix)
     return tuple(rule for rule, wanted in (
+        # order[depth] takes prefix[depth] while depth < len(prefix)
+        (lambda g, order, colors, word, rev, depth: depth >= len(prefix)
+         or word[depth] == prefix[depth], bool(prefix)),
         (_proper, True),
         (_distance2, prune and property == "walk"),
         (_suffix_squares, prune and linear and property != "stroll"),
@@ -323,15 +327,18 @@ def search_fixed_k(
     node_budget: int = DEFAULT_NODE_BUDGET,
     symmetry_break: bool = True,
     prune: bool = True,
+    prefix=(),
 ):
     """Exhaustive search for one property-nonrepetitive k-coloring.
 
+    prefix fixes the colors of the first len(prefix) vertices of the order;
+    under symmetry breaking it must introduce its colors in ascending order.
     Returns (coloring or None, nodes, aborted).  None with aborted=False is
-    a completed exhaustion proof for this k.
+    a completed exhaustion proof for this k (and this prefix).
     """
     if property not in decide.PROPERTIES:
         raise InvalidArgumentError(f"unknown property {property!r}")
-    colorings = Colorings(g, k, _prefix_rules(g, property, prune),
+    colorings = Colorings(g, k, _prefix_rules(g, property, prune, prefix),
                           node_budget, symmetry_break)
     try:
         cert = next((c for c in colorings if final_check(g, c, property)), None)

@@ -2,7 +2,6 @@ import pytest
 
 from nonrepcolor import search
 from nonrepcolor.construct import (
-    SIGMA_CYCLE_MAX_N,
     STROLL_NONREP_P21,
     WALK_NONREP_CYCLE_TABLE,
     classify_edges,
@@ -18,6 +17,7 @@ from nonrepcolor.decide import (
     exists_repetitive_nonboring_walk,
     exists_repetitive_path,
     exists_repetitive_stroll,
+    holds,
     is_walk_nonrepetitive_cycle_fast,
 )
 from nonrepcolor.model import (
@@ -122,8 +122,41 @@ class TestSigmaCycle:
     def test_range_checks(self):
         with pytest.raises(InvalidArgumentError):
             sigma_cycle_coloring(21)
-        with pytest.raises(InvalidArgumentError):
-            sigma_cycle_coloring(SIGMA_CYCLE_MAX_N + 1)
+        # no upper cap: C1000 is walk-nonrepetitive, its restriction to
+        # P1000 stroll-nonrepetitive
+        _, c = sigma_cycle_coloring(1000)
+        assert is_walk_nonrepetitive_cycle_fast(cycle_graph(1000), c)
+        assert holds(path_graph(1000), c, "stroll")
+
+    @pytest.mark.parametrize("k", range(8, 31))
+    def test_base_is_lex_least_up_to_ninety(self, k):
+        # the base of sigma(C_n) is a coloring of C_2k, k = ceil(n/3), so
+        # n = 3k covers every base of n = 22..90: up to C60 the window is
+        # the whole cycle, and the base the lex-least certificate
+        trace, _ = sigma_cycle_coloring(3 * k)
+        report = search.solve(cycle_graph(2 * k), "path", 3)
+        assert trace.base_coloring == report.certificate
+
+    def test_empty_window_doubles(self, monkeypatch):
+        # a window that finds nothing is followed by a larger one, and the
+        # coloring built on the wider tail still verifies
+        windows = []
+        real = search.search_fixed_k
+
+        def first_window_empty(g, prop, k, node_budget, prefix=()):
+            windows.append(g.n - len(prefix))
+            if len(windows) == 1:
+                return None, 7, False
+            return real(g, prop, k, node_budget, prefix=prefix)
+
+        monkeypatch.setattr(search, "search_fixed_k", first_window_empty)
+        trace, c = sigma_cycle_coloring(120)
+        assert trace.base_cycle_n == 80 and windows == [24, 48]
+        # the first 80 - 48 base vertices follow Thue's word
+        t = [bin(i).count("1") % 2 for i in range(33)]
+        assert trace.base_coloring.colors[:32] == tuple(
+            t[i] - t[i + 1] + 2 for i in range(32))
+        assert is_walk_nonrepetitive_cycle_fast(cycle_graph(120), c)
 
     def test_trace_json(self):
         trace, _ = sigma_cycle_coloring(22)
@@ -132,13 +165,12 @@ class TestSigmaCycle:
         assert len(data["base_coloring"]) == 16
 
     def test_failed_obligation_survives_optimize(self, monkeypatch):
-        # a base search answering 4 breaks a proof obligation; the check
-        # must be an explicit error, not an assert that python -O strips
-        def solve_value_4(g, prop, k_max, node_budget):
-            return search.SolveReport(prop, {"kind": "cycle", "n": g.n}, 4,
-                                      None, [1, 2, 3], 0, 0.0, k_max=k_max)
+        # a base search that finds nothing breaks a proof obligation; the
+        # check must be an explicit error, not an assert that python -O strips
+        def finds_nothing(g, prop, k, node_budget, prefix=()):
+            return None, 0, False
 
-        monkeypatch.setattr(search, "solve", solve_value_4)
+        monkeypatch.setattr(search, "search_fixed_k", finds_nothing)
         with pytest.raises(RuntimeError) as info:
             sigma_cycle_coloring(22)
         assert not isinstance(info.value, search.BudgetExhausted)

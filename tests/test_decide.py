@@ -390,7 +390,10 @@ def test_nearest_pairs_find_a_far_square_within_n_seeds(monkeypatch):
     monkeypatch.setattr(decide, "_seeds", counted)
     n = 200
     _, c = rho_path_coloring(n)
-    for p in (172, 183, 195):  # plant c[p] c[p+1] c[p] c[p+1]
+    # plant c[p] c[p+1] c[p] c[p+1] at the last three p where the planted
+    # c[p+1] differs from c[p+4], so no edge becomes a shorter witness
+    far = [p for p in range(n - 4) if c.colors[p + 1] != c.colors[p + 4]]
+    for p in far[-3:]:
         cols = list(c.colors)
         cols[p + 2:p + 4] = cols[p:p + 2]
         drawn.clear()

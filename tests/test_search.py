@@ -9,9 +9,9 @@ from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE
 from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                cycle_graph, path_graph)
 from nonrepcolor.decide import _square_factor, holds
-from nonrepcolor.search import (Colorings, _closing_squares, _proper,
-                                _StrollPrefix, _suffix_squares, final_check,
-                                search_fixed_k, solve)
+from nonrepcolor.search import (Colorings, _closing_squares, _prefix_rules,
+                                _proper, _StrollPrefix, _suffix_squares,
+                                final_check, search_fixed_k, solve)
 
 P21_WORD = "121312321323123213121"
 
@@ -29,6 +29,28 @@ class TestSolveValues:
     def test_infeasible_below_max(self):
         r = solve(cycle_graph(5), "walk", 4)
         assert r.value is None and r.exhausted_k == [1, 2, 3, 4]
+
+
+class TestFixedPrefix:
+    def test_certificate_extends_the_prefix(self):
+        prefix = (1, 2, 3, 1, 3, 2, 1, 2)
+        cert, _, aborted = search_fixed_k(cycle_graph(30), "path", 3,
+                                          prefix=prefix)
+        assert not aborted and cert.colors[:8] == prefix
+        assert final_check(cycle_graph(30), cert, "path")
+
+    def test_empty_prefix_adds_no_rule(self):
+        g = cycle_graph(30)
+        plain = (_proper, _suffix_squares, _closing_squares)
+        assert _prefix_rules(g, "path", True) == plain
+        assert _prefix_rules(g, "path", True, ()) == plain
+        assert _prefix_rules(g, "path", True, (1, 2))[1:] == plain
+
+    def test_prefix_breaking_symmetry_finds_nothing(self):
+        # colors must enter in ascending order under symmetry breaking
+        cert, _, aborted = search_fixed_k(path_graph(6), "path", 3,
+                                          prefix=(2, 1))
+        assert cert is None and not aborted
 
 
 class TestVerifyCertificate:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from . import decide, saseq, search
@@ -109,20 +110,24 @@ def classify_edges(g: Graph, c: Coloring) -> list:
     """Good/bad classification of the matching e_i = (v_2i, v_2i+1).
 
     v_0, v_1, ... is g.line, the order around the cycle.  Requires an even
-    cycle with a proper path-nonrepetitive 3-coloring.  For cycles of
-    length >= 16 at least two matching edges must come out good; a
-    violation on valid input indicates an upstream bug.
+    cycle with a proper path-nonrepetitive 3-coloring.  Symmetry is read
+    off the color word along g.line: v_i is symmetrical iff the colors at
+    i - 1 and i + 1, round the cycle, are equal.  For cycles of length
+    >= 16 at least two matching edges must come out good; a violation on
+    valid input indicates an upstream bug.
     """
     if not g.is_cycle() or g.n % 2:
         raise InvalidArgumentError("matching classification needs an even cycle")
     if max(c.colors) > 3:
         raise InvalidArgumentError("edge classification is defined for 3-colorings")
     k, line = g.n // 2, g.line
-    out = []
-    for i in range(k):
-        u, v = line[2 * i], line[2 * i + 1]
-        good = not (is_symmetrical(g, c, u) or is_symmetrical(g, c, v))
-        out.append(EdgeClass((u, v), good))
+    word = [c.colors[v] for v in line]
+    # symmetrical[i]: word[i - 1] == word[i + 1], round the cycle
+    before, after = word[-1:] + word[:-1], word[1:] + word[:1]
+    symmetrical = list(map(operator.eq, before, after))
+    out = [EdgeClass((line[i], line[i + 1]),
+                     not (symmetrical[i] or symmetrical[i + 1]))
+           for i in range(0, 2 * k, 2)]
     _require(k < 8 or sum(e.good for e in out) >= 2,
              "a path-nonrepetitive 3-coloring of an even cycle of length "
              ">= 16 leaves at least two good matching edges")
@@ -157,9 +162,11 @@ def _base_coloring(g: Graph, node_budget: int) -> Coloring:
     share node_budget.
     """
     m = g.n
-    t = [bin(i).count("1") % 2 for i in range(m + 1)]
-    thue = [t[i] - t[i + 1] + 2 for i in range(m)]
-    w = m if m <= 60 else 24
+    w, thue = m, []
+    if m > 60:
+        w = 24
+        t = [bin(i).count("1") % 2 for i in range(m + 1)]
+        thue = [t[i] - t[i + 1] + 2 for i in range(m)]
     while True:
         cert, nodes, aborted = search.search_fixed_k(
             g, "path", 3, node_budget, prefix=thue[:m - w])
@@ -194,13 +201,12 @@ def sigma_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     classes = classify_edges(base_graph, base)
     good = [i for i, e in enumerate(classes) if e.good]
     removed = good[:m]
-    keep = [i for i in range(k) if i not in set(removed)]
+    keep = [i for i in range(k) if i not in removed]
     g, coloring = subdivide_cycle(base, keep)
     _require(g.n == n, f"subdivided cycle has {g.n} vertices, not {n}")
-    # symmetrical base vertices must all sit on a subdivided edge
-    kept = set(keep)
-    _require(all(v // 2 in kept for v in range(2 * k)
-                 if is_symmetrical(base_graph, base, v)),
+    # symmetrical base vertices must all sit on a subdivided edge: every
+    # bad matching edge is kept
+    _require(all(classes[i].good for i in removed),
              "symmetrical vertex left uncovered")
     if not decide.holds(g, coloring, "walk"):
         raise RuntimeError("constructed coloring failed self-verification")

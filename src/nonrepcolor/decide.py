@@ -22,7 +22,8 @@ with the same seen set, so no component is labelled twice.  The oracle
 module cross-validates this reduction empirically.
 
 The path property is a square scan of the color word on paths and cycles,
-and a DFS over simple paths on other graphs.
+and a DFS over simple paths on other graphs; its verdict alone, on paths
+and cycles, is one regex search of the color word.
 
 holds gives the verdict alone: the labelling stops at the first accepting
 component, and no witness is built.  find_witness explains a failure.
@@ -31,7 +32,9 @@ component, and no witness is built.  find_witness explains a failure.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, pairwise, repeat
 from typing import Optional
 
@@ -370,16 +373,12 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
     it is a DFS over simple paths, exponential in general.
     """
     _check_coloring(g, c)
-    walk = _square_path(g, c.colors)
+    square = _square_path_dfs if g.shape == "graph" else _square_factor
+    walk = square(g, c.colors)
     if walk is None:
         return None
     w = Walk(walk)
     return Witness(w, classify_walk(g, c, w), "path")
-
-
-def _square_path(g: Graph, cols) -> Optional[tuple]:
-    """The witness of exists_repetitive_path: a square scan, or DFS off lines."""
-    return (_square_path_dfs if g.shape == "graph" else _square_factor)(g, cols)
 
 
 def _square_factor(g: Graph, cols) -> Optional[tuple]:
@@ -408,6 +407,35 @@ def _square_factor(g: Graph, cols) -> Optional[tuple]:
         if squares:
             return min(squares)
     return None
+
+
+@lru_cache(maxsize=128)
+def _squares_upto(h: int):
+    """search(text) for a square of half-length at most h, h >= 1.
+
+    DOTALL because color 10 is "\n"; chr, not bytes, keeps colors above 255.
+    """
+    return re.compile(rf"(.{{1,{h}}})\1", re.DOTALL).search
+
+
+def _square_free_line(g: Graph, cols) -> bool:
+    """_square_factor(g, cols) is None, by one regex search.
+
+    The color word along g.line; on a cycle, read from its second vertex
+    round to its last but one, which holds every circular factor of at most
+    n vertices up to rotation, and a half of at most n // 2 keeps a square
+    inside n vertices.  A color chr cannot hold falls back to the scan.
+    """
+    n = g.n
+    if n < 2:
+        return True
+    try:
+        text = "".join(map(chr, map(cols.__getitem__, g.line)))
+    except ValueError:  # a color of 0x110000 or more
+        return _square_factor(g, cols) is None
+    if g.shape == "cycle":
+        text = text[1:] + text[:-1]
+    return _squares_upto(n // 2)(text) is None
 
 
 def _square_path_dfs(g: Graph, cols) -> Optional[tuple]:
@@ -465,13 +493,18 @@ def holds(g: Graph, c: Coloring, property: str) -> bool:
     """True iff find_witness(g, c, property) is None, without building one.
 
     Stroll and walk label no state past the first accepting component.
+    Path on a path or cycle is one regex search of the color word for a
+    square (_square_free_line), not the per-half-length scan that finds
+    the least witness; elsewhere it is the simple-path DFS.
     """
     if property not in PROPERTIES:
         raise InvalidArgumentError(f"unknown property {property!r}")
     _check_coloring(g, c)
     cols = c.colors
     if property == "path":
-        return _square_path(g, cols) is None
+        if g.shape == "graph":
+            return _square_path_dfs(g, cols) is None
+        return _square_free_line(g, cols)
     diagonal = property == "walk"
     starts = accepting_starts(g, cols, diagonal, _seeds(cols))
     return next(starts, None) is None

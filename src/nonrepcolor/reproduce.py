@@ -81,7 +81,8 @@ def claim_currie(run):
 
 @_claim
 def claim_thm1(run):
-    """Subdivision construction succeeds and self-verifies beyond the table."""
+    """Subdivision construction succeeds and self-verifies beyond the table;
+    P6 has no walk-nonrepetitive 3-coloring, so no C_n with n >= 6 has one."""
     for n in range(22, 41):
         try:
             trace, c = construct.sigma_cycle_coloring(n)
@@ -95,11 +96,17 @@ def claim_thm1(run):
         run.add(f"C{n}: 4-coloring built and walk-verifies",
                 arith and c.colors_used() == 4,
                 f"base C{k2}, m={m}")
+    # a walk-nonrepetitive coloring restricts to one of any subgraph
+    r = search.solve(path_graph(6), "walk", 3)
+    run.add("P6 ⊆ C_n: no walk-nonrepetitive 3-coloring",
+            not r.aborted and r.value is None,
+            f"nodes={r.nodes_visited}; so sigma(C_n) >= 4 for every n >= 6")
 
 
 @_claim
 def claim_thm2(run):
-    """Stroll chromatic values of paths: 3 up to 21 vertices, then 4."""
+    """Stroll chromatic values of paths: 2 at 3 vertices, 3 from 4 up to 21,
+    then 4."""
     word = Coloring.from_colors(construct.STROLL_NONREP_P21)
     run.add("21-vertex word is stroll-nonrepetitive",
             decide.holds(path_graph(21), word, "stroll"))
@@ -114,6 +121,11 @@ def claim_thm2(run):
         run.add(f"rho(P{n}) = 3", not r.aborted and r.value == 3, f"got {r.value}")
     r = search.solve(path_graph(22), "stroll", 4)
     run.add("rho(P22) = 4", not r.aborted and r.value == 4, f"got {r.value}")
+    # every walk on P3 alternates with its middle vertex
+    r = search.solve(path_graph(3), "stroll", 4)
+    run.add("rho(P3) = 2", not r.aborted and r.value == 2,
+            f"got {r.value}; the abstract's rho(P_n) = 3 for 3 ≤ n ≤ 21 "
+            "holds from n = 4")
 
 
 @_claim

@@ -19,8 +19,9 @@ each call first undoes what calls at its own depth or deeper joined, so
 the structure describes the arc as it is colored now without an undo hook
 in Colorings.  On a cycle, every search also rejects a completed coloring
 whose circular color word holds a square, through the closing edge
-included, by one regex search for a square of at most n vertices: a
-repetitive simple path is a repetitive stroll and a nonboring walk.
+included, by a regex search of the colors near the last vertex, then of
+the whole word: a repetitive simple path is a repetitive stroll and a
+nonboring walk.
 Completed colorings are always re-checked by decide.holds.
 """
 
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import decide
+from .decide import _squares_upto
 from .model import Coloring, Graph, InvalidArgumentError
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -139,8 +141,9 @@ def _distance2(g, order, colors, word, rev, depth):
     return True
 
 
-# DOTALL because color 10 is "\n"; chr, not bytes, keeps colors above 255
-_SQUARE_START = re.compile(r"(..+)\1", re.DOTALL).match
+# DOTALL because color 10 is "\n"; chr, not bytes, keeps colors above 255.
+# Lazy, so that a rejecting node finds its shortest suffix square first
+_SQUARE_START = re.compile(r"(..+?)\1", re.DOTALL).match
 
 
 def _suffix_squares(g, order, colors, word, rev, depth):
@@ -150,16 +153,23 @@ def _suffix_squares(g, order, colors, word, rev, depth):
 
 
 def _closing_squares(g, order, colors, word, rev, depth):
-    # at the last vertex only (Colorings calls it there), squares through
-    # the closing edge included: each is a repetitive simple path, stroll
-    # and nonboring walk.  Read from its second vertex round to its last
-    # but one, the circular word holds every circular factor of at most n
-    # vertices, up to rotation, and a half of at most n // 2 keeps the
-    # square inside n vertices.  The same slices of the reversed arc,
-    # rev[depth], read that word reversed, and a reversed square is a square
-    arc = rev[depth]
-    square = re.compile(rf"(.{{1,{g.n // 2}}})\1", re.DOTALL).search
-    return square(arc[1:] + arc[:-1]) is None
+    """No square in the circular color word, through the closing edge too.
+
+    Colorings calls it at the last vertex only.  Each such square is a
+    repetitive simple path, stroll and nonboring walk.  Under the other
+    rules the arc without its last vertex passed, so a square left holds
+    that vertex, and most are short.  So on n >= 32 the 31 colors within
+    15 of it along the cycle, arc[-15:] + arc[:16] of the reversed arc
+    rev[depth], are searched first for a square of half-length at most 8:
+    they are distinct vertices, so one found there is on the cycle.  Only
+    then is the whole circular word searched, sliced as
+    decide._square_free_line slices it, here from rev[depth]: that reads
+    the word reversed, and a reversed square is a square.
+    """
+    arc, n = rev[depth], g.n
+    if n >= 32 and _squares_upto(8)(arc[-15:] + arc[:16]):
+        return False
+    return _squares_upto(n // 2)(arc[1:] + arc[:-1]) is None
 
 
 class _StrollPrefix:

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from nonrepcolor import search
@@ -70,6 +73,28 @@ class TestEdgeClassification:
         assert [(e.edge, e.good) for e in classes] == [
             ((0, 3), False), ((1, 5), True), ((2, 4), False)]
         assert all(g.adjacent(*e.edge) for e in classes)
+
+    @pytest.mark.parametrize("n", [6, 8, 16, 20])
+    def test_word_classification_matches_is_symmetrical(self, n):
+        """Every 3-coloring of C6 and C8, and the path-nonrepetitive ones of
+        C16 and C20 up to renaming, each along the cycle and along a relabelled
+        copy: an edge is good iff neither end is_symmetrical."""
+        ids = random.Random(n).sample(range(n), n)
+        graphs = (cycle_graph(n), Graph.from_edges(
+            n, [(ids[u], ids[v]) for u, v in cycle_graph(n).edges]))
+        words = (itertools.product((1, 2, 3), repeat=n) if n <= 8 else
+                 (c.colors for c in search.Colorings(
+                     graphs[0], 3, search._prefix_rules(graphs[0], "path", True))
+                  if holds(graphs[0], c, "path")))
+        for colors in words:
+            for g in graphs:
+                matching = list(zip(g.line[::2], g.line[1::2]))
+                c = Coloring(tuple(colors[g.line.index(v)] for v in range(n)), 3)
+                classes = classify_edges(g, c)
+                assert [e.edge for e in classes] == matching
+                assert [e.good for e in classes] == [
+                    not (is_symmetrical(g, c, u) or is_symmetrical(g, c, v))
+                    for u, v in matching], colors
 
     def test_rejects_odd_cycle_and_path(self):
         with pytest.raises(InvalidArgumentError):

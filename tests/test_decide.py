@@ -14,6 +14,7 @@ from nonrepcolor.construct import (
 )
 from nonrepcolor.decide import (
     _seeds,
+    _square_factor,
     _square_path_dfs,
     accepting_starts,
     exists_repetitive_nonboring_walk,
@@ -32,6 +33,7 @@ from nonrepcolor.model import (
     is_repetitive,
     path_graph,
 )
+from nonrepcolor.search import Colorings, _proper
 
 from test_oracle import _colored, _small_graphs
 
@@ -143,6 +145,46 @@ def test_square_factor_matches_dfs_relabelled(k):
         assert g.shape == ("cycle" if cyclic else "path")
         cols = tuple(rng.randint(1, k) for _ in range(n))
         _same_path_witness(g, Coloring(cols, k))
+
+
+def _path_verdicts_agree(g, colorings):
+    """holds(g, c, "path") is _square_factor's verdict; count rejections."""
+    rejected = 0
+    for c in colorings:
+        ok = holds(g, c, "path")
+        assert ok == (_square_factor(g, c.colors) is None), c.colors
+        rejected += not ok
+    return rejected
+
+
+@pytest.mark.parametrize("make_graph,n", [(path_graph, n) for n in range(1, 13)]
+                         + [(cycle_graph, n) for n in range(3, 13)])
+def test_path_verdict_matches_square_factor(make_graph, n):
+    """Every 3- and 4-coloring up to renaming: all of them up to 8
+    vertices, above only the proper ones, as an improper edge is a square
+    of half-length 1 to both."""
+    g = make_graph(n)
+    rules = () if n <= 8 else (_proper,)
+    colorings = list(Colorings(g, 4, rules))
+    rejected = _path_verdicts_agree(g, colorings)
+    assert 0 < rejected < len(colorings) or n == 1
+
+
+@pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
+@pytest.mark.parametrize("cols,path_free,cycle_free", [
+    ((10, 11, 10, 11), False, False),  # chr(10) is a newline: DOTALL
+    ((10, 11, 12, 10), True, False),
+    ((300, 301, 302, 300, 301, 302), False, False),
+    ((300, 301, 302, 301, 300), True, False),
+    ((0x110000, 1, 0x110000, 1), False, False),  # beyond chr: the scan
+    ((0x110000, 1, 2, 0x110000, 2, 1), True, True),
+])
+def test_path_verdict_large_colors(make_graph, cols, path_free, cycle_free):
+    g = make_graph(len(cols))
+    c = Coloring(cols, max(cols))
+    want = cycle_free if g.is_cycle() else path_free
+    assert holds(g, c, "path") is want
+    assert (_square_factor(g, cols) is None) is want
 
 
 class TestCycleFastCheck:
@@ -462,6 +504,17 @@ P7_RELABELLED = Graph.from_json(
     (Path(__file__).parent / "data" / "p7_relabelled.json").read_text())
 C8_RELABELLED = _relabelled(cycle_graph(8), random.Random(8))
 MATCHING = Graph.from_edges(8, [(0, 5), (1, 2), (3, 7), (4, 6)])
+
+
+@pytest.mark.parametrize("g", [
+    P7_RELABELLED, *(_relabelled(cycle_graph(n), random.Random(n))
+                     for n in (7, 12)),
+], ids=["P7-relabelled", "C7-shuffled", "C12-shuffled"])
+def test_path_verdict_follows_relabelled_line(g):
+    """The word is read along g.line, not by vertex number."""
+    assert list(g.line) != list(range(g.n))
+    colorings = list(Colorings(g, 4, () if g.n <= 8 else (_proper,)))
+    assert 0 < _path_verdicts_agree(g, colorings) < len(colorings)
 
 
 @pytest.mark.parametrize("g", [

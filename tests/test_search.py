@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from nonrepcolor import search
 from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE
 from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                cycle_graph, path_graph)
@@ -453,6 +454,43 @@ def test_closing_squares_on_long_random_cycles():
             assert not _closes(g, planted), (word, t, i)
             closed += _closing_verdicts_agree(g, [word, planted]) == 1
     assert closed > 0  # some words also close square-free as they come
+
+
+@pytest.mark.parametrize("n", [32, 33, 40, 47, 55, 64])
+def test_closing_window_then_whole_word(n, monkeypatch):
+    """C32..C64 with Thue's word fixed on all but the last 20 vertices.
+
+    With the closing rule, Colorings yields exactly the leaves whose
+    circular word is square-free, after trying the same colors.  The arc
+    less its last vertex is square-free, so a leaf's squares hold that
+    vertex: one of half-length at most 8 is rejected by the window alone,
+    and a leaf whose shortest square is longer by the whole-word search
+    after it.
+    """
+    t = [bin(i).count("1") % 2 for i in range(n + 1)]
+    thue = [t[i] - t[i + 1] + 2 for i in range(n)]
+    g = cycle_graph(n)
+    rules = _prefix_rules(g, "path", True, thue[:n - 20])
+    open_ = Colorings(g, 3, tuple(r for r in rules if r is not _closing_squares))
+    closed = Colorings(g, 3, rules)
+    leaves = [c.colors for c in open_]
+    kept = [c.colors for c in closed]
+    assert kept == [c for c in leaves if _square_factor(g, c) is None]
+    assert closed.nodes == open_.nodes
+
+    searched, real = [], search._squares_upto  # half-length bounds searched
+    monkeypatch.setattr(search, "_squares_upto",
+                        lambda h: searched.append(h) or real(h))
+    kinds = {"short": 0, "long": 0, "square-free": 0}
+    for cols in leaves:
+        square = _square_factor(g, cols)
+        kind = ("square-free" if square is None
+                else "short" if len(square) <= 16 else "long")
+        searched.clear()
+        assert _closes(g, cols) == (square is None), cols
+        assert searched == ([8] if kind == "short" else [8, n // 2]), cols
+        kinds[kind] += 1
+    assert min(kinds.values()) > 0, kinds
 
 
 def _stirling2(n, j):

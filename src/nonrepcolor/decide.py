@@ -18,15 +18,21 @@ usually has such a state, so a rejection is found within n seeds.
 Only when one accepts is a witness built, by BFS from the accepting start
 states alone; on paths and cycles the shortest square bounds its length,
 and so the band of states that can start it, and that band is labelled
-with the same seen set, so no component is labelled twice.  The oracle
-module cross-validates this reduction empirically.
+with the same seen set, so no component is labelled twice.  Before any
+of this, on paths and cycles, a witness of 2 or 4 vertices that the color
+word shows (an edge joining equal colors; a fold u x w x, for walks; a
+factor abab, for strolls) bounds the witness at once, and the BFS runs
+from every color-matched state in its band with no labelling at all.
+The oracle module cross-validates this reduction empirically.
 
 The path property is a square scan of the color word on paths and cycles,
 and a DFS over simple paths on other graphs; its verdict alone, on paths
 and cycles, is one regex search of the color word.
 
 holds gives the verdict alone: the labelling stops at the first accepting
-component, and no witness is built.  find_witness explains a failure.
+component, and no witness is built.  It reads no short witness off the
+color word, so its stroll and walk verdicts rest on the labelling alone.
+find_witness explains a failure.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, pairwise, repeat
+from itertools import chain, combinations, filterfalse, pairwise, repeat
 from typing import Optional
 
 from .model import (
@@ -93,9 +99,10 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds, seen=None):
     the general loops over g's sorted neighbour lists.
 
     Reversing a walk swaps its states' coordinates, so the mirror swap(K) of
-    a component K accepts iff K does.  A seed whose mirror is labelled is
-    skipped, and an accepting K other than swap(K) yields swap(K)'s accepting
-    states as a second list, unlabelled.  So the seeds (u, w) with u < w
+    a component K accepts iff K does.  A labelled seed is dropped in C
+    (filterfalse over seen), one whose mirror is labelled is skipped, and
+    an accepting K other than swap(K) yields swap(K)'s accepting states as
+    a second list, unlabelled.  So the seeds (u, w) with u < w
     (_seeds) suffice: K or swap(K) holds one if K has an off-diagonal state.
     The second list follows the first exactly when (y, x) is not in seen for
     a state (x, y) of the first: a caller that wants K's mirror and no more
@@ -123,8 +130,8 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds, seen=None):
         reach = n // 2 if cyclic else n - 1
         pos = range(n) if line == tuple(range(n)) else \
             {v: i for i, v in enumerate(line)}
-    for a, b in seeds:
-        if (a, b) in seen or (b, a) in seen:
+    for a, b in filterfalse(seen.__contains__, seeds):
+        if (b, a) in seen:
             continue
         add((a, b))
         comp = [(a, b)]
@@ -226,6 +233,25 @@ def _band_seeds(g: Graph, cols, h: int):
                 yield (u, w) if u < w else (w, u)
 
 
+def _short_bound(g: Graph, cols, allow_diagonal: bool) -> Optional[int]:
+    """2 or 4, the vertices of a witness the color word shows, else None.
+
+    The word is read along g.line, circularly on a cycle.  2 if an edge
+    joins equal colors (both properties); else 4 for walks if two vertices
+    at distance 2 share a color (the fold u x w x over their middle vertex
+    x), and for strolls if four consecutive vertices read abab.
+    """
+    word = [cols[v] for v in g.line]
+    if g.shape == "cycle":
+        word += word[:3]  # every edge, distance-2 pair and abab start < n
+    if any(map(operator.eq, word, word[1:])):
+        return 2
+    fold = map(operator.eq, word, word[2:])
+    if allow_diagonal:
+        return 4 if any(fold) else None
+    return 4 if b"\1\1" in bytes(fold) else None  # abab: two folds in a row
+
+
 def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     """Find the best repetitive stroll (or nonboring walk) via product BFS.
 
@@ -235,21 +261,31 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     when first(s_t) is adjacent to second(s_1), reconstructing the walk
     firsts + seconds of length 2t.
 
-    Deciding stops at the first accepting component of the (undirected)
-    product graph that accepting_starts labels: without one there is no
-    witness.  On a path or cycle the shortest square (_square_factor) is
-    then a witness of L vertices, so the best has at most L: a walk
-    v_1..v_2t with 2t <= L starts at (v_1, v_{t+1}), at most t <= L/2 apart
-    along g.line, and only components holding such a seed (_band_seeds) are
-    labelled for starts.  That labelling shares the first one's seen, so it
-    skips every component already labelled: the ones before K accept
-    nothing, and K gives its list and, if swap(K) is another component, the
-    mirror list; of all these starts, only the ones in the band are kept.
-    Elsewhere, or with no square, the rest of the first labelling gives
-    every accepting start.  Explaining runs a BFS from each kept accepting
-    start only, in state order; it yields that start's
-    shortest product walks, and stops at the depth where its walks would be
-    longer than L or than the best found so far.
+    A walk v_1..v_2t with 2t <= L starts at (v_1, v_{t+1}), at most t <= L/2
+    apart along g.line.  On a path or cycle whose color word shows a witness
+    of L = 2 or 4 vertices (_short_bound: an edge joining equal colors, a
+    fold u x w x for walks, abab for strolls), nothing is labelled: every
+    color-matched state at most L/2 apart, in both orientations, and for
+    walks with L = 4 every (v, v), starts a BFS bounded at L.  Each witness
+    of at most L vertices starts at one of them, and a start that begins
+    none finds none within L/2 - 1 moves, so the least (2t, walk) is the
+    one the labelled route below gives.  With L = 4 no edge joins equal
+    colors, so once the best has 4 vertices no later start can beat it.
+
+    Otherwise deciding stops at the first accepting component of the
+    (undirected) product graph that accepting_starts labels: without one
+    there is no witness.  On a path or cycle the shortest square
+    (_square_factor) is then a witness of L vertices, so the best has at
+    most L, and only components holding a seed at most L/2 apart
+    (_band_seeds) are labelled for starts.  That labelling shares the first
+    one's seen, so it skips every component already labelled: the ones
+    before K accept nothing, and K gives its list and, if swap(K) is another
+    component, the mirror list; of all these starts, only the ones in the
+    band are kept.  Elsewhere, or with no square, the rest of the first
+    labelling gives every accepting start.  Explaining runs a BFS from each
+    kept start, in state order; it yields that start's shortest product
+    walks, and stops at the depth where its walks would be longer than L or
+    than the best found so far.
 
     Returns the lexicographically smallest (2t, walk) over all start states,
     or None: the witness is shortest, ties break to the lowest starting
@@ -258,28 +294,39 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     """
     cols = c.colors
     adj = g._adj
-    seen = set()
-    comps = accepting_starts(g, cols, allow_diagonal, _seeds(cols), seen)
-    first = next(comps, None)
-    if first is None:
-        return None
-    sq = _square_factor(g, cols) if g.line else None
-    if sq is None:
-        bound, starts = None, set(first).union(*comps)
-    else:  # no witness is longer than sq; its starts lie in the band
-        bound = len(sq)
-        starts = set(first)
-        x, y = first[0]
-        if (y, x) not in seen:  # swap(K) is another component: its list
-            starts.update(next(comps))
-        h = bound // 2
-        band = _band_seeds(g, cols, h)
-        starts.update(*accepting_starts(g, cols, allow_diagonal, band, seen))
-        # a start more than h apart along the line begins no such witness
-        n, cyclic = g.n, g.shape == "cycle"
-        pos = {v: i for i, v in enumerate(g.line)}
-        starts = [(u, w) for u, w in starts
-                  if (d := abs(pos[u] - pos[w])) <= h or cyclic and n - d <= h]
+    bound = _short_bound(g, cols, allow_diagonal) if g.line else None
+    # with bound 4 no edge joins equal colors, so no witness is shorter
+    shortest = 4 if bound == 4 else 2
+    if bound is not None:  # every matched state in the band starts a BFS
+        starts = set(_band_seeds(g, cols, bound // 2))
+        starts.update([(w, u) for u, w in starts])
+        if bound > 2 and allow_diagonal:  # a walk from (v, v) has 4 or more
+            starts.update(zip(g.line, g.line))
+    else:
+        seen = set()
+        comps = accepting_starts(g, cols, allow_diagonal, _seeds(cols), seen)
+        first = next(comps, None)
+        if first is None:
+            return None
+        sq = _square_factor(g, cols) if g.line else None
+        if sq is None:
+            starts = set(first).union(*comps)
+        else:  # no witness is longer than sq; its starts lie in the band
+            bound = len(sq)
+            starts = set(first)
+            x, y = first[0]
+            if (y, x) not in seen:  # swap(K) is another component: its list
+                starts.update(next(comps))
+            h = bound // 2
+            band = _band_seeds(g, cols, h)
+            starts.update(*accepting_starts(g, cols, allow_diagonal, band,
+                                            seen))
+            # a start more than h apart along the line begins no such witness
+            n, cyclic = g.n, g.shape == "cycle"
+            pos = {v: i for i, v in enumerate(g.line)}
+            starts = [(u, w) for u, w in starts
+                      if (d := abs(pos[u] - pos[w])) <= h
+                      or cyclic and n - d <= h]
 
     best = None  # (length, walk tuple)
     for s0 in sorted(starts):
@@ -288,8 +335,8 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
         # vertex, only a strictly shorter walk can be better
         longest = (bound if best is None else
                    best[0] if a == best[1][0] else best[0] - 2)
-        if longest is not None and longest < 2:
-            break  # best is an edge, and every later start is past it
+        if longest is not None and longest < shortest:
+            break  # best is shortest, and every later start is past it
         start_bit = a != b  # always set for strolls: no diagonal states
         # BFS over (state, off_diagonal_seen)
         dist = {(s0, start_bit): 0}

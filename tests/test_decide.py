@@ -420,8 +420,10 @@ def test_seeds_are_matched_pairs_below_the_diagonal():
 
 
 def test_nearest_pairs_find_a_far_square_within_n_seeds(monkeypatch):
-    """A square near the far end of a long stroll certificate is explained
-    after at most n seeds, not after about half of all matched pairs."""
+    """A square near the far end of a long stroll certificate is rejected
+    after at most n seeds, not after about half of all matched pairs.  The
+    verdict route labels from _seeds; find_witness reads this abab off the
+    color word and draws none."""
     drawn = []
 
     def counted(cols, seeds=decide._seeds):
@@ -438,10 +440,12 @@ def test_nearest_pairs_find_a_far_square_within_n_seeds(monkeypatch):
     for p in far[-3:]:
         cols = list(c.colors)
         cols[p + 2:p + 4] = cols[p:p + 2]
+        planted = Coloring.from_colors(cols)
         drawn.clear()
-        w = find_witness(path_graph(n), Coloring.from_colors(cols), "stroll")
-        assert w.walk.vertices == (p, p + 1, p + 2, p + 3)
+        assert not holds(path_graph(n), planted, "stroll")
         assert 0 < len(drawn) <= n, (p, len(drawn))
+        w = find_witness(path_graph(n), planted, "stroll")
+        assert w.walk.vertices == (p, p + 1, p + 2, p + 3)
 
 
 @pytest.mark.parametrize("allow_diagonal", [False, True])
@@ -503,13 +507,13 @@ def _relabelled(g, rng):
 P7_RELABELLED = Graph.from_json(
     (Path(__file__).parent / "data" / "p7_relabelled.json").read_text())
 C8_RELABELLED = _relabelled(cycle_graph(8), random.Random(8))
+C7_SHUFFLED, C12_SHUFFLED = (_relabelled(cycle_graph(n), random.Random(n))
+                             for n in (7, 12))
 MATCHING = Graph.from_edges(8, [(0, 5), (1, 2), (3, 7), (4, 6)])
 
 
-@pytest.mark.parametrize("g", [
-    P7_RELABELLED, *(_relabelled(cycle_graph(n), random.Random(n))
-                     for n in (7, 12)),
-], ids=["P7-relabelled", "C7-shuffled", "C12-shuffled"])
+@pytest.mark.parametrize("g", [P7_RELABELLED, C7_SHUFFLED, C12_SHUFFLED],
+                         ids=["P7-relabelled", "C7-shuffled", "C12-shuffled"])
 def test_path_verdict_follows_relabelled_line(g):
     """The word is read along g.line, not by vertex number."""
     assert list(g.line) != list(range(g.n))
@@ -546,6 +550,142 @@ def test_general_loops_past_degree_two(monkeypatch):
     g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     for cols in itertools.product((1, 2, 3), repeat=g.n):
         _same_starts(g, cols, True)
+
+
+def _witnesses(cases):
+    found = []
+    for g, cols in cases:
+        c = Coloring.from_colors(cols)
+        for prop in ("stroll", "walk"):
+            w = find_witness(g, c, prop)
+            found.append(w and w.walk.vertices)
+    return found
+
+
+def _same_as_labelled(cases, monkeypatch):
+    """find_witness on each (g, cols) gives what it gives with the color
+    word scan off, through the product labelling."""
+    cases = list(cases)
+    short = _witnesses(cases)
+    monkeypatch.setattr(decide, "_short_bound", lambda *args: None)
+    assert short == _witnesses(cases)
+    return short
+
+
+def _planted_words(rng, n, cyclic, count):
+    """Proper and distance-2 words over 3..5 colors, each with a square of
+    half-length 1..6 copied in where it fits (round the cycle on a cycle)."""
+    for i in range(count):
+        k, gap = rng.choice((3, 4, 5)), 1 + i % 2
+        word = []
+        for v in range(n):
+            near = word[-gap:]
+            if cyclic and v >= n - gap:  # and the first ones, round the cycle
+                near += word[:v + gap - n + 1]
+            word.append(rng.choice([x for x in range(1, k + 1)
+                                    if x not in near] or [1]))
+        t = rng.randint(1, 6)
+        if 2 * t <= n:
+            p = rng.randrange(n if cyclic else n - 2 * t + 1)
+            for j in range(t):
+                word[(p + t + j) % n] = word[(p + j) % n]
+        yield tuple(word)
+
+
+@pytest.mark.parametrize("g", [
+    *map(path_graph, range(1, 9)), *map(cycle_graph, range(3, 9)),
+    P7_RELABELLED, C7_SHUFFLED,
+], ids=[*(f"P{n}" for n in range(1, 9)), *(f"C{n}" for n in range(3, 9)),
+        "P7-relabelled", "C7-shuffled"])
+def test_short_bound_keeps_witnesses_exhaustive(g, monkeypatch):
+    """Every 3-coloring, stroll and walk: the same witness as the labelled
+    route, whether or not the word shows an equal edge, a fold or abab."""
+    _same_as_labelled(((g, cols) for cols in
+                       itertools.product((1, 2, 3), repeat=g.n)), monkeypatch)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_short_bound_keeps_witnesses_planted(cyclic, monkeypatch):
+    """Seeded proper and distance-2 words up to n = 40 with planted squares,
+    on lines numbered along them and on relabelled ones."""
+    rng = random.Random(18 + cyclic)
+    make = cycle_graph if cyclic else path_graph
+    cases = []
+    for n in range(3, 41):
+        line = make(n)
+        shuffled = _relabelled(line, rng)
+        for word in _planted_words(rng, n, cyclic, 12):
+            cases.append((line, word))
+            relabelled = [0] * n
+            for v, col in zip(shuffled.line, word):
+                relabelled[v] = col
+            cases.append((shuffled, tuple(relabelled)))
+    found = _same_as_labelled(cases, monkeypatch)
+    assert sum(w is not None for w in found) > len(found) // 2
+
+
+def test_short_bound_keeps_witnesses_on_c12_shuffled(monkeypatch):
+    """The shuffled C12, every proper 3-coloring."""
+    g = C12_SHUFFLED
+    colorings = Colorings(g, 3, (_proper,), symmetry_break=False)
+    _same_as_labelled(((g, c.colors) for c in colorings), monkeypatch)
+
+
+@pytest.mark.parametrize("prop,cols,walk", [
+    ("stroll", (1, 2, 3, 3, 1), (2, 3)),
+    ("walk", (1, 2, 3, 3, 1), (2, 3)),
+    ("walk", (1, 2, 3, 1, 3, 2), (2, 3, 4, 3)),
+    ("stroll", (1, 2, 3, 2, 3, 1), (1, 2, 3, 4)),
+])
+def test_short_bound_skips_the_labelling(prop, cols, walk, monkeypatch):
+    """An equal edge, a walk fold or a stroll abab: no labelling at all."""
+    def unused(*args):
+        raise AssertionError("accepting_starts called")
+
+    monkeypatch.setattr(decide, "accepting_starts", unused)
+    w = find_witness(path_graph(len(cols)), Coloring.from_colors(cols), prop)
+    assert w.walk.vertices == walk
+
+
+def test_stroll_fold_without_abab_is_labelled(monkeypatch):
+    """A fold is no stroll: 123132 has one but no abab, so its stroll
+    witness is found through the product labelling."""
+    calls = []
+
+    def counted(*args, labelling=decide.accepting_starts):
+        calls.append(args)
+        return labelling(*args)
+
+    monkeypatch.setattr(decide, "accepting_starts", counted)
+    c = Coloring.from_colors((1, 2, 3, 1, 3, 2, 1, 2, 3, 1, 2, 3))
+    assert decide._short_bound(path_graph(c.n), c.colors, False) is None
+    assert decide._short_bound(path_graph(c.n), c.colors, True) == 4
+    w = find_witness(path_graph(c.n), c, "stroll")
+    assert calls and w.walk.vertices == (6, 7, 8, 9, 10, 11)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_short_bound_reads_round_the_cycle(n):
+    """Every rotation of a word round C_n has the same bound: an equal
+    edge, a fold or abab across the closing edge counts."""
+    g = cycle_graph(n)
+    for word in itertools.product((1, 2, 3), repeat=n):
+        for diagonal in (False, True):
+            bounds = {decide._short_bound(g, word[r:] + word[:r], diagonal)
+                      for r in range(n)}
+            assert len(bounds) == 1, (word, diagonal, bounds)
+
+
+@pytest.mark.parametrize("big", [10, 300, 0x110000])
+@pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
+def test_short_bound_large_colors(make_graph, big):
+    """Colors are compared, never encoded: 10 (newline as chr), 300 (past a
+    byte) and 0x110000 (past chr) bound like any other."""
+    g = make_graph(6)
+    assert decide._short_bound(g, (big, 1, big, 2, 1, 2), True) == 4
+    assert decide._short_bound(g, (big, 1, big, 1, 2, 3), False) == 4
+    assert decide._short_bound(g, (1, big, big, 2, 1, 3), False) == 2
+    assert decide._short_bound(g, (big, 1, 2, big, 3, 2), False) is None
 
 
 @pytest.mark.parametrize("depth", range(3, 9))

@@ -15,14 +15,18 @@ coordinates maps each component onto one that accepts alike: only seeds
 (u, w) with u < w are labelled, once per mirror pair.  The seeds pair each
 vertex with the next vertex of its color first: a square in the color word
 usually has such a state, so a rejection is found within n seeds.
-Only when one accepts is a witness built, by BFS from the accepting start
-states alone; on paths and cycles the shortest square bounds its length,
-and so the band of states that can start it, and that band is labelled
-with the same seen set, so no component is labelled twice.  Before any
-of this, on paths and cycles, a witness of 2 or 4 vertices that the color
-word shows (an edge joining equal colors; a fold u x w x, for walks; a
-factor abab, for strolls) bounds the witness at once, and the BFS runs
-from every color-matched state in its band with no labelling at all.
+
+find_witness builds the witness by BFS from the accepting start states
+alone, and on paths and cycles reads from the color word which components
+can hold one.  A witness of 2 or 4 vertices that the word shows (an edge
+joining equal colors; a fold u x w x, for walks; a factor abab, for
+strolls) bounds the witness at once, and the BFS runs from every
+color-matched state in its band with no labelling at all.  Otherwise the
+shortest square, if there is one, bounds the witness, and only the
+components through its band are labelled; with no square, only the
+components through a fold (a vertex whose neighbours share a color), as a
+component with no fold state is a straight run that accepts only at a
+square.  Off paths and cycles every component is labelled.
 The oracle module cross-validates this reduction empirically.
 
 The path property is a square scan of the color word on paths and cycles,
@@ -30,8 +34,9 @@ and a DFS over simple paths on other graphs; its verdict alone, on paths
 and cycles, is one regex search of the color word.
 
 holds gives the verdict alone: the labelling stops at the first accepting
-component, and no witness is built.  It reads no short witness off the
-color word, so its stroll and walk verdicts rest on the labelling alone.
+component, and no witness is built.  It reads nothing off the color word,
+neither a short witness, a square nor a fold, so its stroll and walk
+verdicts rest on the labelling alone, independent of the shortcuts above.
 find_witness explains a failure.
 """
 
@@ -77,7 +82,7 @@ def _check_coloring(g: Graph, c: Coloring) -> None:
         raise InvalidArgumentError("coloring size does not match graph")
 
 
-def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds, seen=None):
+def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
     """The states that start an accepted product walk, per component, lazily.
 
     cols[v] is the color of vertex v of g; the seeds are color-matched
@@ -90,9 +95,7 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds, seen=None):
     off-diagonal state, which it does whenever its seed is off the diagonal.
     Components are labelled in seed order, each once, in O(S * maxdeg^2) for
     its S states, and each accepting one yields the list of its accepting
-    states: asking whether one exists stops at the first.  The labelled
-    states go into seen, which a caller may pass in and share between two
-    labellings, so that the second skips every component the first labelled.
+    states: asking whether one exists stops at the first.
     Where no vertex has three neighbours, a state (u, w) has the four
     candidate moves (nbr[u][i], nbr[w][j]), i, j in 0, 1, over each
     vertex's lower and higher neighbour (_two_neighbours), in the order of
@@ -104,9 +107,6 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds, seen=None):
     an accepting K other than swap(K) yields swap(K)'s accepting states as
     a second list, unlabelled.  So the seeds (u, w) with u < w
     (_seeds) suffice: K or swap(K) holds one if K has an off-diagonal state.
-    The second list follows the first exactly when (y, x) is not in seen for
-    a state (x, y) of the first: a caller that wants K's mirror and no more
-    takes one more list only then.
 
     On a path or cycle a component K seeded at least 2|K| apart along
     g.line (round the cycle) accepts nothing, and is not tested.  Were
@@ -117,8 +117,7 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds, seen=None):
     and a move changes the distance by at most 2, so all would lie within
     2|K| - t <= 2|K| - 1.
     """
-    if seen is None:
-        seen = set()
+    seen = set()
     add = seen.add
     adj, line, n = g._adj, g.line, g.n
     nbr = None
@@ -233,6 +232,35 @@ def _band_seeds(g: Graph, cols, h: int):
                 yield (u, w) if u < w else (w, u)
 
 
+def _fold_seeds(g: Graph, cols, allow_diagonal: bool) -> set:
+    """The seeds through a fold on a path or cycle: without a square in the
+    color word, only their components can accept.
+
+    A fold is a vertex whose two neighbours along g.line share a color.
+    The seeds are the color-matched (u, w), u < w, with u or w a fold, and
+    for walks also the two neighbours of each fold, sorted: (v, v) moves to
+    them, so a component whose only fold states lie on the diagonal holds
+    that pair.  A component with no fold state is a straight run (see
+    _product_search).
+    """
+    line = g.line
+    if g.shape == "cycle":
+        around = zip(line[-1:] + line[:-1], line, line[1:] + line[:1])
+    else:
+        around = zip(line, line[1:], line[2:])
+    folds = [(u, v, w) for u, v, w in around if cols[u] == cols[w]]
+    if not folds:
+        return set()
+    classes = {}
+    for v, col in enumerate(cols):
+        classes.setdefault(col, []).append(v)
+    seeds = {(v, x) if v < x else (x, v)
+             for _, v, _ in folds for x in classes[cols[v]] if x != v}
+    if allow_diagonal:
+        seeds.update((u, w) if u < w else (w, u) for u, _, w in folds)
+    return seeds
+
+
 def _short_bound(g: Graph, cols, allow_diagonal: bool) -> Optional[int]:
     """2 or 4, the vertices of a witness the color word shows, else None.
 
@@ -272,17 +300,23 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     one the labelled route below gives.  With L = 4 no edge joins equal
     colors, so once the best has 4 vertices no later start can beat it.
 
-    Otherwise deciding stops at the first accepting component of the
-    (undirected) product graph that accepting_starts labels: without one
-    there is no witness.  On a path or cycle the shortest square
-    (_square_factor) is then a witness of L vertices, so the best has at
-    most L, and only components holding a seed at most L/2 apart
-    (_band_seeds) are labelled for starts.  That labelling shares the first
-    one's seen, so it skips every component already labelled: the ones
-    before K accept nothing, and K gives its list and, if swap(K) is another
-    component, the mirror list; of all these starts, only the ones in the
-    band are kept.  Elsewhere, or with no square, the rest of the first
-    labelling gives every accepting start.  Explaining runs a BFS from each
+    Otherwise, off paths and cycles, accepting_starts labels every
+    component from _seeds for the accepting starts; with none there is no
+    witness.  On a path or cycle with a square (_square_free_line, then the
+    least, _square_factor) of L vertices, the best witness has at most L,
+    so only the components through a seed at most L/2 apart (_band_seeds)
+    are labelled, and their starts in that band are kept, both orientations
+    (accepting_starts yields the mirror lists).  With no square, only the
+    components through a fold (_fold_seeds): where neither coordinate of a
+    state is a fold, each one's two neighbours differ in color, so a move
+    of one coordinate fixes the other's; a state has at most two moves,
+    ±(1, 1) along g.line (keeping the difference) or ±(1, -1) (keeping the
+    sum), and a fold-free component is a straight run.  A constant-
+    difference run of L states at difference d accepts iff L >= d (L >=
+    min(d, n - d) on a cycle), a square of half-length d; a constant-sum
+    run reaches adjacency only through an equal edge, itself a square, or
+    through the diagonal, which needs a fold.  For walks _short_bound has
+    found no fold, so nothing is labelled.  Explaining runs a BFS from each
     kept start, in state order; it yields that start's shortest product
     walks, and stops at the depth where its walks would be longer than L or
     than the best found so far.
@@ -302,31 +336,25 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
         starts.update([(w, u) for u, w in starts])
         if bound > 2 and allow_diagonal:  # a walk from (v, v) has 4 or more
             starts.update(zip(g.line, g.line))
-    else:
-        seen = set()
-        comps = accepting_starts(g, cols, allow_diagonal, _seeds(cols), seen)
-        first = next(comps, None)
-        if first is None:
-            return None
-        sq = _square_factor(g, cols) if g.line else None
-        if sq is None:
-            starts = set(first).union(*comps)
-        else:  # no witness is longer than sq; its starts lie in the band
-            bound = len(sq)
-            starts = set(first)
-            x, y = first[0]
-            if (y, x) not in seen:  # swap(K) is another component: its list
-                starts.update(next(comps))
-            h = bound // 2
-            band = _band_seeds(g, cols, h)
-            starts.update(*accepting_starts(g, cols, allow_diagonal, band,
-                                            seen))
-            # a start more than h apart along the line begins no such witness
-            n, cyclic = g.n, g.shape == "cycle"
-            pos = {v: i for i, v in enumerate(g.line)}
-            starts = [(u, w) for u, w in starts
-                      if (d := abs(pos[u] - pos[w])) <= h
-                      or cyclic and n - d <= h]
+    elif not g.line:
+        starts = set().union(*accepting_starts(g, cols, allow_diagonal,
+                                               _seeds(cols)))
+    elif _square_free_line(g, cols):  # only fold components can accept
+        starts = set().union(*accepting_starts(
+            g, cols, allow_diagonal, _fold_seeds(g, cols, allow_diagonal)))
+    else:  # no witness is longer than the square; its starts lie in the band
+        bound = len(_square_factor(g, cols))
+        h = bound // 2
+        starts = set().union(*accepting_starts(g, cols, allow_diagonal,
+                                               _band_seeds(g, cols, h)))
+        # a start more than h apart along the line begins no such witness
+        n, cyclic = g.n, g.shape == "cycle"
+        pos = {v: i for i, v in enumerate(g.line)}
+        starts = [(u, w) for u, w in starts
+                  if (d := abs(pos[u] - pos[w])) <= h
+                  or cyclic and n - d <= h]
+    if not starts:
+        return None
 
     best = None  # (length, walk tuple)
     for s0 in sorted(starts):
@@ -539,7 +567,13 @@ def find_witness(g: Graph, c: Coloring, property: str) -> Optional[Witness]:
 def holds(g: Graph, c: Coloring, property: str) -> bool:
     """True iff find_witness(g, c, property) is None, without building one.
 
-    Stroll and walk label no state past the first accepting component.
+    Stroll and walk label the product components from every seed (_seeds),
+    and no state past the first accepting component.  It takes none of
+    find_witness's reads of the color word (a short witness, a square, the
+    folds): the fold route rests on the cycle characterization (walk-
+    nonrepetitive iff distance-2 and path-nonrepetitive) in product form,
+    and claim_hierarchy checks that characterization through holds, so it
+    must not assume it.
     Path on a path or cycle is one regex search of the color word for a
     square (_square_free_line), not the per-half-length scan that finds
     the least witness; elsewhere it is the simple-path DFS.

@@ -10,9 +10,11 @@ from nonrepcolor import decide
 from nonrepcolor.construct import (
     figure1_fixture,
     rho_path_coloring,
+    sigma_cycle_coloring,
     table1_coloring,
 )
 from nonrepcolor.decide import (
+    _fold_seeds,
     _seeds,
     _square_factor,
     _square_path_dfs,
@@ -704,3 +706,166 @@ def test_stroll_prefix_seeds(depth):
         seeds = [(depth, w) for w in range(depth) if word[w] == word[depth]]
         lists = _same_starts(arc, word, False, seeds)
         assert (not lists) == (not _reference_starts(arc._adj, word, False)), word
+
+
+def _canonical_words(n, k):
+    """Every word of n colors over 1..k up to renaming the colors: each
+    color first appears after every smaller one."""
+    def grow(word, top):
+        if len(word) == n:
+            yield tuple(word)
+            return
+        for col in range(1, min(top + 1, k) + 1):
+            yield from grow(word + [col], max(top, col))
+    return grow([], 0)
+
+
+def _folds(g, cols):
+    """The vertices with two neighbours of one color, from g's edges."""
+    return {v for v, nbrs in enumerate(g._adj)
+            if len(nbrs) == 2 and cols[nbrs[0]] == cols[nbrs[1]]}
+
+
+def _straight_run(comp, pos, n, cyclic):
+    """comp keeps the difference or the sum of positions along the line
+    (mod n on a cycle), and its first positions are consecutive."""
+    for sign in (1, -1):
+        keys = {pos[u] - sign * pos[w] for u, w in comp}
+        if len({key % n for key in keys} if cyclic else keys) > 1:
+            continue
+        firsts = {pos[u] for u, _ in comp}
+        if cyclic:
+            return sum((p - 1) % n not in firsts for p in firsts) <= 1
+        return max(firsts) - min(firsts) + 1 == len(firsts)
+    return False
+
+
+@pytest.mark.parametrize("g", [
+    *map(path_graph, range(1, 9)), *map(cycle_graph, range(3, 9)),
+    P7_RELABELLED, C7_SHUFFLED,
+], ids=[*(f"P{n}" for n in range(1, 9)), *(f"C{n}" for n in range(3, 9)),
+        "P7-relabelled", "C7-shuffled"])
+def test_fold_free_components_are_straight_runs(g):
+    """The lemma behind _fold_seeds, on every 3- and 4-coloring up to
+    renaming the colors (the folds, the product components, their
+    acceptance and the squares are all blind to color names), both modes.
+
+    A component with no fold coordinate is a constant-difference or
+    constant-sum run along g.line and accepts only if the color word holds
+    a square; _fold_seeds is its definition; and without a square the
+    components through the fold seeds give every accepting start.
+    """
+    n, cyclic = g.n, g.is_cycle()
+    pos = {v: i for i, v in enumerate(g.line)}
+    for word in _canonical_words(n, 4):
+        cols = [0] * n
+        for v, col in zip(g.line, word):
+            cols[v] = col
+        cols = tuple(cols)
+        folds = _folds(g, cols)
+        square = _square_factor(g, cols) is not None
+        for allow_diagonal in (False, True):
+            seeds = {(u, w) for u, w in itertools.combinations(range(n), 2)
+                     if cols[u] == cols[w] and (u in folds or w in folds)}
+            if allow_diagonal:
+                seeds |= {tuple(sorted(g._adj[v])) for v in folds}
+            assert _fold_seeds(g, cols, allow_diagonal) == seeds, word
+            ref = set()
+            for comp in _reference_components(g._adj, cols, allow_diagonal):
+                accepting = _reference_accepting(g._adj, comp)
+                ref |= accepting
+                if any(u in folds or w in folds for u, w in comp):
+                    continue
+                assert _straight_run(comp, pos, n, cyclic), (word, comp)
+                assert square or not accepting, (word, comp)
+            if not square:
+                lists = accepting_starts(g, cols, allow_diagonal, seeds)
+                assert set().union(*lists) == ref, (word, allow_diagonal)
+
+
+# The 4-color stroll certificate of P64 that bench/certs.json freezes:
+# 25 of its vertices are folds, so it is square-free and has no abab.
+RHO64_FROZEN = tuple(map(int, "1213121412131231321232412131214123121314"
+                              "121312141231321232412131"))
+
+
+def _drawn_seeds(monkeypatch):
+    """Every seed accepting_starts draws, whoever calls it, in a list."""
+    drawn = []
+
+    def counted(g, cols, allow_diagonal, seeds, labelling=accepting_starts):
+        seeds = list(seeds)
+        drawn.extend(seeds)
+        return labelling(g, cols, allow_diagonal, seeds)
+
+    monkeypatch.setattr(decide, "accepting_starts", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("n", [22, 47, 90, 300])
+def test_sigma_is_decided_without_labelling(n, monkeypatch):
+    """sigma(C_n) and its restriction to P_n have no fold and no square:
+    find_witness labels no state for either property."""
+    _, c = sigma_cycle_coloring(n)
+    drawn = _drawn_seeds(monkeypatch)
+    for g in (cycle_graph(n), path_graph(n)):
+        for prop in ("stroll", "walk"):
+            assert find_witness(g, c, prop) is None, (g.shape, prop)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("off,n", [(0, 64), (3, 40), (20, 31), (42, 22)])
+def test_fold_route_on_rho_windows(off, n, monkeypatch):
+    """A window of the frozen stroll certificate has folds but no square:
+    find_witness labels from the fold seeds alone and agrees with holds."""
+    word = RHO64_FROZEN[off:off + n]
+    g, c = path_graph(n), Coloring.from_colors(word)
+    assert decide._short_bound(g, word, False) is None
+    assert decide._square_free_line(g, word)
+    folds = _fold_seeds(g, word, False)
+    drawn = _drawn_seeds(monkeypatch)
+    assert find_witness(g, c, "stroll") is None
+    assert drawn and set(drawn) == folds
+    drawn.clear()
+    assert holds(g, c, "stroll")
+    assert set(drawn) == set(_seeds(word)) > folds
+
+
+def test_fold_route_finds_square_free_strolls(monkeypatch):
+    """The square-free 3-colorings of line_witnesses.json have a stroll
+    witness through a fold, found from the fold seeds alone."""
+    with open(LINE_WITNESSES) as fh:
+        cases = json.load(fh)["P3-square-free"]
+    drawn = _drawn_seeds(monkeypatch)
+    for case in cases:
+        line = case["line"]
+        g = Graph.from_edges(len(line), list(zip(line, line[1:])))
+        word = tuple(int(ch) for ch in case["colors"])
+        assert decide._square_free_line(g, word)
+        drawn.clear()
+        w = find_witness(g, Coloring.from_colors(word), "stroll")
+        assert list(w.walk.vertices) == case["stroll"]
+        assert set(drawn) == _fold_seeds(g, word, False)
+
+
+def test_holds_reads_no_square_and_no_fold(monkeypatch):
+    """holds labels the product graph alone: with every read of the color
+    word made to fail, its stroll and walk verdicts stand."""
+    _, sigma = sigma_cycle_coloring(47)
+    planted = list(sigma.colors)
+    planted[10:13] = planted[7:10]
+    cases = [(cycle_graph(47), sigma), (path_graph(47), sigma),
+             (path_graph(47), Coloring.from_colors(planted)),
+             (path_graph(64), Coloring.from_colors(RHO64_FROZEN)),
+             (path_graph(12), Coloring.from_colors((1, 2, 3, 1, 3, 2) * 2))]
+    props = ("stroll", "walk")
+    expected = [find_witness(g, c, p) is None for g, c in cases for p in props]
+    assert True in expected and False in expected
+
+    def unused(*args):
+        raise AssertionError("holds read the color word")
+
+    for name in ("_square_free_line", "_square_factor", "_fold_seeds",
+                 "_short_bound"):
+        monkeypatch.setattr(decide, name, unused)
+    assert [holds(g, c, p) for g, c in cases for p in props] == expected

@@ -2,26 +2,27 @@
 
 Symmetry breaking: color j may be introduced only after colors 1..j-1 have
 appeared (all three properties are invariant under color permutation).
-Pruning uses only facts inherited by colored prefixes: proper edges (on
-paths and cycles a color skip, not a rule call: the new vertex's color
-against the previous vertex's and, closing a cycle, the first's), the
-distance-2 constraint (walk property), repetitive contiguous even segments
-inside the colored arc (paths and cycles are colored along Graph.line),
-and for the stroll property repetitive strolls inside the colored arc,
-read as a path.  The last two rules are incremental: the shorter prefix
-already passed, so they look only at what the newly colored vertex can
-close: the suffix squares, by one regex match on the reversed color word
-that Colorings keeps, and the product states through that vertex, joined
-to a union-find of the arc's product components (_StrollPrefix).  On a
-properly colored arc each component projects onto two intervals of
-positions, so whether it accepts is read off two ints at its root, and
-each call first undoes what calls at its own depth or deeper joined, so
-the structure describes the arc as it is colored now without an undo hook
-in Colorings.  On a cycle, every search also rejects a completed coloring
-whose circular color word holds a square, through the closing edge
-included, by a regex search of the colors near the last vertex, then of
-the whole word: a repetitive simple path is a repetitive stroll and a
-nonboring walk.
+Pruning uses only facts inherited by colored prefixes: proper edges and
+the distance-2 constraint (walk property), both color skips on paths and
+cycles, not rule calls: the new vertex's color against the colors one and
+two positions back along the line and, near closing a cycle, against the
+first ones; repetitive contiguous even segments inside the colored arc
+(paths and cycles are colored along Graph.line), and for the stroll
+property repetitive strolls inside the colored arc, read as a path.  The
+last two rules are incremental: the shorter prefix already passed, so
+they look only at what the newly colored vertex can close: the suffix
+squares, by one regex match on the reversed color word that Colorings
+keeps, and the product states through that vertex (_StrollPrefix).  On a
+properly colored arc each product component projects onto two intervals
+of positions, so whether it accepts is read off two ints, its greatest
+first and least second, kept per column: the states (w, d) of position d
+linked to column d - 1 share their component's box, built from column
+d - 1's boxes by the call at depth d, so the structure describes the arc
+as it is colored now with nothing to undo and no hook in Colorings.  On a
+cycle, every search also rejects a completed coloring whose circular color
+word holds a square, through the closing edge included, by a regex search
+of the colors near the last vertex, then of the whole word: a repetitive
+simple path is a repetitive stroll and a nonboring walk.
 Completed colorings are always re-checked by decide.holds.
 """
 
@@ -182,58 +183,83 @@ class _StrollPrefix:
     shifts each coordinate by one, so a component projects onto two
     intervals, and it accepts, holding (a, b) and (x, y) with |x - b| = 1,
     iff its least second is at most its greatest first + 1 (x < y bounds
-    the other two ends).  A union-find (union by size, no path compression)
-    keeps the components, with those two ints at each root.
+    the other two ends).
 
-    At depth d a new state (w, d) joins only (w +- 1, d - 1), found by the
-    color bigram of positions d - 1, d in rev[d]; the other new states stay
-    implicit singletons, which accept nothing.  The prefix passed, so only
-    a union can make a component accept.  Each union is logged with its
-    depth, and each call first undoes the entries of its own depth and
-    deeper.  The last call at each depth j < d came after positions 0..j
-    were last recolored, since descending past j needs it, so the rest
-    describes positions 0..d - 1 as colored now, whichever rule rejected.
+    A move joins column y (the states (x, y)) only to columns y +- 1, so
+    the rule keeps per-column summaries of the arc's components.  Column d
+    is a dict {w: box} over the states (w, d) with a move to column d - 1,
+    found by the color bigram of positions d - 1, d in rev[d]; a box is
+    [greatest first, least second] of the component, shared by the
+    column's states in it, and a state absent from the dict is a
+    singleton.  The call at depth d reads column d - 1 and writes column d:
+    an old box is copied once per component per column (keyed by the box,
+    or by position for a singleton), and a state with both moves, (w, d)
+    for a fold w, joins two copies; the dead one forwards to the live one
+    until the column is settled.  The prefix passed, so only what joins
+    the new column can make a component accept.  Column d - 1 was written
+    by the last call at depth d - 1, which passed for its current color,
+    since the search descends only then, so nothing is logged or undone.
     """
 
     def __init__(self):
-        self.parent = {}  # state -> parent, roots absent
-        self.comp = {}  # root -> (size, greatest first, least second)
-        self.log = []  # (depth, attached root, root, its old comp entry)
+        self.cols = {-1: {}}  # depth -> {w: box}, as colored last
 
     def __call__(self, g, order, colors, word, rev, depth):
-        parent, comp, log = self.parent, self.comp, self.log
-        while log and log[-1][0] >= depth:
-            _, child, root, old = log.pop()
-            del parent[child]
-            if old is None:
-                del comp[root]
+        prev, col, copies = self.cols[depth - 1], {}, {}
+        self.cols[depth] = col
+        arc, merged = rev[depth], False  # arc[i]: the color of depth - i
+        # word[w - 1:w + 1] == word[d - 1:d + 1] links (w, d) to (w - 1, d - 1):
+        # arc.find gives i = d - w, past the bigram itself, so w descends and
+        # a box's first link sets its greatest first
+        bigram = arc[:2]
+        i = arc.find(bigram, 1)
+        while i > 0:
+            w = depth - i
+            old = prev.get(w - 1)
+            # copies are keyed by the old box, or ~x for a singleton (x, d - 1)
+            key = ~(w - 1) if old is None else id(old)
+            box = copies.get(key)
+            if box is None:
+                box = copies[key] = ([w, depth - 1] if old is None
+                                     else [max(old[0], w), old[1]])
+                if box[1] - box[0] <= 1:
+                    return False
+            col[w] = box
+            i = arc.find(bigram, i + 1)
+        # word[w:w + 2] == its reverse links (w, d) to (w + 1, d - 1): i = d - w - 1,
+        # past the diagonal (d - 1, d - 1)
+        bigram = arc[1::-1]
+        i = arc.find(bigram, 2)
+        while i > 0:
+            w = depth - i - 1
+            old = prev.get(w + 1)
+            key = ~(w + 1) if old is None else id(old)
+            box = copies.get(key)
+            if box is None:
+                box = copies[key] = ([w + 1, depth - 1] if old is None
+                                     else [max(old[0], w), old[1]])
             else:
-                comp[root] = old
-        arc = rev[depth]  # arc[i] is the color of position depth - i
-        # word[w - 1:w + 1] == word[d - 1:d + 1] joins (w, d) to (w - 1, d - 1)
-        # and word[w:w + 2] == its reverse joins (w, d) to (w + 1, d - 1);
-        # arc.find gives i = d - w or d - w - 1, past the bigram itself and,
-        # for the reverse, past the diagonal (d - 1, d - 1)
-        for bigram, i, ds, dt in ((arc[:2], 1, 0, 1), (arc[1::-1], 2, 1, 0)):
-            i = arc.find(bigram, i)
-            while i > 0:
-                s, t = (depth - i - ds, depth), (depth - i - dt, depth - 1)
-                while s in parent:
-                    s = parent[s]
-                while t in parent:
-                    t = parent[t]
-                if s != t:
-                    size_s, hi_s, lo_s = comp.get(s) or (1, *s)
-                    size_t, hi_t, lo_t = comp.get(t) or (1, *t)
-                    if size_s > size_t:
-                        s, t = t, s
-                    parent[s] = t
-                    log.append((depth, s, t, comp.get(t)))
-                    hi, lo = max(hi_s, hi_t), min(lo_s, lo_t)
-                    comp[t] = (size_s + size_t, hi, lo)
-                    if lo - hi <= 1:
-                        return False
-                i = arc.find(bigram, i + 1)
+                while len(box) > 2:
+                    box = box[2]
+                if w > box[0]:
+                    box[0] = w
+            fold = col.get(w)
+            if fold is not None:  # w is a fold: (w, d) joins two boxes
+                while len(fold) > 2:
+                    fold = fold[2]
+                if fold is not box:
+                    box[:] = max(box[0], fold[0]), min(box[1], fold[1])
+                    fold.append(box)
+                    merged = True
+            col[w] = box
+            if box[1] - box[0] <= 1:
+                return False
+            i = arc.find(bigram, i + 1)
+        if merged:
+            for w, box in col.items():
+                while len(box) > 2:
+                    box = box[2]
+                col[w] = box
         return True
 
 
@@ -259,11 +285,14 @@ class Colorings:
     Vertices are colored in _vertex_order(g), colors ascending.  With
     symmetry breaking, color j is introduced only after colors 1..j-1 have
     appeared.  `nodes` counts the colors tried so far; trying one more than
-    node_budget raises BudgetExhausted.  On a path or cycle, _proper among
-    the rules is a color skip instead of a rule call: a color equal to the
-    previous vertex's (or, closing a cycle, to the first's) is tried and
-    counted, then passed over.  _closing_squares among the rules is called
-    at the last vertex of a cycle only.
+    node_budget raises BudgetExhausted.  On a path or cycle, _proper and
+    _distance2 among the rules are color skips instead of rule calls: a
+    color equal to the previous vertex's (or, closing a cycle, to the
+    first's), or for _distance2 to that of the vertex two back (or, at the
+    last two vertices of a cycle, to that of the vertex two ahead round the
+    closing edge), is tried and counted, then passed over.  Off lines both
+    stay rules.  _closing_squares among the rules is called at the last
+    vertex of a cycle only.
 
     The rules read the arc's color word: word[depth] = colors[order[depth]]
     and rev[depth] = chr(word[depth]) + rev[depth - 1], the reversed arc as
@@ -282,12 +311,18 @@ class Colorings:
         g, k, n, rules = self.g, self.k, self.g.n, self.rules
         budget = self.node_budget
         order = _vertex_order(g)
-        # on a line, _proper is a color skip: order[depth] differs from
-        # order[depth - 1] and, closing a cycle, from order[0]
-        skip = g.line is not None and _proper in rules
-        if skip:
-            rules = tuple(rule for rule in rules if rule is not _proper)
+        # on a line, _proper and _distance2 are color skips: order[depth]
+        # differs from order[depth - 1] and, closing a cycle, from order[0];
+        # for _distance2 also from order[depth - 2] and, within 2 of closing
+        # a cycle, from order[depth - (n - 2)]
+        linear = g.line is not None
+        skip = linear and _proper in rules
+        skip2 = linear and _distance2 in rules
+        if linear:
+            rules = tuple(rule for rule in rules
+                          if rule is not _proper and rule is not _distance2)
         closing = n - 1 if g.shape == "cycle" else -1
+        wrap = n - 2 if g.shape == "cycle" else n  # no depth reaches n
         rules_at = [tuple(rule for rule in rules
                           if rule is not _closing_squares)] * n
         if closing >= 0:
@@ -318,6 +353,10 @@ class Colorings:
             colors[v] = col
             if skip and (col == word[depth - 1]
                          or depth == closing and col == word[0]):
+                continue
+            # word[-2] is stale, hence depth > 1
+            if skip2 and (depth > 1 and col == word[depth - 2]
+                          or depth >= wrap and col == word[depth - wrap]):
                 continue
             word[depth] = col
             rev[depth] = chr(col) + rev[depth - 1]

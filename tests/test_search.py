@@ -10,9 +10,10 @@ from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE
 from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                cycle_graph, path_graph)
 from nonrepcolor.decide import _square_factor, holds
-from nonrepcolor.search import (Colorings, _closing_squares, _prefix_rules,
-                                _proper, _StrollPrefix, _suffix_squares,
-                                final_check, search_fixed_k, solve)
+from nonrepcolor.search import (Colorings, _closing_squares, _distance2,
+                                _prefix_rules, _proper, _StrollPrefix,
+                                _suffix_squares, final_check, search_fixed_k,
+                                solve)
 
 P21_WORD = "121312321323123213121"
 
@@ -144,6 +145,17 @@ def test_square_and_distance2_pruning_sound(make_graph, n, prop):
     assert pruned.value == unpruned.value
 
 
+def _on_line(make_graph, ids):
+    """make_graph(len(ids)) with vertex v relabelled ids[v]."""
+    return Graph.from_edges(len(ids), [(ids[v], ids[w])
+                                       for v, w in make_graph(len(ids)).edges])
+
+
+def _shuffled_cycle_graph(n):
+    """C_n laid out along a line shuffled by random.Random(n)."""
+    return _on_line(cycle_graph, random.Random(n).sample(range(n), n))
+
+
 @pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
 @pytest.mark.parametrize("prop", ["path", "stroll", "walk"])
 def test_relabelled_search_matches_natural(make_graph, prop):
@@ -153,8 +165,7 @@ def test_relabelled_search_matches_natural(make_graph, prop):
         natural = solve(make_graph(n), prop, 5)
         for _ in range(3):
             ids = rng.sample(range(n), n)
-            g = Graph.from_edges(
-                n, [(ids[v], ids[w]) for v, w in make_graph(n).edges])
+            g = _on_line(make_graph, ids)
             r = solve(g, prop, 5)
             assert (r.value, r.exhausted_k) == (
                 natural.value, natural.exhausted_k), (ids, prop)
@@ -193,30 +204,76 @@ def test_stroll_search_on_a_long_path():
                                                     False)
 
 
-@pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
-@pytest.mark.parametrize("n", [5, 10])
-@pytest.mark.parametrize("k", [3, 4])
-def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k):
+def _column_boxes(word):
+    """{w: [greatest first, least second]} of the product component of each
+    state (w, d), d the last position, with a move to column d - 1, from a
+    search over the whole arc's states (x, y), x < y."""
+    d = len(word) - 1
+    states = {(x, y) for y in range(d + 1) for x in range(y)
+              if word[x] == word[y]}
+    boxes = {}
+    for w in range(d):
+        moves = {(w - 1, d - 1), (w + 1, d - 1)} & states
+        if (w, d) in states and moves:
+            comp, todo = {(w, d)}, [(w, d)]
+            while todo:
+                x, y = todo.pop()
+                for step in itertools.product((x - 1, x + 1), (y - 1, y + 1)):
+                    if step in states and step not in comp:
+                        comp.add(step)
+                        todo.append(step)
+            boxes[w] = [max(x for x, _ in comp), min(y for _, y in comp)]
+    return boxes
+
+
+_STROLL_RULE_CASES = [(make, n, k, "") for k in (3, 4) for n in (5, 10)
+                      for make in (path_graph, cycle_graph)]
+_STROLL_RULE_CASES += [(_shuffled_cycle_graph, 10, 3, ""),
+                       (path_graph, 14, 3, ""), (cycle_graph, 14, 3, ""),
+                       (_shuffled_cycle_graph, 14, 3, ""),
+                       (path_graph, 22, 4, "1213121412132412")]
+
+
+@pytest.mark.parametrize("make_graph,n,k,prefix", _STROLL_RULE_CASES, ids=[
+    f"{k}-{n}-{make.__name__}" + (prefix and f"-{prefix}")
+    for make, n, k, prefix in _STROLL_RULE_CASES])
+def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k, prefix):
     """Every verdict of the stroll rule is decide.holds on the colored arc.
 
     Without symmetry breaking the enumeration recolors each position with
     every color, after rejections by the rule itself and by _proper (at
-    the closing edge too, on a cycle), so the union-find is undone at every
-    depth in every way the search can leave it.
+    the closing edge too, on a cycle), so each column is rebuilt from the
+    one before it, whatever the search left there; after each passing
+    call the column holds each linked state's component box, as a search
+    over the arc finds it.  From 10 vertices on, some passing
+    call joins two components of the column before through a fold w, a
+    state (w, d) linked to both (w - 1, d - 1) and (w + 1, d - 1).  On
+    P22 with its first 16 colors fixed, joins from depth 19 on leave
+    states holding the box merged away, which the call must settle.
     """
-    rule, calls = _StrollPrefix(), [0] * n
+    rule, calls, joins = _StrollPrefix(), [0] * n, [0]
 
     def checked(g, order, colors, word, rev, depth):
+        before = rule.cols[depth - 1]  # the call reads it and writes only depth's
         verdict = rule(g, order, colors, word, rev, depth)
         arc = Coloring.from_colors(word[:depth + 1])
         assert verdict == holds(path_graph(depth + 1), arc, "stroll"), arc
         calls[depth] += 1
+        if verdict:
+            assert rule.cols[depth] == _column_boxes(word[:depth + 1]), arc
+            for w in range(1, depth - 2):
+                if word[w] == word[depth] and (
+                        word[w - 1] == word[depth - 1] == word[w + 1]):
+                    left, right = before.get(w - 1), before.get(w + 1)
+                    joins[0] += left is None or left is not right
         return verdict
 
-    colorings = Colorings(make_graph(n), k, (_proper, checked),
-                          symmetry_break=False)
+    g = make_graph(n)  # without pruning, the rules fix the prefix and properness
+    rules = _prefix_rules(g, "stroll", False, map(int, prefix))
+    colorings = Colorings(g, k, (*rules, checked), symmetry_break=False)
     leaves = sum(1 for _ in colorings)
     assert leaves > 0 and all(calls)
+    assert joins[0] > 0 or n < 10, joins
 
 
 @pytest.mark.parametrize("prop,n,digits,nodes", [
@@ -348,8 +405,7 @@ def test_suffix_squares_large_colors(word, square_free):
 @pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
 def test_suffix_squares_follows_relabelled_line(make_graph):
     """On P7 or C7 laid out 1-6-3-5-2-0-4 the word follows g.line."""
-    ids = (1, 6, 3, 5, 2, 0, 4)
-    g = Graph.from_edges(7, [(ids[v], ids[w]) for v, w in make_graph(7).edges])
+    g = _on_line(make_graph, (1, 6, 3, 5, 2, 0, 4))
     assert list(g.line) != list(range(7))
     runs = []
     for rule in (_suffix_squares, _slice_suffix_squares):
@@ -401,8 +457,7 @@ def test_closing_squares_matches_square_factor(n):
 def test_closing_squares_follows_shuffled_line(n):
     """C_n laid out along a shuffled line: every 4-coloring of C7, and the
     leaves a square-free arc reaches on C12, which close either way."""
-    ids = random.Random(n).sample(range(n), n)
-    g = Graph.from_edges(n, [(ids[v], ids[w]) for v, w in cycle_graph(n).edges])
+    g = _shuffled_cycle_graph(n)
     assert list(g.line) != list(range(n))
     rules = () if n == 7 else (_proper, _suffix_squares)
     colorings = [c.colors for c in Colorings(g, 4, rules)]
@@ -528,6 +583,32 @@ def test_proper_skip_keeps_the_proper_colorings(make_graph, ns):
             assert list(skip) == [
                 c for c in Colorings(g, k)
                 if all(c.colors[u] != c.colors[v] for u, v in g.edges)], (n, k)
+
+
+@pytest.mark.parametrize("symmetry_break", [True, False])
+@pytest.mark.parametrize("rules", ["distance2", "proper+distance2"])
+def test_distance2_skip_keeps_the_rule_colorings(rules, symmetry_break):
+    """On a line _distance2 is a color skip: it yields the colorings of the
+    same test called as a rule (wrapped, so Colorings cannot spot it), in
+    its order, and counts the same nodes; on P1..P9, C3..C10 and P7, C7
+    laid out 1-6-3-5-2-0-4, k = 1..5, except k = 5 above 7 vertices with
+    neither _proper nor symmetry breaking (C10 alone has 1,040,400 such
+    colorings)."""
+    graphs = [path_graph(n) for n in range(1, 10)]
+    graphs += [cycle_graph(n) for n in range(3, 11)]
+    graphs += [_on_line(make, (1, 6, 3, 5, 2, 0, 4))
+               for make in (path_graph, cycle_graph)]
+    first = (_proper,) if rules == "proper+distance2" else ()
+    for g in graphs:
+        for k in range(1, 6):
+            if not first and g.n > 7 and not symmetry_break and k == 5:
+                continue
+            skip = Colorings(g, k, (*first, _distance2),
+                             symmetry_break=symmetry_break)
+            called = Colorings(g, k, (*first, lambda *args: _distance2(*args)),
+                               symmetry_break=symmetry_break)
+            assert (list(skip), skip.nodes) == (list(called), called.nodes), (
+                g.line, k)
 
 
 @pytest.mark.parametrize("g,prop,k,digits,nodes", [

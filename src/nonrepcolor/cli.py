@@ -168,7 +168,8 @@ def cmd_solve(args) -> int:
 def cmd_sa(args) -> int:
     action = args.action
     if action == "longest":
-        words, max_len = saseq.enumerate_h_free(args.max_len)
+        # the longest has 19 letters; 25 caps the search, as in claim_lemma5
+        words, max_len = saseq.enumerate_h_free(25)
         longest = [w for w in words if len(w) == max_len]
         _emit(args, {"max_length": max_len, "words": longest},
               f"maximum length {max_len}: {' '.join(longest)}")
@@ -312,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--word", required=True, help="word over {S, A}")
     q.add_argument("--cyclic", action="store_true",
                    help="check factors over all rotations")
-    q = acts.add_parser("longest", help="the longest words with no "
-                                        "forbidden factor")
-    q.add_argument("--max-len", type=int, default=25)
+    acts.add_parser("longest", help="the longest words with no "
+                                    "forbidden factor")
     q = acts.add_parser("witness", help="the repetitive stroll of a "
                                         "forbidden factor")
     q.add_argument("--word", required=True, help="a forbidden factor")

@@ -98,14 +98,6 @@ def table1_coloring(n: int):
     return value, Coloring(colors, value)
 
 
-def is_symmetrical(g: Graph, c: Coloring, v: int) -> bool:
-    """Degree-2 vertex whose two neighbors share a color."""
-    if g.degree(v) != 2:
-        return False
-    a, b = g.neighbors(v)
-    return c.colors[a] == c.colors[b]
-
-
 def classify_edges(g: Graph, c: Coloring) -> list:
     """Good/bad classification of the matching e_i = (v_2i, v_2i+1).
 

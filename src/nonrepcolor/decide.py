@@ -86,20 +86,20 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
     """The states that start an accepted product walk, per component, lazily.
 
     cols[v] is the color of vertex v of g; the seeds are color-matched
-    states, off the diagonal unless allow_diagonal.
+    states off the diagonal, as every caller draws them.
     The product graph is undirected: a move joins two color-matched states, and
     adjacency is symmetric.  So a start (a, b) reaches a state (x, y) exactly
     when both lie in one connected component, and it accepts iff its
     component holds a state whose first coordinate is adjacent to b.  For
     nonboring walks (allow_diagonal) the component must also hold an
-    off-diagonal state, which it does whenever its seed is off the diagonal.
+    off-diagonal state, which its seed is.
     Components are labelled in seed order, each once, in O(S * maxdeg^2) for
     its S states, and each accepting one yields the list of its accepting
     states: asking whether one exists stops at the first.
-    Where no vertex has three neighbours, a state (u, w) has the four
-    candidate moves (nbr[u][i], nbr[w][j]), i, j in 0, 1, over each
-    vertex's lower and higher neighbour (_two_neighbours), in the order of
-    the general loops over g's sorted neighbour lists.
+    On a path or cycle a state (u, w) has the four candidate moves
+    (nbr[u][i], nbr[w][j]), i, j in 0, 1, over each vertex's lower and
+    higher neighbour (_two_neighbours), in the order of the general loops
+    over g's sorted neighbour lists; other graphs take those loops.
 
     Reversing a walk swaps its states' coordinates, so the mirror swap(K) of
     a component K accepts iff K does.  A labelled seed is dropped in C
@@ -121,10 +121,9 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
     add = seen.add
     adj, line, n = g._adj, g.line, g.n
     nbr = None
-    if line is not None or max(map(len, adj), default=0) <= 2:
-        nbr, cols = _two_neighbours(g, cols)
     reach = -1  # the greatest distance along the line; none off lines
     if line is not None:
+        nbr = _two_neighbours(g)
         cyclic = g.shape == "cycle"
         reach = n // 2 if cyclic else n - 1
         pos = range(n) if line == tuple(range(n)) else \
@@ -168,8 +167,6 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
                             if state not in seen:
                                 add(state)
                                 grow(state)
-        if a == b and allow_diagonal and all(u == w for u, w in comp):
-            continue  # every walk in it is boring
         if 2 * len(comp) <= reach:
             d = abs(pos[a] - pos[b])
             if 2 * len(comp) <= (min(d, n - d) if cyclic else d):
@@ -187,21 +184,16 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
                 yield [(w, u) for u, w in comp if u in far]
 
 
-def _two_neighbours(g: Graph, cols):
-    """nbr[v] = (v's lower neighbour, its higher one) where g has no vertex
-    of degree 3 or more, and the colors that nbr indexes.  A vertex of
-    degree 1 has its one neighbour twice, and one of degree 0 has vertex n,
-    colored nan, twice: nan equals nothing, so no move leaves it."""
-    adj, n = g._adj, g.n
+def _two_neighbours(g: Graph):
+    """nbr[v] = (v's lower neighbour, its higher one) on a path or cycle; a
+    path's ends have their one neighbour twice."""
+    adj = g._adj
     if g.shape == "cycle":
-        return adj, cols
-    if g.shape == "path" and n > 1:  # only the two ends have one neighbour
-        nbr = list(adj)
-        for v in g.line[0], g.line[-1]:
-            nbr[v] = adj[v] * 2
-        return nbr, cols
-    return ([a * 2 if len(a) == 1 else a or (n, n) for a in adj],
-            (*cols, float("nan")))
+        return adj
+    nbr = list(adj)
+    for v in g.line[0], g.line[-1]:
+        nbr[v] = adj[v] * 2
+    return nbr
 
 
 def _seeds(cols):
@@ -232,33 +224,28 @@ def _band_seeds(g: Graph, cols, h: int):
                 yield (u, w) if u < w else (w, u)
 
 
-def _fold_seeds(g: Graph, cols, allow_diagonal: bool) -> set:
+def _fold_seeds(g: Graph, cols) -> set:
     """The seeds through a fold on a path or cycle: without a square in the
-    color word, only their components can accept.
+    color word, only their components can accept a stroll (walks come here
+    only when _short_bound has found no fold, and get none).
 
     A fold is a vertex whose two neighbours along g.line share a color.
-    The seeds are the color-matched (u, w), u < w, with u or w a fold, and
-    for walks also the two neighbours of each fold, sorted: (v, v) moves to
-    them, so a component whose only fold states lie on the diagonal holds
-    that pair.  A component with no fold state is a straight run (see
-    _product_search).
+    The seeds are the color-matched (u, w), u < w, with u or w a fold.  A
+    component with no fold state is a straight run (see _product_search).
     """
     line = g.line
     if g.shape == "cycle":
         around = zip(line[-1:] + line[:-1], line, line[1:] + line[:1])
     else:
         around = zip(line, line[1:], line[2:])
-    folds = [(u, v, w) for u, v, w in around if cols[u] == cols[w]]
+    folds = [v for u, v, w in around if cols[u] == cols[w]]
     if not folds:
         return set()
     classes = {}
     for v, col in enumerate(cols):
         classes.setdefault(col, []).append(v)
-    seeds = {(v, x) if v < x else (x, v)
-             for _, v, _ in folds for x in classes[cols[v]] if x != v}
-    if allow_diagonal:
-        seeds.update((u, w) if u < w else (w, u) for u, _, w in folds)
-    return seeds
+    return {(v, x) if v < x else (x, v)
+            for v in folds for x in classes[cols[v]] if x != v}
 
 
 def _short_bound(g: Graph, cols, allow_diagonal: bool) -> Optional[int]:
@@ -280,7 +267,7 @@ def _short_bound(g: Graph, cols, allow_diagonal: bool) -> Optional[int]:
     return 4 if b"\1\1" in bytes(fold) else None  # abab: two folds in a row
 
 
-def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
+def _product_search(g: Graph, cols, allow_diagonal: bool):
     """Find the best repetitive stroll (or nonboring walk) via product BFS.
 
     States are color-matched pairs (u, w); for the nonboring variant the
@@ -326,7 +313,6 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     vertex and then the lexicographically smallest walk reconstructed from
     the BFS.
     """
-    cols = c.colors
     adj = g._adj
     bound = _short_bound(g, cols, allow_diagonal) if g.line else None
     # with bound 4 no edge joins equal colors, so no witness is shorter
@@ -340,8 +326,8 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
         starts = set().union(*accepting_starts(g, cols, allow_diagonal,
                                                _seeds(cols)))
     elif _square_free_line(g, cols):  # only fold components can accept
-        starts = set().union(*accepting_starts(
-            g, cols, allow_diagonal, _fold_seeds(g, cols, allow_diagonal)))
+        starts = set().union(*accepting_starts(g, cols, allow_diagonal,
+                                               _fold_seeds(g, cols)))
     else:  # no witness is longer than the square; its starts lie in the band
         bound = len(_square_factor(g, cols))
         h = bound // 2
@@ -417,24 +403,24 @@ def _product_search(g: Graph, c: Coloring, allow_diagonal: bool):
     return best[1]
 
 
-def exists_repetitive_stroll(g: Graph, c: Coloring) -> Optional[Witness]:
-    """Return a repetitive stroll witness, or None iff c is stroll-nonrepetitive."""
+def _witness(g: Graph, c: Coloring, violated: str, search, *args):
+    """The Witness of the walk search(g, c.colors, *args) finds, or None."""
     _check_coloring(g, c)
-    walk = _product_search(g, c, allow_diagonal=False)
+    walk = search(g, c.colors, *args)
     if walk is None:
         return None
     w = Walk(walk)
-    return Witness(w, classify_walk(g, c, w), "stroll")
+    return Witness(w, classify_walk(g, c, w), violated)
+
+
+def exists_repetitive_stroll(g: Graph, c: Coloring) -> Optional[Witness]:
+    """Return a repetitive stroll witness, or None iff c is stroll-nonrepetitive."""
+    return _witness(g, c, "stroll", _product_search, False)
 
 
 def exists_repetitive_nonboring_walk(g: Graph, c: Coloring) -> Optional[Witness]:
     """Return a repetitive nonboring walk witness, or None iff c is walk-nonrepetitive."""
-    _check_coloring(g, c)
-    walk = _product_search(g, c, allow_diagonal=True)
-    if walk is None:
-        return None
-    w = Walk(walk)
-    return Witness(w, classify_walk(g, c, w), "walk")
+    return _witness(g, c, "walk", _product_search, True)
 
 
 def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
@@ -447,13 +433,8 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
     cycle, and the check is an O(n^2) scan for squares; on any other graph
     it is a DFS over simple paths, exponential in general.
     """
-    _check_coloring(g, c)
     square = _square_path_dfs if g.shape == "graph" else _square_factor
-    walk = square(g, c.colors)
-    if walk is None:
-        return None
-    w = Walk(walk)
-    return Witness(w, classify_walk(g, c, w), "path")
+    return _witness(g, c, "path", square)
 
 
 def _square_factor(g: Graph, cols) -> Optional[tuple]:

@@ -194,7 +194,8 @@ def claim_hierarchy(run):
     """Cycle characterization and the chromatic hierarchy, exhaustively.
 
     Over all 3- and 4-colorings of C_4..C_8 (up to color permutation):
-    walk-nonrepetitive iff distance-2 and path-nonrepetitive, and
+    walk-nonrepetitive iff distance-2 and path-nonrepetitive (the fast
+    cycle check, decide.is_walk_nonrepetitive_cycle_fast), and
     walk-nonrepetitive => stroll-nonrepetitive => path-nonrepetitive.
     """
     for n in range(4, 9):
@@ -206,8 +207,7 @@ def claim_hierarchy(run):
                 walk_ok = decide.holds(g, c, "walk")
                 stroll_ok = decide.holds(g, c, "stroll")
                 path_ok = decide.holds(g, c, "path")
-                fast = (is_distance2(g, c) is None) and path_ok
-                if fast != walk_ok:
+                if decide.is_walk_nonrepetitive_cycle_fast(g, c) != walk_ok:
                     equiv_bad += 1
                 if (walk_ok and not stroll_ok) or (stroll_ok and not path_ok):
                     hier_bad += 1

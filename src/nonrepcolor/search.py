@@ -195,10 +195,12 @@ class _StrollPrefix:
     an old box is copied once per component per column (keyed by the box,
     or by position for a singleton), and a state with both moves, (w, d)
     for a fold w, joins two copies; the dead one forwards to the live one
-    until the column is settled.  The prefix passed, so only what joins
-    the new column can make a component accept.  Column d - 1 was written
-    by the last call at depth d - 1, which passed for its current color,
-    since the search descends only then, so nothing is logged or undone.
+    until the column is settled; (w, d) linked to (w + 1, d - 1) raises no
+    greatest first, as its box holds w + 1.  The prefix passed, so only
+    what joins the new column can make a component accept.  Column d - 1
+    was written by the last call at depth d - 1, which passed for its
+    current color, since the search descends only then, so nothing is
+    logged or undone.
     """
 
     def __init__(self):
@@ -237,12 +239,10 @@ class _StrollPrefix:
             box = copies.get(key)
             if box is None:
                 box = copies[key] = ([w + 1, depth - 1] if old is None
-                                     else [max(old[0], w), old[1]])
+                                     else old[:])
             else:
                 while len(box) > 2:
                     box = box[2]
-                if w > box[0]:
-                    box[0] = w
             fold = col.get(w)
             if fold is not None:  # w is a fold: (w, d) joins two boxes
                 while len(fold) > 2:
@@ -263,7 +263,7 @@ class _StrollPrefix:
         return True
 
 
-def _prefix_rules(g: Graph, property: str, prune: bool, prefix=()) -> tuple:
+def _prefix_rules(g: Graph, property: str, prefix=()) -> tuple:
     """The fixed prefix if any, the proper-edge rule, then the pruning rules
     the property allows."""
     linear, prefix = g.line is not None, tuple(prefix)
@@ -272,10 +272,10 @@ def _prefix_rules(g: Graph, property: str, prune: bool, prefix=()) -> tuple:
         (lambda g, order, colors, word, rev, depth: depth >= len(prefix)
          or word[depth] == prefix[depth], bool(prefix)),
         (_proper, True),
-        (_distance2, prune and property == "walk"),
-        (_suffix_squares, prune and linear and property != "stroll"),
-        (_closing_squares, prune and g.shape == "cycle"),
-        (_StrollPrefix(), prune and linear and property == "stroll"),
+        (_distance2, property == "walk"),
+        (_suffix_squares, linear and property != "stroll"),
+        (_closing_squares, g.shape == "cycle"),
+        (_StrollPrefix(), linear and property == "stroll"),
     ) if wanted)
 
 
@@ -369,26 +369,20 @@ class Colorings:
         self.nodes = nodes
 
 
-def search_fixed_k(
-    g: Graph,
-    property: str,
-    k: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    symmetry_break: bool = True,
-    prune: bool = True,
-    prefix=(),
-):
+def search_fixed_k(g: Graph, property: str, k: int,
+                   node_budget: int = DEFAULT_NODE_BUDGET, prefix=()):
     """Exhaustive search for one property-nonrepetitive k-coloring.
 
-    prefix fixes the colors of the first len(prefix) vertices of the order;
-    under symmetry breaking it must introduce its colors in ascending order.
+    Every pruning rule the property allows is on, and so is symmetry
+    breaking, so prefix fixes the colors of the first len(prefix) vertices
+    of the order and must introduce its colors in ascending order.
     Returns (coloring or None, nodes, aborted).  None with aborted=False is
     a completed exhaustion proof for this k (and this prefix).
     """
     if property not in decide.PROPERTIES:
         raise InvalidArgumentError(f"unknown property {property!r}")
-    colorings = Colorings(g, k, _prefix_rules(g, property, prune, prefix),
-                          node_budget, symmetry_break)
+    colorings = Colorings(g, k, _prefix_rules(g, property, prefix),
+                          node_budget)
     try:
         cert = next((c for c in colorings if final_check(g, c, property)), None)
     except BudgetExhausted:
@@ -396,15 +390,10 @@ def search_fixed_k(
     return cert, colorings.nodes, False
 
 
-def solve(
-    g: Graph,
-    property: str,
-    k_max: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    symmetry_break: bool = True,
-    prune: bool = True,
-) -> SolveReport:
-    """Smallest k <= k_max with a property-nonrepetitive k-coloring.
+def solve(g: Graph, property: str, k_max: int,
+          node_budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
+    """Smallest k <= k_max with a property-nonrepetitive k-coloring, by
+    search_fixed_k for k = 1, 2, ... under one shared node budget.
 
     The certificate passes final_check; each smaller k carries a
     completed-exhaustion proof (listed in exhausted_k).  Budget exhaustion
@@ -418,7 +407,7 @@ def solve(
     exhausted = []
     for k in range(1, k_max + 1):
         cert, nodes, aborted = search_fixed_k(
-            g, property, k, node_budget - total_nodes, symmetry_break, prune)
+            g, property, k, node_budget - total_nodes)
         total_nodes += nodes
         if aborted:
             return SolveReport(property, desc, None, None, exhausted,

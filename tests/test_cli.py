@@ -276,6 +276,12 @@ class TestSa:
         assert code == 0 and data["max_length"] == 19
         assert data["words"] == ["SASAASAAASAAASAASAS"]
 
+    def test_longest_takes_no_length_cap(self, capsys):
+        """A cap below 19 would report a shorter word as the longest."""
+        assert rejected(capsys, "sa", "longest", "--max-len", "5") == 2
+        code, out, _ = run(capsys, "sa", "longest", "--json")
+        assert code == 0 and json.loads(out)["max_length"] == 19
+
     def test_encode(self, capsys):
         code, out, _ = run(capsys, "sa", "encode", "path:4",
                            "--colors", "1213")

@@ -9,7 +9,6 @@ from nonrepcolor.construct import (
     WALK_NONREP_CYCLE_TABLE,
     classify_edges,
     figure1_fixture,
-    is_symmetrical,
     rho_cycle_coloring,
     rho_path_coloring,
     sigma_cycle_coloring,
@@ -51,6 +50,13 @@ class TestEmbeddedCycleTable:
             table1_coloring(3)
 
 
+def is_symmetrical(g, c, v):
+    """The definition classify_edges reads off the word: v has two
+    neighbours, and they share a color."""
+    nbrs = g.neighbors(v)
+    return len(nbrs) == 2 and c.colors[nbrs[0]] == c.colors[nbrs[1]]
+
+
 class TestEdgeClassification:
     def test_six_cycle_periodic_all_good(self):
         g = cycle_graph(6)
@@ -84,7 +90,7 @@ class TestEdgeClassification:
             n, [(ids[u], ids[v]) for u, v in cycle_graph(n).edges]))
         words = (itertools.product((1, 2, 3), repeat=n) if n <= 8 else
                  (c.colors for c in search.Colorings(
-                     graphs[0], 3, search._prefix_rules(graphs[0], "path", True))
+                     graphs[0], 3, search._prefix_rules(graphs[0], "path"))
                   if holds(graphs[0], c, "path")))
         for colors in words:
             for g in graphs:

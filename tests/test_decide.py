@@ -525,19 +525,17 @@ def test_path_verdict_follows_relabelled_line(g):
 
 @pytest.mark.parametrize("g", [
     *map(path_graph, range(1, 9)), *map(cycle_graph, range(3, 9)),
-    P7_RELABELLED, C8_RELABELLED, MATCHING,
+    P7_RELABELLED, C8_RELABELLED,
 ], ids=[*(f"P{n}" for n in range(1, 9)), *(f"C{n}" for n in range(3, 9)),
-        "P7-relabelled", "C8-relabelled", "matching"])
+        "P7-relabelled", "C8-relabelled"])
 def test_two_neighbour_kernel_matches_reference(g, monkeypatch):
     """Every word over k <= 3, both modes, through the degree-2 kernel: on
-    the relabelled lines with positions read from g.line, on the perfect
-    matching (degree 1, no line) without the distance rule."""
-    assert max(map(len, g._adj)) <= 2
+    the relabelled lines with positions read from g.line."""
     kernels = []
 
-    def counted(g, cols, kernel=decide._two_neighbours):
+    def counted(g, kernel=decide._two_neighbours):
         kernels.append(g)
-        return kernel(g, cols)
+        return kernel(g)
 
     monkeypatch.setattr(decide, "_two_neighbours", counted)
     for cols in itertools.product((1, 2, 3), repeat=g.n):
@@ -547,11 +545,16 @@ def test_two_neighbour_kernel_matches_reference(g, monkeypatch):
 
 
 def test_general_loops_past_degree_two(monkeypatch):
-    """A vertex of degree 3 keeps the nested loops over g's neighbours."""
+    """Graphs that are not lines keep the nested loops over g's neighbours:
+    one with a vertex of degree 3, and the perfect matching (degree 1, no
+    line, no distance rule), every word over k <= 3, both modes."""
     monkeypatch.setattr(decide, "_two_neighbours", None)
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-    for cols in itertools.product((1, 2, 3), repeat=g.n):
-        _same_starts(g, cols, True)
+    tree = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    for g in tree, MATCHING:
+        assert g.line is None
+        for cols in itertools.product((1, 2, 3), repeat=g.n):
+            for allow_diagonal in (False, True):
+                _same_starts(g, cols, allow_diagonal)
 
 
 def _witnesses(cases):
@@ -566,10 +569,13 @@ def _witnesses(cases):
 
 def _same_as_labelled(cases, monkeypatch):
     """find_witness on each (g, cols) gives what it gives with the color
-    word scan off, through the product labelling."""
+    word scan off, through the product labelling: of the band, with a
+    square, and with none, of every component, as the fold seeds alone
+    serve walks only once _short_bound has found no fold."""
     cases = list(cases)
     short = _witnesses(cases)
     monkeypatch.setattr(decide, "_short_bound", lambda *args: None)
+    monkeypatch.setattr(decide, "_fold_seeds", lambda g, cols: _seeds(cols))
     assert short == _witnesses(cases)
     return short
 
@@ -752,8 +758,10 @@ def test_fold_free_components_are_straight_runs(g):
 
     A component with no fold coordinate is a constant-difference or
     constant-sum run along g.line and accepts only if the color word holds
-    a square; _fold_seeds is its definition; and without a square the
-    components through the fold seeds give every accepting start.
+    a square; without a square the components through the seeds through a
+    fold (and, for walks, the pair of each fold's neighbours, as (v, v)
+    moves to it) give every accepting start; and _fold_seeds gives the
+    stroll seeds, the ones find_witness labels from.
     """
     n, cyclic = g.n, g.is_cycle()
     pos = {v: i for i, v in enumerate(g.line)}
@@ -769,7 +777,8 @@ def test_fold_free_components_are_straight_runs(g):
                      if cols[u] == cols[w] and (u in folds or w in folds)}
             if allow_diagonal:
                 seeds |= {tuple(sorted(g._adj[v])) for v in folds}
-            assert _fold_seeds(g, cols, allow_diagonal) == seeds, word
+            else:
+                assert _fold_seeds(g, cols) == seeds, word
             ref = set()
             for comp in _reference_components(g._adj, cols, allow_diagonal):
                 accepting = _reference_accepting(g._adj, comp)
@@ -822,7 +831,7 @@ def test_fold_route_on_rho_windows(off, n, monkeypatch):
     g, c = path_graph(n), Coloring.from_colors(word)
     assert decide._short_bound(g, word, False) is None
     assert decide._square_free_line(g, word)
-    folds = _fold_seeds(g, word, False)
+    folds = _fold_seeds(g, word)
     drawn = _drawn_seeds(monkeypatch)
     assert find_witness(g, c, "stroll") is None
     assert drawn and set(drawn) == folds
@@ -845,7 +854,7 @@ def test_fold_route_finds_square_free_strolls(monkeypatch):
         drawn.clear()
         w = find_witness(g, Coloring.from_colors(word), "stroll")
         assert list(w.walk.vertices) == case["stroll"]
-        assert set(drawn) == _fold_seeds(g, word, False)
+        assert set(drawn) == _fold_seeds(g, word)
 
 
 def test_holds_reads_no_square_and_no_fold(monkeypatch):

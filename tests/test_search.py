@@ -44,9 +44,9 @@ class TestFixedPrefix:
     def test_empty_prefix_adds_no_rule(self):
         g = cycle_graph(30)
         plain = (_proper, _suffix_squares, _closing_squares)
-        assert _prefix_rules(g, "path", True) == plain
-        assert _prefix_rules(g, "path", True, ()) == plain
-        assert _prefix_rules(g, "path", True, (1, 2))[1:] == plain
+        assert _prefix_rules(g, "path") == plain
+        assert _prefix_rules(g, "path", ()) == plain
+        assert _prefix_rules(g, "path", (1, 2))[1:] == plain
 
     def test_prefix_breaking_symmetry_finds_nothing(self):
         # colors must enter in ascending order under symmetry breaking
@@ -108,41 +108,61 @@ class TestReportContract:
         assert r.aborted and r.value is None and r.nodes_visited >= 5
 
 
+def _reference_solve(g, prop, k_max, rules, symmetry_break=True):
+    """(value, certificate) of solve, from the first coloring that
+    Colorings(g, k, rules) yields and final_check passes, k = 1, 2, ..."""
+    for k in range(1, k_max + 1):
+        colorings = Colorings(g, k, rules, symmetry_break=symmetry_break)
+        cert = next((c for c in colorings if final_check(g, c, prop)), None)
+        if cert is not None:
+            return k, cert
+    return None, None
+
+
+def _solved(g, prop, k_max):
+    r = solve(g, prop, k_max)
+    return r.value, r.certificate
+
+
 @pytest.mark.parametrize("make_graph,ns", [(path_graph, range(2, 9)),
                                            (cycle_graph, range(3, 9))])
 def test_symmetry_breaking_sound(make_graph, ns):
-    """Search with and without symmetry breaking agrees on every value."""
+    """The search's rules without symmetry breaking find the same first
+    certificate: the least coloring passing them introduces its colors in
+    ascending order."""
     for n in ns:
         g = make_graph(n)
         for prop in ("path", "stroll", "walk"):
-            with_sb = solve(g, prop, 5, symmetry_break=True)
-            without = solve(g, prop, 5, symmetry_break=False)
-            assert with_sb.value == without.value, (n, prop)
+            ref = _reference_solve(g, prop, 5, _prefix_rules(g, prop),
+                                   symmetry_break=False)
+            assert _solved(g, prop, 5) == ref, (n, prop)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_prefix_pruning_sound_on_paths(n):
-    pruned = solve(path_graph(n), "stroll", 4, prune=True)
-    unpruned = solve(path_graph(n), "stroll", 4, prune=False)
-    assert pruned.value == unpruned.value
+    """The stroll rule loses no coloring that final_check passes: the
+    proper colorings give the same first certificate."""
+    g = path_graph(n)
+    assert _solved(g, "stroll", 4) == _reference_solve(g, "stroll", 4,
+                                                       (_proper,))
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_prefix_pruning_sound_on_cycles(n):
     """On a cycle the stroll rule sees the colored arc as a path."""
-    pruned = solve(cycle_graph(n), "stroll", 4, prune=True)
-    unpruned = solve(cycle_graph(n), "stroll", 4, prune=False)
-    assert pruned.value == unpruned.value
+    g = cycle_graph(n)
+    assert _solved(g, "stroll", 4) == _reference_solve(g, "stroll", 4,
+                                                       (_proper,))
 
 
 @pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
 @pytest.mark.parametrize("n", range(3, 11))
 @pytest.mark.parametrize("prop", ["path", "walk"])
 def test_square_and_distance2_pruning_sound(make_graph, n, prop):
-    """The suffix-square and distance-2 rules lose no value."""
-    pruned = solve(make_graph(n), prop, 5, prune=True)
-    unpruned = solve(make_graph(n), prop, 5, prune=False)
-    assert pruned.value == unpruned.value
+    """The suffix-square, closing-square and distance-2 rules lose no
+    coloring that final_check passes."""
+    g = make_graph(n)
+    assert _solved(g, prop, 5) == _reference_solve(g, prop, 5, (_proper,))
 
 
 def _on_line(make_graph, ids):
@@ -268,8 +288,8 @@ def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k, prefix):
                     joins[0] += left is None or left is not right
         return verdict
 
-    g = make_graph(n)  # without pruning, the rules fix the prefix and properness
-    rules = _prefix_rules(g, "stroll", False, map(int, prefix))
+    g = make_graph(n)  # the rules before pruning: the prefix and properness
+    rules = _prefix_rules(g, "stroll", map(int, prefix))[:1 + bool(prefix)]
     colorings = Colorings(g, k, (*rules, checked), symmetry_break=False)
     leaves = sum(1 for _ in colorings)
     assert leaves > 0 and all(calls)
@@ -525,7 +545,7 @@ def test_closing_window_then_whole_word(n, monkeypatch):
     t = [bin(i).count("1") % 2 for i in range(n + 1)]
     thue = [t[i] - t[i + 1] + 2 for i in range(n)]
     g = cycle_graph(n)
-    rules = _prefix_rules(g, "path", True, thue[:n - 20])
+    rules = _prefix_rules(g, "path", thue[:n - 20])
     open_ = Colorings(g, 3, tuple(r for r in rules if r is not _closing_squares))
     closed = Colorings(g, 3, rules)
     leaves = [c.colors for c in open_]

@@ -525,12 +525,14 @@ def test_path_verdict_follows_relabelled_line(g):
 
 @pytest.mark.parametrize("g", [
     *map(path_graph, range(1, 9)), *map(cycle_graph, range(3, 9)),
-    P7_RELABELLED, C8_RELABELLED,
+    P7_RELABELLED, C8_RELABELLED, MATCHING,
 ], ids=[*(f"P{n}" for n in range(1, 9)), *(f"C{n}" for n in range(3, 9)),
-        "P7-relabelled", "C8-relabelled"])
+        "P7-relabelled", "C8-relabelled", "matching"])
 def test_two_neighbour_kernel_matches_reference(g, monkeypatch):
     """Every word over k <= 3, both modes, through the degree-2 kernel: on
-    the relabelled lines with positions read from g.line."""
+    the relabelled lines with positions read from g.line. The perfect
+    matching (degree 1, no line) never reaches the kernel: it takes the
+    general loops, without the distance rule."""
     kernels = []
 
     def counted(g, kernel=decide._two_neighbours):
@@ -541,20 +543,18 @@ def test_two_neighbour_kernel_matches_reference(g, monkeypatch):
     for cols in itertools.product((1, 2, 3), repeat=g.n):
         for allow_diagonal in (False, True):
             _same_starts(g, cols, allow_diagonal)
-    assert len(kernels) == 4 * 3 ** g.n
+    assert len(kernels) == (4 * 3 ** g.n if g.line is not None else 0)
 
 
 def test_general_loops_past_degree_two(monkeypatch):
-    """Graphs that are not lines keep the nested loops over g's neighbours:
-    one with a vertex of degree 3, and the perfect matching (degree 1, no
-    line, no distance rule), every word over k <= 3, both modes."""
+    """A vertex of degree 3 keeps the nested loops over g's neighbours,
+    every word over k <= 3, both modes."""
     monkeypatch.setattr(decide, "_two_neighbours", None)
-    tree = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-    for g in tree, MATCHING:
-        assert g.line is None
-        for cols in itertools.product((1, 2, 3), repeat=g.n):
-            for allow_diagonal in (False, True):
-                _same_starts(g, cols, allow_diagonal)
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    assert g.line is None
+    for cols in itertools.product((1, 2, 3), repeat=g.n):
+        for allow_diagonal in (False, True):
+            _same_starts(g, cols, allow_diagonal)
 
 
 def _witnesses(cases):

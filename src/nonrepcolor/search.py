@@ -21,8 +21,9 @@ d - 1's boxes by the call at depth d, so the structure describes the arc
 as it is colored now with nothing to undo and no hook in Colorings.  On a
 cycle, every search also rejects a completed coloring whose circular color
 word holds a square, through the closing edge included, by a regex search
-of the colors near the last vertex, then of the whole word: a repetitive
-simple path is a repetitive stroll and a nonboring walk.
+of the colors near the last vertex, then of the whole word, each of its n
+rotations tried once: a repetitive simple path is a repetitive stroll and
+a nonboring walk.
 Completed colorings are always re-checked by decide.holds.
 """
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import decide
-from .decide import _squares_upto
+from .decide import _circular_squares, _squares_upto
 from .model import Coloring, Graph, InvalidArgumentError
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -165,12 +166,14 @@ def _closing_squares(g, order, colors, word, rev, depth):
     they are distinct vertices, so one found there is on the cycle.  Only
     then is the whole circular word searched, sliced as
     decide._square_free_line slices it, here from rev[depth]: that reads
-    the word reversed, and a reversed square is a square.
+    the word reversed, and a reversed square is a square.  As there, the
+    search (decide._circular_squares) tries only the text's first n starts,
+    one per rotation.
     """
     arc, n = rev[depth], g.n
     if n >= 32 and _squares_upto(8)(arc[-15:] + arc[:16]):
         return False
-    return _squares_upto(n // 2)(arc[1:] + arc[:-1]) is None
+    return _circular_squares(n)(arc[1:] + arc[:-1]) is None
 
 
 class _StrollPrefix:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from nonrepcolor.model import (
 from nonrepcolor.search import Colorings, _proper
 
 from test_oracle import _colored, _small_graphs
+from test_search import _random_square_free
 
 P21_WORD = "121312321323123213121"
 PRODUCT_WITNESSES = Path(__file__).parent / "data" / "product_witnesses.json"
@@ -180,6 +182,9 @@ def test_path_verdict_matches_square_factor(make_graph, n):
     ((300, 301, 302, 301, 300), True, False),
     ((0x110000, 1, 0x110000, 1), False, False),  # beyond chr: the scan
     ((0x110000, 1, 2, 0x110000, 2, 1), True, True),
+    # colors that differ in their top bit alone, below 256 and above
+    ((255, 127, 255), True, False),
+    ((0x110000, 0x10000, 0x110000), True, False),
 ])
 def test_path_verdict_large_colors(make_graph, cols, path_free, cycle_free):
     g = make_graph(len(cols))
@@ -187,6 +192,114 @@ def test_path_verdict_large_colors(make_graph, cols, path_free, cycle_free):
     want = cycle_free if g.is_cycle() else path_free
     assert holds(g, c, "path") is want
     assert (_square_factor(g, cols) is None) is want
+
+
+def _reference_square_factor(g, cols):
+    """_square_factor as a scan per half-length: eq[i] = (word[i] ==
+    word[i + t]), one bytes.find per run of t ones, starts below n on a
+    cycle; the least of both directions of every square at the first t."""
+    n, line, cyclic = g.n, g.line, g.shape == "cycle"
+    if cyclic:
+        line += line
+    word = [cols[v] for v in line]
+    for t in range(1, n // 2 + 1):
+        eq = bytes(map(operator.eq, word, word[t:]))
+        run = b"\x01" * t
+        end = n + t - 1 if cyclic else len(eq)
+        squares = []
+        i = eq.find(run, 0, end)
+        while i >= 0:
+            seg = line[i:i + 2 * t]
+            squares += (seg, seg[::-1])
+            i = eq.find(run, i + 1, end)
+        if squares:
+            return min(squares)
+    return None
+
+
+# mixed into small colors: 10 is "\n", and from 256 on the planes are built
+# by a plain loop, not bytes.translate
+LARGE_COLORS = (10, 255, 256, 300, 0x110000)
+
+
+def _seeded_line_words(rng, count, max_n=80):
+    """count (n, word) pairs, n <= max_n, of 1 to 5 colors, each drawn
+    square-free and then, mostly, given a planted square of a random
+    half-length; a few colors are swapped for LARGE_COLORS."""
+    for _ in range(count):
+        n, k = rng.randint(1, max_n), rng.randint(1, 5)
+        word = (_random_square_free(n, k, rng) if k >= 3
+                else [rng.randint(1, k) for _ in range(n)])
+        if n >= 2 and rng.random() < 0.8:
+            t = rng.randint(1, n // 2)
+            i = rng.randint(0, n - 1)  # on a cycle the square may wrap
+            for j in range(i, i + t):
+                if j + t < n or rng.random() < 0.5:
+                    word[(j + t) % n] = word[j % n]
+        rename = dict(zip(range(1, 6), rng.sample(range(1, 6), 5)))
+        for col in rng.sample(LARGE_COLORS, rng.randint(0, 2)):
+            rename[rng.randint(1, 5)] = col
+        yield n, [rename[col] for col in word]
+
+
+def _relabelled_line(n, cyclic, rng):
+    ids = rng.sample(range(n), n)
+    edges = list(zip(ids, ids[1:])) + ([(ids[-1], ids[0])] if cyclic else [])
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_square_factor_matches_reference(seed):
+    """The bit-parallel scan gives the least square of the scan per
+    half-length on seeded words up to n = 80, on paths, cycles and lines
+    whose vertex ids are shuffled, with both plane builders."""
+    rng = random.Random(seed)
+    halves, large = set(), 0
+    for n, word in _seeded_line_words(rng, 400):
+        large += max(word) >= 256
+        graphs = [path_graph(n), _relabelled_line(n, False, rng)]
+        if n >= 3:
+            graphs += [cycle_graph(n), _relabelled_line(n, True, rng)]
+        for g in graphs:
+            cols = [0] * n
+            for v, col in zip(g.line, word):
+                cols[v] = col
+            square = _square_factor(g, cols)
+            assert square == _reference_square_factor(g, cols), (g.line, cols)
+            halves.add(square and len(square) // 2)
+    assert 0 < large < 400
+    assert None in halves and max(halves - {None}) >= 10
+
+
+def _whole_word_only(m, rng):
+    """A word x of m letters whose circular xx has no square but the
+    rotations of xx itself."""
+    g = cycle_graph(2 * m)
+    while True:
+        x = _random_square_free(m, rng.choice((3, 4)), rng)
+        if len(_reference_square_factor(g, x + x)) == 2 * m:
+            return x + x
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_circular_square_search_matches_square_factor(seed):
+    """The regex verdict on cycles tries the first n starts of its text:
+    it agrees with _square_factor on seeded cycles up to n = 80, and on
+    even n whose only square is the whole word."""
+    rng = random.Random(seed)
+    words = [(n, word) for n, word in _seeded_line_words(rng, 600)
+             if n >= 3 and max(word) < 0x110000]  # chr holds every color
+    words += [(2 * m, _whole_word_only(m, rng)) for m in range(2, 41)]
+    free = 0
+    for n, word in words:
+        for g in cycle_graph(n), _relabelled_line(n, True, rng):
+            cols = [0] * n
+            for v, col in zip(g.line, word):
+                cols[v] = col
+            ok = decide._square_free_line(g, cols)
+            assert ok == (_square_factor(g, cols) is None), word
+            free += ok
+    assert 0 < free < 2 * len(words)
 
 
 class TestCycleFastCheck:

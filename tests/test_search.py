@@ -553,9 +553,13 @@ def test_closing_window_then_whole_word(n, monkeypatch):
     assert kept == [c for c in leaves if _square_factor(g, c) is None]
     assert closed.nodes == open_.nodes
 
-    searched, real = [], search._squares_upto  # half-length bounds searched
+    # the searches made: ("window", half-length bound), ("whole", n)
+    searched = []
+    window, whole = search._squares_upto, search._circular_squares
     monkeypatch.setattr(search, "_squares_upto",
-                        lambda h: searched.append(h) or real(h))
+                        lambda h: searched.append(("window", h)) or window(h))
+    monkeypatch.setattr(search, "_circular_squares",
+                        lambda m: searched.append(("whole", m)) or whole(m))
     kinds = {"short": 0, "long": 0, "square-free": 0}
     for cols in leaves:
         square = _square_factor(g, cols)
@@ -563,7 +567,8 @@ def test_closing_window_then_whole_word(n, monkeypatch):
                 else "short" if len(square) <= 16 else "long")
         searched.clear()
         assert _closes(g, cols) == (square is None), cols
-        assert searched == ([8] if kind == "short" else [8, n // 2]), cols
+        assert searched == ([("window", 8)] if kind == "short"
+                            else [("window", 8), ("whole", n)]), cols
         kinds[kind] += 1
     assert min(kinds.values()) > 0, kinds
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 from . import decide, saseq, search
@@ -24,6 +23,7 @@ from .model import (
     Graph,
     InvalidArgumentError,
     cycle_graph,
+    folds,
     path_graph,
 )
 
@@ -102,9 +102,9 @@ def classify_edges(g: Graph, c: Coloring) -> list:
     """Good/bad classification of the matching e_i = (v_2i, v_2i+1).
 
     v_0, v_1, ... is g.line, the order around the cycle.  Requires an even
-    cycle with a proper path-nonrepetitive 3-coloring.  Symmetry is read
-    off the color word along g.line: v_i is symmetrical iff the colors at
-    i - 1 and i + 1, round the cycle, are equal.  For cycles of length
+    cycle with a proper path-nonrepetitive 3-coloring.  v_i is
+    symmetrical iff it is a fold (model.folds): the colors at i - 1 and
+    i + 1 along g.line, round the cycle, are equal.  For cycles of length
     >= 16 at least two matching edges must come out good; a violation on
     valid input indicates an upstream bug.
     """
@@ -113,10 +113,7 @@ def classify_edges(g: Graph, c: Coloring) -> list:
     if max(c.colors) > 3:
         raise InvalidArgumentError("edge classification is defined for 3-colorings")
     k, line = g.n // 2, g.line
-    word = [c.colors[v] for v in line]
-    # symmetrical[i]: word[i - 1] == word[i + 1], round the cycle
-    before, after = word[-1:] + word[:-1], word[1:] + word[:1]
-    symmetrical = list(map(operator.eq, before, after))
+    symmetrical = folds(g, c.colors)  # round the cycle, from line[0]
     out = [EdgeClass((line[i], line[i + 1]),
                      not (symmetrical[i] or symmetrical[i + 1]))
            for i in range(0, 2 * k, 2)]

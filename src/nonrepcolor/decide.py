@@ -12,9 +12,7 @@ stroll or walk property is one labelling of the components
 component also holds an off-diagonal state.  The reverse v_2t..v_1 of such
 a walk is one too, through the swapped states in reverse order, so swapping
 coordinates maps each component onto one that accepts alike: only seeds
-(u, w) with u < w are labelled, once per mirror pair.  The seeds pair each
-vertex with the next vertex of its color first: a square in the color word
-usually has such a state, so a rejection is found within n seeds.
+(u, w) with u < w are labelled, once per mirror pair.
 
 find_witness builds the witness by BFS from the accepting start states
 alone, and on paths and cycles reads from the color word which components
@@ -23,10 +21,11 @@ joining equal colors; a fold u x w x, for walks; a factor abab, for
 strolls) bounds the witness at once, and the BFS runs from every
 color-matched state in its band with no labelling at all.  Otherwise the
 shortest square, if there is one, bounds the witness, and only the
-components through its band are labelled; with no square, only the
-components through a fold (a vertex whose neighbours share a color), as a
-component with no fold state is a straight run that accepts only at a
-square.  Off paths and cycles every component is labelled.
+components through its band are labelled.  With no square, a word with no
+fold (a vertex whose neighbours share a color, model.folds) labels
+nothing, as a component with no fold state is a straight run that accepts
+only at a square, and a word with a fold labels every component, as off
+paths and cycles.
 The oracle module cross-validates this reduction empirically.
 
 The path property is a bit-parallel scan of the color word for its least
@@ -49,7 +48,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, filterfalse, pairwise, repeat
+from itertools import chain, combinations, filterfalse, repeat
 from typing import Optional
 
 from .model import (
@@ -59,6 +58,7 @@ from .model import (
     Walk,
     WalkClass,
     classify_walk,
+    folds,
     is_distance2,
 )
 
@@ -200,20 +200,11 @@ def _two_neighbours(g: Graph):
 
 
 def _seeds(cols):
-    """Every color-matched state (u, w) with u < w, nearest pairs first, lazily.
-
-    First each vertex with the next vertex of its color, class by class;
-    then every pair, class by class, where a pair drawn twice costs
-    accepting_starts one seen lookup.  A square xx in the color word whose
-    half x holds some color once has its state (v, v + t) for that color
-    among the nearest pairs, so a rejection is usually found within n seeds.
-    """
+    """Every color-matched state (u, w) with u < w, class by class, lazily."""
     classes = {}
     for v, col in enumerate(cols):
         classes.setdefault(col, []).append(v)
-    members = classes.values()
-    return chain(chain.from_iterable(map(pairwise, members)),
-                 chain.from_iterable(map(combinations, members, repeat(2))))
+    return chain.from_iterable(map(combinations, classes.values(), repeat(2)))
 
 
 def _band_seeds(g: Graph, cols, h: int):
@@ -227,47 +218,27 @@ def _band_seeds(g: Graph, cols, h: int):
                 yield (u, w) if u < w else (w, u)
 
 
-def _fold_seeds(g: Graph, cols) -> set:
-    """The seeds through a fold on a path or cycle: without a square in the
-    color word, only their components can accept a stroll (walks come here
-    only when _short_bound has found no fold, and get none).
-
-    A fold is a vertex whose two neighbours along g.line share a color.
-    The seeds are the color-matched (u, w), u < w, with u or w a fold.  A
-    component with no fold state is a straight run (see _product_search).
-    """
-    line = g.line
-    if g.shape == "cycle":
-        around = zip(line[-1:] + line[:-1], line, line[1:] + line[:1])
-    else:
-        around = zip(line, line[1:], line[2:])
-    folds = [v for u, v, w in around if cols[u] == cols[w]]
-    if not folds:
-        return set()
-    classes = {}
-    for v, col in enumerate(cols):
-        classes.setdefault(col, []).append(v)
-    return {(v, x) if v < x else (x, v)
-            for v in folds for x in classes[cols[v]] if x != v}
-
-
-def _short_bound(g: Graph, cols, allow_diagonal: bool) -> Optional[int]:
-    """2 or 4, the vertices of a witness the color word shows, else None.
+def _short_bound(g: Graph, cols, allow_diagonal: bool) -> tuple:
+    """(bound, fold): bound is 2 or 4, the vertices of a witness the color
+    word shows, else None; fold is folds(g, cols), read only past the
+    equal-edge test (None when an edge joins equal colors).
 
     The word is read along g.line, circularly on a cycle.  2 if an edge
-    joins equal colors (both properties); else 4 for walks if two vertices
-    at distance 2 share a color (the fold u x w x over their middle vertex
-    x), and for strolls if four consecutive vertices read abab.
+    joins equal colors (both properties); else 4 for walks if a vertex is a
+    fold (the walk u x w x over it), and for strolls if two vertices in a
+    row are folds, so that four in a row read abab.
     """
     word = [cols[v] for v in g.line]
-    if g.shape == "cycle":
-        word += word[:3]  # every edge, distance-2 pair and abab start < n
+    cyclic = g.shape == "cycle"
+    if cyclic:
+        word.append(word[0])  # the closing edge
     if any(map(operator.eq, word, word[1:])):
-        return 2
-    fold = map(operator.eq, word, word[2:])
+        return 2, None
+    fold = folds(g, cols)
     if allow_diagonal:
-        return 4 if any(fold) else None
-    return 4 if b"\1\1" in bytes(fold) else None  # abab: two folds in a row
+        return (4 if any(fold) else None), fold
+    pairs = bytes(fold + fold[:1] if cyclic else fold)
+    return (4 if b"\1\1" in pairs else None), fold
 
 
 def _product_search(g: Graph, cols, allow_diagonal: bool):
@@ -290,58 +261,53 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
     one the labelled route below gives.  With L = 4 no edge joins equal
     colors, so once the best has 4 vertices no later start can beat it.
 
-    Otherwise, off paths and cycles, accepting_starts labels every
-    component from _seeds for the accepting starts; with none there is no
-    witness.  On a path or cycle with a square (_square_free_line, then the
-    least, _square_factor) of L vertices, the best witness has at most L,
-    so only the components through a seed at most L/2 apart (_band_seeds)
-    are labelled, and their starts in that band are kept, both orientations
-    (accepting_starts yields the mirror lists).  With no square, only the
-    components through a fold (_fold_seeds): where neither coordinate of a
-    state is a fold, each one's two neighbours differ in color, so a move
-    of one coordinate fixes the other's; a state has at most two moves,
-    ±(1, 1) along g.line (keeping the difference) or ±(1, -1) (keeping the
-    sum), and a fold-free component is a straight run.  A constant-
-    difference run of L states at difference d accepts iff L >= d (L >=
-    min(d, n - d) on a cycle), a square of half-length d; a constant-sum
-    run reaches adjacency only through an equal edge, itself a square, or
-    through the diagonal, which needs a fold.  For walks _short_bound has
-    found no fold, so nothing is labelled.  Explaining runs a BFS from each
-    kept start, in state order; it yields that start's shortest product
-    walks, and stops at the depth where its walks would be longer than L or
-    than the best found so far.
+    Otherwise accepting_starts labels the components from _seeds for the
+    accepting starts: off paths and cycles every one, and on a path or
+    cycle with no square (_square_free_line) every one if the word has a
+    fold (a vertex whose two neighbours share a color, model.folds), and
+    none if it has none.  Where neither coordinate of a state is a fold,
+    each one's two neighbours differ in color, so a move of one coordinate
+    fixes the other's; a state has at most two moves, ±(1, 1) along g.line
+    (keeping the difference) or ±(1, -1) (keeping the sum), and a fold-free
+    component is a straight run.  A constant-difference run of L states at
+    difference d accepts iff L >= d (L >= min(d, n - d) on a cycle), a
+    square of half-length d; a constant-sum run reaches adjacency only
+    through an equal edge, itself a square, or through the diagonal, which
+    needs a fold.  Walks come here only when _short_bound has found no
+    fold, so they label nothing.  With a square (the least, _square_factor)
+    of L vertices, the best witness has at most L, so only the components
+    through a seed at most L/2 apart (_band_seeds) are labelled, and their
+    starts in that band are kept, both orientations (accepting_starts
+    yields the mirror lists).  Explaining runs a BFS from each kept start,
+    in state order; it yields that start's shortest product walks, and
+    stops at the depth where its walks would be longer than L or than the
+    best found so far.
 
     Returns the lexicographically smallest (2t, walk) over all start states,
     or None: the witness is shortest, ties break to the lowest starting
     vertex and then the lexicographically smallest walk reconstructed from
     the BFS.
     """
-    adj = g._adj
-    bound = _short_bound(g, cols, allow_diagonal) if g.line else None
+    adj, line = g._adj, g.line
+    bound, fold = _short_bound(g, cols, allow_diagonal) if line else (None, None)
     # with bound 4 no edge joins equal colors, so no witness is shorter
     shortest = 4 if bound == 4 else 2
     if bound is not None:  # every matched state in the band starts a BFS
         starts = set(_band_seeds(g, cols, bound // 2))
         starts.update([(w, u) for u, w in starts])
         if bound > 2 and allow_diagonal:  # a walk from (v, v) has 4 or more
-            starts.update(zip(g.line, g.line))
-    elif not g.line:
-        starts = set().union(*accepting_starts(g, cols, allow_diagonal,
-                                               _seeds(cols)))
-    elif _square_free_line(g, cols):  # only fold components can accept
-        starts = set().union(*accepting_starts(g, cols, allow_diagonal,
-                                               _fold_seeds(g, cols)))
+            starts.update(zip(line, line))
+    elif not line or _square_free_line(g, cols):
+        # on a square-free line only a component through a fold can accept
+        seeds = _seeds(cols) if not line or any(fold) else ()
+        starts = set().union(*accepting_starts(g, cols, allow_diagonal, seeds))
     else:  # no witness is longer than the square; its starts lie in the band
         bound = len(_square_factor(g, cols))
-        h = bound // 2
-        starts = set().union(*accepting_starts(g, cols, allow_diagonal,
-                                               _band_seeds(g, cols, h)))
-        # a start more than h apart along the line begins no such witness
-        n, cyclic = g.n, g.shape == "cycle"
-        pos = {v: i for i, v in enumerate(g.line)}
-        starts = [(u, w) for u, w in starts
-                  if (d := abs(pos[u] - pos[w])) <= h
-                  or cyclic and n - d <= h]
+        band = set(_band_seeds(g, cols, bound // 2))
+        # no (v, v) is kept: strolls have none, and walks come here with no
+        # fold, so none shares a component with a seed
+        labelled = set().union(*accepting_starts(g, cols, allow_diagonal, band))
+        starts = [s for s in labelled if (min(s), max(s)) in band]
     if not starts:
         return None
 
@@ -356,17 +322,14 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
             break  # best is shortest, and every later start is past it
         start_bit = a != b  # always set for strolls: no diagonal states
         # BFS over (state, off_diagonal_seen)
-        dist = {(s0, start_bit): 0}
         pred = {(s0, start_bit): None}
         frontier = [(s0, start_bit)]
-        accepted = []  # nodes satisfying the link condition, at their dist
-        accept_dist = None
+        accepted = []  # nodes satisfying the link condition, at the least depth
         link = adj[b]  # first(s_t) must be one of these
         if start_bit and a in link:
             accepted.append((s0, start_bit))
-            accept_dist = 0
         d = 0
-        while frontier and accept_dist is None:
+        while frontier and not accepted:
             d += 1
             if longest is not None and 2 * (d + 1) > longest:
                 break  # walks found from here on cannot beat best
@@ -380,16 +343,13 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
                         if u2 == w2 and not allow_diagonal:
                             continue
                         node = ((u2, w2), bit or u2 != w2)
-                        if node in dist:
+                        if node in pred:
                             continue
-                        dist[node] = d
                         pred[node] = ((u, w), bit)
                         nxt.append(node)
                         if node[1] and u2 in link:
                             accepted.append(node)
             frontier = nxt
-            if accepted:
-                accept_dist = d
         # reconstruct all accepted product walks at minimal distance and
         # keep the lexicographically smallest resulting walk
         for node in accepted:
@@ -517,28 +477,33 @@ def _squares_upto(h: int):
 @lru_cache(maxsize=128)
 def _circular_squares(n: int):
     """match(text) for a square of half-length at most n // 2 that starts
-    at one of text's first n letters, n >= 2.
-
-    text is a circular word of n letters read from its second letter round
-    to its last but one, 2n - 2 letters (_square_free_line).  A square
-    starting later repeats one that starts n letters earlier, at the same
-    circular position; a whole-word square xx, |x| = n / 2, cannot start at
-    letter n - 1, but the word then has period n / 2, so every rotation,
-    the one at the first letter too, is a square.
-    """
+    at one of text's first n letters, n >= 2 (_circular_square_free)."""
     return re.compile(rf".{{0,{n - 1}}}?(.{{1,{n // 2}}})\1", re.DOTALL).match
+
+
+def _circular_square_free(text: str) -> bool:
+    """No square in the circular word text of n >= 2 letters, by one match.
+
+    The word is read from its second letter round to its last but one,
+    2n - 2 letters, which hold every circular factor of at most n letters
+    up to rotation; a half of at most n // 2 keeps a square inside n
+    letters.  Only the first n starts are tried, one per rotation
+    (_circular_squares): a square starting later repeats one that starts n
+    letters earlier, at the same circular position; a whole-word square xx,
+    |x| = n / 2, cannot start at letter n - 1, but the word then has period
+    n / 2, so every rotation, the one at the first letter too, is a square.
+    47 us for sigma(C60)'s word, against 72 us for a search from all
+    2n - 2 starts, timed alternately in one process.
+    """
+    return _circular_squares(len(text))(text[1:] + text[:-1]) is None
 
 
 def _square_free_line(g: Graph, cols) -> bool:
     """_square_factor(g, cols) is None, by one regex search.
 
-    The color word along g.line; on a cycle, read from its second vertex
-    round to its last but one, which holds every circular factor of at most
-    n vertices up to rotation, and a half of at most n // 2 keeps a square
-    inside n vertices.  On a cycle only the text's first n starts are
-    tried, one per rotation (_circular_squares): 47 us for sigma(C60)'s
-    word, against 72 us for a search from all 2n - 2, timed alternately in
-    one process.  A color chr cannot hold falls back to the scan.
+    The color word along g.line, circularly on a cycle
+    (_circular_square_free).  A color chr cannot hold falls back to the
+    scan.
     """
     n = g.n
     if n < 2:
@@ -548,7 +513,7 @@ def _square_free_line(g: Graph, cols) -> bool:
     except ValueError:  # a color of 0x110000 or more
         return _square_factor(g, cols) is None
     if g.shape == "cycle":
-        return _circular_squares(n)(text[1:] + text[:-1]) is None
+        return _circular_square_free(text)
     return _squares_upto(n // 2)(text) is None
 
 

@@ -7,6 +7,7 @@ published color tables can be copied in verbatim.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -145,6 +146,19 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidArgumentError("cycle needs at least three vertices")
     return _line_graph(n, True)
+
+
+def folds(g: Graph, cols) -> list:
+    """Whether each vertex's two neighbours along g.line share a color.
+
+    cols[v] is the color of vertex v.  The flags follow g.line: every
+    vertex of a cycle, from line[0], or the inner vertices of a path.  A
+    fold is the S of the SA word, a symmetrical vertex of the matching.
+    """
+    word = [cols[v] for v in g.line]
+    if g.shape == "cycle":
+        return list(map(operator.eq, word[-1:] + word[:-1], word[1:] + word[:1]))
+    return list(map(operator.eq, word, word[2:]))
 
 
 @dataclass(frozen=True)

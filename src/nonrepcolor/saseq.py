@@ -16,6 +16,7 @@ from .model import (
     Graph,
     InvalidArgumentError,
     Walk,
+    folds,
 )
 
 FORBIDDEN_WORDS = ("SS", "AAAA", "ASASA", "AASAASAA", "AAASAAASAAA")
@@ -57,9 +58,7 @@ def encode_sa(g: Graph, c: Coloring) -> str:
     word = c.sequence_of(g.line)
     if any(a == b for a, b in zip(word, word[1:])):
         raise InvalidArgumentError("SA encoding requires a proper coloring")
-    if g.shape == "cycle":
-        word = word[-1:] + word + word[:1]
-    return "".join("S" if a == b else "A" for a, b in zip(word, word[2:]))
+    return "".join(map("AS".__getitem__, folds(g, c.colors)))
 
 
 def decode_sa(word: str, graph_kind: str) -> Coloring:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import decide
-from .decide import _circular_squares, _squares_upto
+from .decide import _circular_square_free, _squares_upto
 from .model import Coloring, Graph, InvalidArgumentError
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -164,16 +164,14 @@ def _closing_squares(g, order, colors, word, rev, depth):
     15 of it along the cycle, arc[-15:] + arc[:16] of the reversed arc
     rev[depth], are searched first for a square of half-length at most 8:
     they are distinct vertices, so one found there is on the cycle.  Only
-    then is the whole circular word searched, sliced as
-    decide._square_free_line slices it, here from rev[depth]: that reads
-    the word reversed, and a reversed square is a square.  As there, the
-    search (decide._circular_squares) tries only the text's first n starts,
-    one per rotation.
+    then is the whole circular word searched (decide._circular_square_free),
+    here from rev[depth]: that reads the word reversed, and a reversed
+    square is a square.
     """
-    arc, n = rev[depth], g.n
-    if n >= 32 and _squares_upto(8)(arc[-15:] + arc[:16]):
+    arc = rev[depth]
+    if g.n >= 32 and _squares_upto(8)(arc[-15:] + arc[:16]):
         return False
-    return _circular_squares(n)(arc[1:] + arc[:-1]) is None
+    return _circular_square_free(arc)
 
 
 class _StrollPrefix:

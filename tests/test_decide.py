@@ -9,13 +9,13 @@ from hypothesis import given, settings
 
 from nonrepcolor import decide
 from nonrepcolor.construct import (
+    classify_edges,
     figure1_fixture,
     rho_path_coloring,
     sigma_cycle_coloring,
     table1_coloring,
 )
 from nonrepcolor.decide import (
-    _fold_seeds,
     _seeds,
     _square_factor,
     _square_path_dfs,
@@ -33,9 +33,11 @@ from nonrepcolor.model import (
     InvalidArgumentError,
     classify_walk,
     cycle_graph,
+    folds,
     is_repetitive,
     path_graph,
 )
+from nonrepcolor.saseq import encode_sa
 from nonrepcolor.search import Colorings, _proper
 
 from test_oracle import _colored, _small_graphs
@@ -520,25 +522,23 @@ def _same_starts(g, cols, allow_diagonal, seeds=None):
 
 
 def test_seeds_are_matched_pairs_below_the_diagonal():
-    """Every matched pair (u, w) with u < w, each vertex with the next
-    vertex of its color first."""
-    assert list(_seeds((1, 2, 1, 2, 1)))[:3] == [(0, 2), (2, 4), (1, 3)]
+    """Every matched pair (u, w) with u < w, once, class by class."""
+    assert list(_seeds((1, 2, 1, 2, 1))) == [(0, 2), (0, 4), (2, 4), (1, 3)]
     words = [(1, 2, 1, 2, 1), (3, 1, 3, 3, 2, 1, 1, 3, 2, 3)]
     words += [random.Random(s).choices((1, 2, 3, 4), k=30) for s in range(5)]
     for cols in words:
         seeds = list(_seeds(cols))
         pairs = {(u, w) for u, w in itertools.combinations(range(len(cols)), 2)
                  if cols[u] == cols[w]}
-        assert set(seeds) == pairs
-        nearest = {(u, w) for u, w in pairs if cols[u] not in cols[u + 1:w]}
-        assert set(seeds[:len(nearest)]) == nearest, cols
+        assert sorted(seeds) == sorted(pairs), cols
+        classes = [cols[u] for u, _ in seeds]
+        assert len(set(classes)) == len(list(itertools.groupby(classes)))
 
 
-def test_nearest_pairs_find_a_far_square_within_n_seeds(monkeypatch):
-    """A square near the far end of a long stroll certificate is rejected
-    after at most n seeds, not after about half of all matched pairs.  The
-    verdict route labels from _seeds; find_witness reads this abab off the
-    color word and draws none."""
+def test_far_abab_is_rejected_by_both_routes(monkeypatch):
+    """A square near the far end of a long stroll certificate is rejected.
+    The verdict route labels from _seeds; find_witness reads this abab off
+    the color word and draws none."""
     drawn = []
 
     def counted(cols, seeds=decide._seeds):
@@ -558,9 +558,11 @@ def test_nearest_pairs_find_a_far_square_within_n_seeds(monkeypatch):
         planted = Coloring.from_colors(cols)
         drawn.clear()
         assert not holds(path_graph(n), planted, "stroll")
-        assert 0 < len(drawn) <= n, (p, len(drawn))
+        assert drawn, p
+        drawn.clear()
         w = find_witness(path_graph(n), planted, "stroll")
         assert w.walk.vertices == (p, p + 1, p + 2, p + 3)
+        assert not drawn, p
 
 
 @pytest.mark.parametrize("allow_diagonal", [False, True])
@@ -681,14 +683,15 @@ def _witnesses(cases):
 
 
 def _same_as_labelled(cases, monkeypatch):
-    """find_witness on each (g, cols) gives what it gives with the color
-    word scan off, through the product labelling: of the band, with a
-    square, and with none, of every component, as the fold seeds alone
-    serve walks only once _short_bound has found no fold."""
+    """find_witness on each (g, cols) gives what it gives through a
+    labelling of every component from _seeds and a BFS from each accepting
+    start with no bound: _short_bound is made to find no short witness but
+    a fold, and _square_free_line no square, so that neither the band nor
+    the fold lemma is assumed."""
     cases = list(cases)
     short = _witnesses(cases)
-    monkeypatch.setattr(decide, "_short_bound", lambda *args: None)
-    monkeypatch.setattr(decide, "_fold_seeds", lambda g, cols: _seeds(cols))
+    monkeypatch.setattr(decide, "_short_bound", lambda *args: (None, [True]))
+    monkeypatch.setattr(decide, "_square_free_line", lambda *args: True)
     assert short == _witnesses(cases)
     return short
 
@@ -779,8 +782,8 @@ def test_stroll_fold_without_abab_is_labelled(monkeypatch):
 
     monkeypatch.setattr(decide, "accepting_starts", counted)
     c = Coloring.from_colors((1, 2, 3, 1, 3, 2, 1, 2, 3, 1, 2, 3))
-    assert decide._short_bound(path_graph(c.n), c.colors, False) is None
-    assert decide._short_bound(path_graph(c.n), c.colors, True) == 4
+    assert decide._short_bound(path_graph(c.n), c.colors, False)[0] is None
+    assert decide._short_bound(path_graph(c.n), c.colors, True)[0] == 4
     w = find_witness(path_graph(c.n), c, "stroll")
     assert calls and w.walk.vertices == (6, 7, 8, 9, 10, 11)
 
@@ -792,7 +795,7 @@ def test_short_bound_reads_round_the_cycle(n):
     g = cycle_graph(n)
     for word in itertools.product((1, 2, 3), repeat=n):
         for diagonal in (False, True):
-            bounds = {decide._short_bound(g, word[r:] + word[:r], diagonal)
+            bounds = {decide._short_bound(g, word[r:] + word[:r], diagonal)[0]
                       for r in range(n)}
             assert len(bounds) == 1, (word, diagonal, bounds)
 
@@ -803,10 +806,10 @@ def test_short_bound_large_colors(make_graph, big):
     """Colors are compared, never encoded: 10 (newline as chr), 300 (past a
     byte) and 0x110000 (past chr) bound like any other."""
     g = make_graph(6)
-    assert decide._short_bound(g, (big, 1, big, 2, 1, 2), True) == 4
-    assert decide._short_bound(g, (big, 1, big, 1, 2, 3), False) == 4
-    assert decide._short_bound(g, (1, big, big, 2, 1, 3), False) == 2
-    assert decide._short_bound(g, (big, 1, 2, big, 3, 2), False) is None
+    assert decide._short_bound(g, (big, 1, big, 2, 1, 2), True)[0] == 4
+    assert decide._short_bound(g, (big, 1, big, 1, 2, 3), False)[0] == 4
+    assert decide._short_bound(g, (1, big, big, 2, 1, 3), False)[0] == 2
+    assert decide._short_bound(g, (big, 1, 2, big, 3, 2), False)[0] is None
 
 
 @pytest.mark.parametrize("depth", range(3, 9))
@@ -865,16 +868,18 @@ def _straight_run(comp, pos, n, cyclic):
 ], ids=[*(f"P{n}" for n in range(1, 9)), *(f"C{n}" for n in range(3, 9)),
         "P7-relabelled", "C7-shuffled"])
 def test_fold_free_components_are_straight_runs(g):
-    """The lemma behind _fold_seeds, on every 3- and 4-coloring up to
-    renaming the colors (the folds, the product components, their
-    acceptance and the squares are all blind to color names), both modes.
+    """The lemma behind find_witness's square-free route, on every 3- and
+    4-coloring up to renaming the colors (the folds, the product
+    components, their acceptance and the squares are all blind to color
+    names), both modes.
 
     A component with no fold coordinate is a constant-difference or
     constant-sum run along g.line and accepts only if the color word holds
     a square; without a square the components through the seeds through a
     fold (and, for walks, the pair of each fold's neighbours, as (v, v)
-    moves to it) give every accepting start; and _fold_seeds gives the
-    stroll seeds, the ones find_witness labels from.
+    moves to it) give every accepting start; and a word with neither a
+    fold nor a square has no accepting start, so find_witness labels
+    nothing for it.
     """
     n, cyclic = g.n, g.is_cycle()
     pos = {v: i for i, v in enumerate(g.line)}
@@ -884,14 +889,14 @@ def test_fold_free_components_are_straight_runs(g):
             cols[v] = col
         cols = tuple(cols)
         folds = _folds(g, cols)
+        inner = g.line if cyclic else g.line[1:-1]
+        assert {v for v, f in zip(inner, decide.folds(g, cols)) if f} == folds
         square = _square_factor(g, cols) is not None
         for allow_diagonal in (False, True):
             seeds = {(u, w) for u, w in itertools.combinations(range(n), 2)
                      if cols[u] == cols[w] and (u in folds or w in folds)}
             if allow_diagonal:
                 seeds |= {tuple(sorted(g._adj[v])) for v in folds}
-            else:
-                assert _fold_seeds(g, cols) == seeds, word
             ref = set()
             for comp in _reference_components(g._adj, cols, allow_diagonal):
                 accepting = _reference_accepting(g._adj, comp)
@@ -903,6 +908,32 @@ def test_fold_free_components_are_straight_runs(g):
             if not square:
                 lists = accepting_starts(g, cols, allow_diagonal, seeds)
                 assert set().union(*lists) == ref, (word, allow_diagonal)
+                assert folds or not ref, (word, allow_diagonal)
+
+
+@pytest.mark.parametrize("g", [path_graph(1), path_graph(2), cycle_graph(3),
+                               P7_RELABELLED, C7_SHUFFLED, C12_SHUFFLED],
+                         ids=["P1", "P2", "C3", "P7-relabelled", "C7-shuffled",
+                              "C12-shuffled"])
+def test_folds_are_sa_letters_and_edge_classes(g):
+    """On every proper 3-coloring, folds along g.line are the vertices the
+    adjacency shows with two neighbours of one color, encode_sa's S
+    letters, and on an even cycle the symmetry behind classify_edges: a
+    matching edge is good iff neither end is a fold."""
+    inner = g.line if g.is_cycle() else g.line[1:-1]
+    count = 0
+    for c in Colorings(g, 3, (_proper,), symmetry_break=False):
+        flags = folds(g, c.colors)
+        assert {v for v, f in zip(inner, flags) if f} == _folds(g, c.colors)
+        assert flags == [ch == "S" for ch in encode_sa(g, c)], c.colors
+        if g.is_cycle() and g.n % 2 == 0:
+            good = [e.good for e in classify_edges(g, c)]
+            assert good == [not (flags[i] or flags[i + 1])
+                            for i in range(0, g.n, 2)], c.colors
+        count += 1
+    # the proper 3-colorings: 3 * 2^(n - 1) of a path, 2^n + 2(-1)^n of a cycle
+    assert count == (2 ** g.n + 2 * (-1) ** g.n if g.is_cycle()
+                     else 3 * 2 ** (g.n - 1))
 
 
 # The 4-color stroll certificate of P64 that bench/certs.json freezes:
@@ -939,23 +970,22 @@ def test_sigma_is_decided_without_labelling(n, monkeypatch):
 @pytest.mark.parametrize("off,n", [(0, 64), (3, 40), (20, 31), (42, 22)])
 def test_fold_route_on_rho_windows(off, n, monkeypatch):
     """A window of the frozen stroll certificate has folds but no square:
-    find_witness labels from the fold seeds alone and agrees with holds."""
+    find_witness labels from every seed, as holds does, and agrees with it."""
     word = RHO64_FROZEN[off:off + n]
     g, c = path_graph(n), Coloring.from_colors(word)
-    assert decide._short_bound(g, word, False) is None
+    assert decide._short_bound(g, word, False)[0] is None
     assert decide._square_free_line(g, word)
-    folds = _fold_seeds(g, word)
     drawn = _drawn_seeds(monkeypatch)
     assert find_witness(g, c, "stroll") is None
-    assert drawn and set(drawn) == folds
+    assert drawn == list(_seeds(word))
     drawn.clear()
     assert holds(g, c, "stroll")
-    assert set(drawn) == set(_seeds(word)) > folds
+    assert drawn == list(_seeds(word))
 
 
 def test_fold_route_finds_square_free_strolls(monkeypatch):
     """The square-free 3-colorings of line_witnesses.json have a stroll
-    witness through a fold, found from the fold seeds alone."""
+    witness through a fold, found by labelling from every seed."""
     with open(LINE_WITNESSES) as fh:
         cases = json.load(fh)["P3-square-free"]
     drawn = _drawn_seeds(monkeypatch)
@@ -967,7 +997,7 @@ def test_fold_route_finds_square_free_strolls(monkeypatch):
         drawn.clear()
         w = find_witness(g, Coloring.from_colors(word), "stroll")
         assert list(w.walk.vertices) == case["stroll"]
-        assert set(drawn) == _fold_seeds(g, word)
+        assert drawn == list(_seeds(word))
 
 
 def test_holds_reads_no_square_and_no_fold(monkeypatch):
@@ -987,7 +1017,7 @@ def test_holds_reads_no_square_and_no_fold(monkeypatch):
     def unused(*args):
         raise AssertionError("holds read the color word")
 
-    for name in ("_square_free_line", "_square_factor", "_fold_seeds",
+    for name in ("_square_free_line", "_square_factor", "folds",
                  "_short_bound"):
         monkeypatch.setattr(decide, name, unused)
     assert [holds(g, c, p) for g, c in cases for p in props] == expected

@@ -555,11 +555,11 @@ def test_closing_window_then_whole_word(n, monkeypatch):
 
     # the searches made: ("window", half-length bound), ("whole", n)
     searched = []
-    window, whole = search._squares_upto, search._circular_squares
+    window, whole = search._squares_upto, search._circular_square_free
     monkeypatch.setattr(search, "_squares_upto",
                         lambda h: searched.append(("window", h)) or window(h))
-    monkeypatch.setattr(search, "_circular_squares",
-                        lambda m: searched.append(("whole", m)) or whole(m))
+    monkeypatch.setattr(search, "_circular_square_free", lambda text:
+                        searched.append(("whole", len(text))) or whole(text))
     kinds = {"short": 0, "long": 0, "square-free": 0}
     for cols in leaves:
         square = _square_factor(g, cols)

@@ -5,10 +5,10 @@ data; longer cycles get a 4-coloring built by subdividing a matching of an
 even base cycle carrying a path-nonrepetitive 3-coloring, with the new
 vertices colored 4.  The base is Thue's square-free word with a searched
 tail that closes the cycle.  Stroll certificates for paths up to 21
-vertices come from one word, lemma 5's longest symmetry word decoded;
-longer paths take the cycle's walk-nonrepetitive 4-coloring.  Every
-constructed coloring is re-checked by the corresponding decider before it
-is returned.
+vertices come from one word, lemma 5's longest symmetry word decoded.
+decide.holds checks each certificate once: sigma's for walks on C_n, which
+also covers it as the stroll certificate of P_n and C_n, n >= 22
+(rho_path_coloring); the words of P3..P21 and C3..C21 for strolls.
 """
 
 from __future__ import annotations
@@ -53,6 +53,12 @@ WALK_NONREP_CYCLE_TABLE = {
 # longest word lemma 5 allows; its prefixes cover every shorter path
 STROLL_NONREP_P21 = saseq.decode_sa(saseq.LONGEST_H_FREE_WORD, "path").colors
 
+# minimum stroll-nonrepetitive colorings of C3..C8; C7's is a 6-vertex
+# stroll word plus a singleton color 4
+STROLL_NONREP_SMALL_CYCLES = {
+    3: (1, 2, 3), 4: (1, 2, 1, 3), 5: (1, 2, 1, 3, 4), 6: (2, 1, 2, 3, 1, 3),
+    7: STROLL_NONREP_P21[:6] + (4,), 8: (1, 2, 1, 3, 2, 1, 2, 3)}
+
 
 @dataclass(frozen=True)
 class EdgeClass:
@@ -88,6 +94,12 @@ def _require(ok: bool, fact: str) -> None:
     """Proof obligation of a construction; unlike assert, kept under -O."""
     if not ok:
         raise RuntimeError(f"proof obligation failed: {fact}")
+
+
+def _self_check(g: Graph, coloring: Coloring, prop: str) -> None:
+    """Raise unless decide.holds finds coloring prop-nonrepetitive on g."""
+    if not decide.holds(g, coloring, prop):
+        raise RuntimeError("constructed coloring failed self-verification")
 
 
 def table1_coloring(n: int):
@@ -178,8 +190,8 @@ def sigma_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     with k = ceil(n/3) (_base_coloring); drop m = 3k - n good matching
     edges; subdivide the remaining matching edges once, coloring the new
     vertices 4.  The result is checked by the full walk decider before
-    returning, which bounds n in practice: 0.2 s at n = 1,000 and 2.1 s at
-    3,000, 1.9 s of it that check (2-core Xeon, Python 3.11.7).
+    returning, which bounds n in practice: 0.15-0.2 s at n = 1,000 and
+    1.5-2.4 s at 3,000, most of it that check (2 cores, Python 3.11.7).
     """
     if n <= 21:
         raise InvalidArgumentError("subdivision construction applies for n > 21")
@@ -191,15 +203,12 @@ def sigma_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     classes = classify_edges(base_graph, base)
     good = [i for i, e in enumerate(classes) if e.good]
     removed = good[:m]
+    # the removed edges are drawn from the good ones, so every bad matching
+    # edge is kept: each symmetrical base vertex sits on a subdivided edge
     keep = [i for i in range(k) if i not in removed]
     g, coloring = subdivide_cycle(base, keep)
-    _require(g.n == n, f"subdivided cycle has {g.n} vertices, not {n}")
-    # symmetrical base vertices must all sit on a subdivided edge: every
-    # bad matching edge is kept
-    _require(all(classes[i].good for i in removed),
-             "symmetrical vertex left uncovered")
-    if not decide.holds(g, coloring, "walk"):
-        raise RuntimeError("constructed coloring failed self-verification")
+    _require(g.n == n, f"fewer than m = {m} matching edges are good")
+    _self_check(g, coloring, "walk")
     trace = ConstructionTrace(
         base_cycle_n=2 * k,
         base_coloring=base,
@@ -215,42 +224,39 @@ def rho_path_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     """Minimum-stroll certificate for the n-vertex path, using value colors.
 
     3 <= n <= 21 returns a prefix of the embedded 21-vertex word (two colors
-    suffice for n = 3, where any repetitive walk pins the middle vertex);
-    n >= 22 restricts sigma_cycle_coloring(n) to P_n, the value being 4 by
-    exhaustion of the 3-color case.  P_n is C_n less an edge, so each of its
-    walks is one of C_n, and a walk-nonrepetitive coloring has no
-    repetitive stroll.  The certificate is always re-checked.
+    suffice for n = 3, where any repetitive walk pins the middle vertex),
+    checked by the stroll decider.  n >= 22 returns sigma_cycle_coloring(n)
+    unchanged, 4 colors by exhaustion of the 3-color case, and sigma's walk
+    check covers it: each walk of P_n is one of C_n, and a repetitive stroll
+    is a nonboring repetitive walk (Barát and Wood, Electron. J. Combin. 15
+    (2008) R99).
     """
     if n < 3:
         raise InvalidArgumentError("need at least three vertices")
-    coloring = (Coloring.from_colors(STROLL_NONREP_P21[:n]) if n <= 21
-                else sigma_cycle_coloring(n, node_budget)[1])
-    if not decide.holds(path_graph(n), coloring, "stroll"):
-        raise RuntimeError("constructed coloring failed self-verification")
+    if n >= 22:
+        coloring = sigma_cycle_coloring(n, node_budget)[1]
+    else:
+        coloring = Coloring.from_colors(STROLL_NONREP_P21[:n])
+        _self_check(path_graph(n), coloring, "stroll")
     return coloring.k, coloring
 
 
 def rho_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     """Minimum-stroll certificate for the n-vertex cycle, using value colors.
 
-    Small cases carry the explicit colorings (two singleton colors for
-    n in {3, 4}; one repeated color for n = 5; dedicated words for 6 and 8;
-    a 6-vertex stroll word plus a singleton color 4 for n = 7).  For n >= 9
-    the walk-nonrepetitive 4-coloring also works, since walk-nonrepetitive
-    colorings have no repetitive stroll.
+    C3..C8 take STROLL_NONREP_SMALL_CYCLES, C9..C21 the walk-nonrepetitive
+    table, each checked by the stroll decider; n >= 22 returns
+    sigma_cycle_coloring(n) unchanged, its walk check covering strolls
+    (rho_path_coloring).
     """
     if n < 3:
         raise InvalidArgumentError("need at least three vertices")
-    small = {3: (1, 2, 3), 4: (1, 2, 1, 3), 5: (1, 2, 1, 3, 4),
-             6: (2, 1, 2, 3, 1, 3), 7: STROLL_NONREP_P21[:6] + (4,),
-             8: (1, 2, 1, 3, 2, 1, 2, 3)}
-    if n in small:
-        coloring = Coloring.from_colors(small[n])
+    if n >= 22:
+        coloring = sigma_cycle_coloring(n, node_budget)[1]
     else:
-        coloring = (table1_coloring(n) if n <= 21
-                    else sigma_cycle_coloring(n, node_budget))[1]
-    if not decide.holds(cycle_graph(n), coloring, "stroll"):
-        raise RuntimeError("constructed coloring failed self-verification")
+        coloring = (Coloring.from_colors(STROLL_NONREP_SMALL_CYCLES[n])
+                    if n <= 8 else table1_coloring(n)[1])
+        _self_check(cycle_graph(n), coloring, "stroll")
     return coloring.k, coloring
 
 

@@ -434,8 +434,7 @@ def _square_factor(g: Graph, cols) -> Optional[tuple]:
     at once, and its runs of t ones come from about log2(t) shift-ANDs
     (Baeza-Yates and Gonnet's shift-and).  So each half-length costs
     O(log t) operations on ints of the word's length, not a step per letter:
-    on Thue's square-free word of P5000 the scan takes 0.006-0.013 s, and
-    a bytes.find per half-length over a bytes eq_t took 0.49-0.62 s.  The
+    on Thue's square-free word of P5000 the scan takes 0.006-0.013 s.  The
     first t with a run is the least; the reverse of a square is a square,
     so each square found gives both directions as candidates.  On a cycle
     a square from i >= n is the one from i - n, vertex for vertex.
@@ -492,8 +491,7 @@ def _circular_square_free(text: str) -> bool:
     letters earlier, at the same circular position; a whole-word square xx,
     |x| = n / 2, cannot start at letter n - 1, but the word then has period
     n / 2, so every rotation, the one at the first letter too, is a square.
-    47 us for sigma(C60)'s word, against 72 us for a search from all
-    2n - 2 starts, timed alternately in one process.
+    47 us for sigma(C60)'s word.
     """
     return _circular_squares(len(text))(text[1:] + text[:-1]) is None
 

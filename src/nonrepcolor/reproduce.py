@@ -136,9 +136,9 @@ def claim_thm3(run):
         r = search.solve(cycle_graph(n), "stroll", 4)
         run.add(f"rho(C{n}) = {want}", not r.aborted and r.value == want,
                 f"got {r.value}")
-    for n, digits in ((6, "212313"), (8, "12132123")):
-        c = Coloring.from_digits(digits)
-        run.add(f"C{n} coloring {digits} is stroll-nonrepetitive",
+    for n in (6, 8):
+        c = Coloring.from_colors(construct.STROLL_NONREP_SMALL_CYCLES[n])
+        run.add(f"C{n} coloring {c.to_digits()} is stroll-nonrepetitive",
                 decide.holds(cycle_graph(n), c, "stroll"))
 
 

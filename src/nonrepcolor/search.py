@@ -410,16 +410,11 @@ def solve(g: Graph, property: str, k_max: int,
         cert, nodes, aborted = search_fixed_k(
             g, property, k, node_budget - total_nodes)
         total_nodes += nodes
-        if aborted:
-            return SolveReport(property, desc, None, None, exhausted,
-                               total_nodes, time.perf_counter() - t0,
-                               aborted=True, k_max=k_max,
-                               notes=[f"node budget exceeded at k={k}"])
-        if cert is not None:
-            return SolveReport(property, desc, k, cert, exhausted,
-                               total_nodes, time.perf_counter() - t0,
-                               k_max=k_max)
+        if aborted or cert is not None:
+            break
         exhausted.append(k)
-    return SolveReport(property, desc, None, None, exhausted, total_nodes,
-                       time.perf_counter() - t0, k_max=k_max,
-                       notes=[f"infeasible for all k <= {k_max}"])
+    notes = ([f"node budget exceeded at k={k}"] if aborted
+             else [f"infeasible for all k <= {k_max}"] if cert is None else [])
+    return SolveReport(property, desc, None if cert is None else k, cert,
+                       exhausted, total_nodes, time.perf_counter() - t0,
+                       aborted=aborted, k_max=k_max, notes=notes)

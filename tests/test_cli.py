@@ -386,11 +386,18 @@ class TestConstruct:
                          "--trace")
         assert code == 2
 
+    # above 21 vertices rho returns sigma's coloring, and its walk check is
+    # the one that fails; the path verdicts of sigma's base search still pass
+    @pytest.mark.parametrize("target,n", [
+        ("rho-cycle", "8"), ("rho-path", "22"), ("rho-cycle", "30")])
     def test_failed_self_verification_is_internal_error(self, capsys,
-                                                        monkeypatch):
-        monkeypatch.setattr(decide, "holds", lambda g, c, prop: False)
-        code, _, err = run(capsys, "construct", "rho-cycle", "--n", "8")
+                                                        monkeypatch, target, n):
+        real = decide.holds
+        monkeypatch.setattr(decide, "holds", lambda g, c, prop: (
+            prop == "path" and real(g, c, prop)))
+        code, _, err = run(capsys, "construct", target, "--n", n)
         assert code == 4 and "internal error" in err
+        assert "self-verification" in err
 
 
 class TestReproduce:

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from nonrepcolor import search
+from nonrepcolor import construct, decide, search
 from nonrepcolor.construct import (
     STROLL_NONREP_P21,
+    STROLL_NONREP_SMALL_CYCLES,
     WALK_NONREP_CYCLE_TABLE,
     classify_edges,
     figure1_fixture,
@@ -210,6 +211,65 @@ class TestSigmaCycle:
         with pytest.raises(search.BudgetExhausted):
             sigma_cycle_coloring(24, node_budget=5)
 
+    def test_too_few_good_edges_breaks_the_size_obligation(self, monkeypatch):
+        # the m = 2 edges left unsubdivided at n = 22 come from the good
+        # ones; with none good every edge is subdivided and C24 comes out
+        def all_bad(g, c):
+            line = g.line
+            return [construct.EdgeClass((line[i], line[i + 1]), False)
+                    for i in range(0, g.n, 2)]
+
+        monkeypatch.setattr(construct, "classify_edges", all_bad)
+        with pytest.raises(RuntimeError,
+                           match="fewer than m = 2 matching edges are good"):
+            sigma_cycle_coloring(22)
+
+
+class TestRestrictionLemma:
+    """sigma's walk check carries over to the rho certificates of n >= 22:
+    each walk of a subgraph is a walk of C_n, and a repetitive stroll is a
+    nonboring repetitive walk."""
+
+    @pytest.mark.parametrize("n", range(22, 41))
+    def test_sigma_is_stroll_nonrepetitive_on_cycle_and_paths(self, n):
+        _, c = sigma_cycle_coloring(n)
+        assert holds(cycle_graph(n), c, "stroll")
+        assert holds(path_graph(n), c, "stroll")
+        for m in range(1, n):
+            assert holds(path_graph(m), Coloring.from_colors(c.colors[:m]),
+                         "stroll"), m
+
+    @pytest.mark.parametrize("m", range(1, 22))
+    def test_p21_word_restricts_to_every_shorter_path(self, m):
+        c = Coloring.from_colors(STROLL_NONREP_P21[:m])
+        assert holds(path_graph(m), c, "stroll")
+
+    @pytest.mark.parametrize("build,shape", [
+        (rho_path_coloring, "path"), (rho_cycle_coloring, "cycle")])
+    @pytest.mark.parametrize("n", [3, 8, 9, 21, 22, 23, 30])
+    def test_one_self_check_per_certificate(self, monkeypatch, build, shape,
+                                            n):
+        # one product labelling per certificate.  n <= 21: the stroll word
+        # on its own graph; n >= 22: sigma's coloring comes back unchanged
+        # after its walk check on C_n.  The path verdicts are the base
+        # search's leaf checks, a regex search each.
+        calls = []
+        real = decide.holds
+
+        def counted(g, c, prop):
+            if prop != "path":
+                calls.append((g.shape, g.n, prop))
+            return real(g, c, prop)
+
+        monkeypatch.setattr(decide, "holds", counted)
+        value, c = build(n)
+        if n >= 22:
+            monkeypatch.setattr(decide, "holds", real)
+            assert calls == [("cycle", n, "walk")]
+            assert (value, c) == (4, sigma_cycle_coloring(n)[1])
+        else:
+            assert calls == [(shape, n, "stroll")]
+
 
 class TestRhoPath:
     def test_full_word(self):
@@ -247,6 +307,8 @@ class TestRhoCycle:
         value, c = rho_cycle_coloring(n)
         assert value == self.EXPECTED[n]
         assert exists_repetitive_stroll(cycle_graph(n), c) is None
+        if n <= 8:  # claim_thm3 reads the same words
+            assert c.colors == STROLL_NONREP_SMALL_CYCLES[n]
 
     def test_three_color_words(self):
         assert rho_cycle_coloring(6)[1].to_digits() == "212313"

@@ -15,36 +15,28 @@ coordinates maps each component onto one that accepts alike: only seeds
 (u, w) with u < w are labelled, once per mirror pair.
 
 find_witness builds the witness by BFS from the accepting start states
-alone, and on paths and cycles reads from the color word which components
-can hold one.  A witness of 2 or 4 vertices that the word shows (an edge
-joining equal colors; a fold u x w x, for walks; a factor abab, for
-strolls) bounds the witness at once, and the BFS runs from every
-color-matched state in its band with no labelling at all.  Otherwise the
-shortest square, if there is one, bounds the witness, and only the
-components through its band are labelled.  With no square, a word with no
-fold (a vertex whose neighbours share a color, model.folds) labels
-nothing, as a component with no fold state is a straight run that accepts
-only at a square, and a word with a fold labels every component, as off
-paths and cycles.
-The oracle module cross-validates this reduction empirically.
+alone.  On paths and cycles it first builds the color word along the line
+once, as one string (_line_text), and reads it only by regex searches: a
+witness of 2 or 4 vertices (an equal edge; a fold u x w x, for walks;
+abab, for strolls) bounds the BFS with no labelling; a word with neither
+a square nor a fold (a vertex whose neighbours share a color) has no
+witness, as its product components are straight runs; a square-free word
+with a fold labels every component; and the least square bounds the
+components labelled.  The oracle module cross-validates all of it.
 
 The path property is a bit-parallel scan of the color word for its least
-square on paths and cycles (_square_factor: per half-length, a few shifts,
-XORs and ANDs of ints that hold the word as bit-planes), and a DFS over
-simple paths on other graphs; its verdict alone, on paths and cycles, is
-one regex search of the color word, which on a cycle tries each rotation
-once.
+square on paths and cycles (_square_factor), and a DFS over simple paths
+on other graphs; its verdict alone, on paths and cycles, is one regex
+search of the same text, which on a cycle tries each rotation once.
 
 holds gives the verdict alone: the labelling stops at the first accepting
-component, and no witness is built.  It reads nothing off the color word,
-neither a short witness, a square nor a fold, so its stroll and walk
-verdicts rest on the labelling alone, independent of the shortcuts above.
-find_witness explains a failure.
+component, and no witness is built.  Its stroll and walk verdicts read
+nothing off the color word, so they rest on the labelling alone,
+independent of the shortcuts above.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,8 +50,6 @@ from .model import (
     Walk,
     WalkClass,
     classify_walk,
-    folds,
-    is_distance2,
 )
 
 PROPERTIES = ("path", "stroll", "walk")
@@ -218,27 +208,45 @@ def _band_seeds(g: Graph, cols, h: int):
                 yield (u, w) if u < w else (w, u)
 
 
-def _short_bound(g: Graph, cols, allow_diagonal: bool) -> tuple:
-    """(bound, fold): bound is 2 or 4, the vertices of a witness the color
-    word shows, else None; fold is folds(g, cols), read only past the
-    equal-edge test (None when an edge joins equal colors).
+# an edge joining equal colors, a fold u x w x, four letters abab
+_EQUAL_EDGE, _FOLD, _ABAB = (re.compile(p, re.DOTALL).search
+                             for p in (r"(.)\1", r"(.).\1", r"(.)(.)\1\2"))
 
-    The word is read along g.line, circularly on a cycle.  2 if an edge
-    joins equal colors (both properties); else 4 for walks if a vertex is a
-    fold (the walk u x w x over it), and for strolls if two vertices in a
-    row are folds, so that four in a row read abab.
+
+def _line_text(g: Graph, cols) -> str:
+    """The color word along g.line, one letter per vertex.
+
+    Colors that chr cannot hold (0x110000 or more) are renamed to their
+    ranks first: renaming makes or breaks no equal edge, fold or square.
     """
-    word = [cols[v] for v in g.line]
+    try:
+        return "".join([chr(cols[v]) for v in g.line])
+    except ValueError:
+        word = [cols[v] for v in g.line]
+        rank = {col: chr(i) for i, col in enumerate(sorted(set(word)))}
+        return "".join(map(rank.__getitem__, word))
+
+
+def _short_bound(g: Graph, text: str, allow_diagonal: bool) -> tuple:
+    """(bound, fold) for the color word text along g.line (_line_text),
+    read circularly on a cycle: bound is 2 or 4, the vertices of a witness
+    the word shows, else None; fold is whether a vertex's two neighbours
+    share a color, not read (None) past an equal edge.
+
+    2 if an edge joins equal colors (both properties); else 4 for walks if
+    the word has a fold (the walk u x w x over it), and for strolls if it
+    has four letters abab (two folds in a row).
+    """
+    n = len(text)
     cyclic = g.shape == "cycle"
-    if cyclic:
-        word.append(word[0])  # the closing edge
-    if any(map(operator.eq, word, word[1:])):
+    if cyclic:  # each letter's next three, round the cycle
+        text += text[:3]
+    if _EQUAL_EDGE(text, 0, n + cyclic):
         return 2, None
-    fold = folds(g, cols)
-    if allow_diagonal:
-        return (4 if any(fold) else None), fold
-    pairs = bytes(fold + fold[:1] if cyclic else fold)
-    return (4 if b"\1\1" in pairs else None), fold
+    fold = _FOLD(text, 0, n + 2 * cyclic) is not None
+    if allow_diagonal or not fold:
+        return (4 if fold else None), fold
+    return (4 if _ABAB(text, 0, n + 3 * cyclic) else None), True
 
 
 def _product_search(g: Graph, cols, allow_diagonal: bool):
@@ -250,46 +258,36 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
     when first(s_t) is adjacent to second(s_1), reconstructing the walk
     firsts + seconds of length 2t.
 
-    A walk v_1..v_2t with 2t <= L starts at (v_1, v_{t+1}), at most t <= L/2
-    apart along g.line.  On a path or cycle whose color word shows a witness
-    of L = 2 or 4 vertices (_short_bound: an edge joining equal colors, a
-    fold u x w x for walks, abab for strolls), nothing is labelled: every
-    color-matched state at most L/2 apart, in both orientations, and for
-    walks with L = 4 every (v, v), starts a BFS bounded at L.  Each witness
-    of at most L vertices starts at one of them, and a start that begins
-    none finds none within L/2 - 1 moves, so the least (2t, walk) is the
-    one the labelled route below gives.  With L = 4 no edge joins equal
-    colors, so once the best has 4 vertices no later start can beat it.
-
-    Otherwise accepting_starts labels the components from _seeds for the
-    accepting starts: off paths and cycles every one, and on a path or
-    cycle with no square (_square_free_line) every one if the word has a
-    fold (a vertex whose two neighbours share a color, model.folds), and
-    none if it has none.  Where neither coordinate of a state is a fold,
-    each one's two neighbours differ in color, so a move of one coordinate
-    fixes the other's; a state has at most two moves, ±(1, 1) along g.line
-    (keeping the difference) or ±(1, -1) (keeping the sum), and a fold-free
-    component is a straight run.  A constant-difference run of L states at
-    difference d accepts iff L >= d (L >= min(d, n - d) on a cycle), a
-    square of half-length d; a constant-sum run reaches adjacency only
-    through an equal edge, itself a square, or through the diagonal, which
-    needs a fold.  Walks come here only when _short_bound has found no
-    fold, so they label nothing.  With a square (the least, _square_factor)
-    of L vertices, the best witness has at most L, so only the components
-    through a seed at most L/2 apart (_band_seeds) are labelled, and their
-    starts in that band are kept, both orientations (accepting_starts
-    yields the mirror lists).  Explaining runs a BFS from each kept start,
-    in state order; it yields that start's shortest product walks, and
-    stops at the depth where its walks would be longer than L or than the
-    best found so far.
+    On a path or cycle the color word along g.line is built once, as one
+    string (_line_text), and only searched.  A walk v_1..v_2t with 2t <= L
+    starts at (v_1, v_{t+1}), at most L/2 apart along g.line.
+    - A witness of L = 2 or 4 vertices in the word (_short_bound): nothing
+      is labelled.  Every color-matched state at most L/2 apart, in both
+      orientations, and for walks with L = 4 every (v, v), starts a BFS
+      bounded at L; once the best has 4 vertices, no later start beats it.
+    - No square (_square_free_line) and no fold: None.  Where neither
+      coordinate of a state is a fold, a move of one fixes the other's, so
+      a fold-free component is a straight run along g.line of constant
+      difference d, accepting only at a square of half-length d, or of
+      constant sum, reaching adjacency only through an equal edge or the
+      diagonal, which needs a fold.  Walks with a fold have L = 4.
+    - No square and a fold: every component is labelled from _seeds, as
+      off paths and cycles.
+    - A square, the least of L vertices (_square_factor): only the
+      components through a seed at most L/2 apart (_band_seeds) are
+      labelled, and their starts in that band kept, both orientations.
+    Each kept start's BFS stops where its walks would be longer than L or
+    than the best so far.
 
     Returns the lexicographically smallest (2t, walk) over all start states,
     or None: the witness is shortest, ties break to the lowest starting
-    vertex and then the lexicographically smallest walk reconstructed from
-    the BFS.
+    vertex and then the lexicographically smallest walk.
     """
     adj, line = g._adj, g.line
-    bound, fold = _short_bound(g, cols, allow_diagonal) if line else (None, None)
+    bound = fold = None
+    if line:
+        text = _line_text(g, cols)
+        bound, fold = _short_bound(g, text, allow_diagonal)
     # with bound 4 no edge joins equal colors, so no witness is shorter
     shortest = 4 if bound == 4 else 2
     if bound is not None:  # every matched state in the band starts a BFS
@@ -297,10 +295,11 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
         starts.update([(w, u) for u, w in starts])
         if bound > 2 and allow_diagonal:  # a walk from (v, v) has 4 or more
             starts.update(zip(line, line))
-    elif not line or _square_free_line(g, cols):
-        # on a square-free line only a component through a fold can accept
-        seeds = _seeds(cols) if not line or any(fold) else ()
-        starts = set().union(*accepting_starts(g, cols, allow_diagonal, seeds))
+    elif not line or _square_free_line(g, text):
+        if line and not fold:
+            return None  # every component is a straight run with no square
+        starts = set().union(*accepting_starts(g, cols, allow_diagonal,
+                                               _seeds(cols)))
     else:  # no witness is longer than the square; its starts lie in the band
         bound = len(_square_factor(g, cols))
         band = set(_band_seeds(g, cols, bound // 2))
@@ -394,10 +393,8 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
     direction in g.neighbors(start) order.  On paths and cycles (g.line) a
     simple path is a factor of the color word, of the circular word on a
     cycle, and the check is _square_factor's bit-parallel scan for squares:
-    O(log n) operations on ints of about n bits per half-length; on Thue's
-    square-free word, 0.002-0.003 s at n = 2,000 and 0.006-0.013 s at
-    5,000.  On any other graph it is a DFS over simple paths, exponential in
-    general.
+    O(log n) operations on ints of about n bits per half-length.  On any
+    other graph it is a DFS over simple paths, exponential in general.
     """
     square = _square_path_dfs if g.shape == "graph" else _square_factor
     return _witness(g, c, "path", square)
@@ -433,9 +430,8 @@ def _square_factor(g: Graph, cols) -> Optional[tuple]:
     complement of the planes XORed with themselves shifted by t, for all j
     at once, and its runs of t ones come from about log2(t) shift-ANDs
     (Baeza-Yates and Gonnet's shift-and).  So each half-length costs
-    O(log t) operations on ints of the word's length, not a step per letter:
-    on Thue's square-free word of P5000 the scan takes 0.006-0.013 s.  The
-    first t with a run is the least; the reverse of a square is a square,
+    O(log t) operations on ints of the word's length, not a step per letter.
+    The first t with a run is the least; the reverse of a square is a square,
     so each square found gives both directions as candidates.  On a cycle
     a square from i >= n is the one from i - n, vertex for vertex.
     """
@@ -491,25 +487,17 @@ def _circular_square_free(text: str) -> bool:
     letters earlier, at the same circular position; a whole-word square xx,
     |x| = n / 2, cannot start at letter n - 1, but the word then has period
     n / 2, so every rotation, the one at the first letter too, is a square.
-    47 us for sigma(C60)'s word.
     """
     return _circular_squares(len(text))(text[1:] + text[:-1]) is None
 
 
-def _square_free_line(g: Graph, cols) -> bool:
-    """_square_factor(g, cols) is None, by one regex search.
-
-    The color word along g.line, circularly on a cycle
-    (_circular_square_free).  A color chr cannot hold falls back to the
-    scan.
-    """
+def _square_free_line(g: Graph, text: str) -> bool:
+    """_square_factor finds no square in the color word text along g.line
+    (_line_text), by one regex search; circularly on a cycle
+    (_circular_square_free)."""
     n = g.n
     if n < 2:
         return True
-    try:
-        text = "".join(map(chr, map(cols.__getitem__, g.line)))
-    except ValueError:  # a color of 0x110000 or more
-        return _square_factor(g, cols) is None
     if g.shape == "cycle":
         return _circular_square_free(text)
     return _squares_upto(n // 2)(text) is None
@@ -576,8 +564,8 @@ def holds(g: Graph, c: Coloring, property: str) -> bool:
     nonrepetitive iff distance-2 and path-nonrepetitive) in product form,
     and claim_hierarchy checks that characterization through holds, so it
     must not assume it.
-    Path on a path or cycle is one regex search of the color word for a
-    square (_square_free_line), not the per-half-length scan that finds
+    Path on a path or cycle is one regex search of the color word's text
+    (_line_text) for a square (_square_free_line), not the scan that finds
     the least witness; elsewhere it is the simple-path DFS.
     """
     if property not in PROPERTIES:
@@ -587,15 +575,21 @@ def holds(g: Graph, c: Coloring, property: str) -> bool:
     if property == "path":
         if g.shape == "graph":
             return _square_path_dfs(g, cols) is None
-        return _square_free_line(g, cols)
+        return _square_free_line(g, _line_text(g, cols))
     diagonal = property == "walk"
     starts = accepting_starts(g, cols, diagonal, _seeds(cols))
     return next(starts, None) is None
 
 
 def is_walk_nonrepetitive_cycle_fast(g: Graph, c: Coloring) -> bool:
-    """Cycle shortcut: walk-nonrepetitive iff distance-2 and path-nonrepetitive."""
+    """Cycle shortcut: walk-nonrepetitive iff distance-2 and path-nonrepetitive.
+
+    Both are read off the circular color word (_line_text): distance-2 is
+    no equal edge and no fold (_short_bound for walks finds no bound), then
+    the square verdict (_square_free_line).
+    """
     if not g.is_cycle():
         raise InvalidArgumentError("fast check applies to cycles only")
     _check_coloring(g, c)
-    return is_distance2(g, c) is None and holds(g, c, "path")
+    text = _line_text(g, c.colors)
+    return _short_bound(g, text, True)[0] is None and _square_free_line(g, text)

@@ -214,6 +214,20 @@ class TestVerify:
         assert json.loads(out)["witness"]["colors"] == want
 
 
+    @pytest.mark.parametrize("prop", ["path", "stroll", "walk"])
+    def test_colors_past_chr_json(self, capsys, tmp_path, prop):
+        """Colors of 0x110000 and more give the witness their ranks give,
+        printed in the colors of the file."""
+        big = [0x110000 + col for col in (1, 2, 3, 1, 2, 3, 4)]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(big))
+        code, out, _ = run(capsys, "verify", "cycle:7", "--colors-file",
+                           str(path), "--property", prop, "--json")
+        assert code == 1
+        assert json.loads(out)["witness"] == {
+            "walk": [0, 1, 2, 3, 4, 5], "colors": big[:6], "violated": prop}
+
+
 class TestSolve:
     def test_six_cycle_stroll_value(self, capsys):
         code, out, _ = run(capsys, "solve", "cycle:6",

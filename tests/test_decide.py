@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from nonrepcolor import decide
+from nonrepcolor import decide, model
 from nonrepcolor.construct import (
     classify_edges,
     figure1_fixture,
@@ -16,6 +16,7 @@ from nonrepcolor.construct import (
     table1_coloring,
 )
 from nonrepcolor.decide import (
+    PROPERTIES,
     _seeds,
     _square_factor,
     _square_path_dfs,
@@ -34,6 +35,7 @@ from nonrepcolor.model import (
     classify_walk,
     cycle_graph,
     folds,
+    is_distance2,
     is_repetitive,
     path_graph,
 )
@@ -286,11 +288,10 @@ def _whole_word_only(m, rng):
 @pytest.mark.parametrize("seed", range(2))
 def test_circular_square_search_matches_square_factor(seed):
     """The regex verdict on cycles tries the first n starts of its text:
-    it agrees with _square_factor on seeded cycles up to n = 80, and on
-    even n whose only square is the whole word."""
+    it agrees with _square_factor on seeded cycles up to n = 80, colors
+    past chr included, and on even n whose only square is the whole word."""
     rng = random.Random(seed)
-    words = [(n, word) for n, word in _seeded_line_words(rng, 600)
-             if n >= 3 and max(word) < 0x110000]  # chr holds every color
+    words = [(n, word) for n, word in _seeded_line_words(rng, 600) if n >= 3]
     words += [(2 * m, _whole_word_only(m, rng)) for m in range(2, 41)]
     free = 0
     for n, word in words:
@@ -298,7 +299,7 @@ def test_circular_square_search_matches_square_factor(seed):
             cols = [0] * n
             for v, col in zip(g.line, word):
                 cols[v] = col
-            ok = decide._square_free_line(g, cols)
+            ok = decide._square_free_line(g, decide._line_text(g, cols))
             assert ok == (_square_factor(g, cols) is None), word
             free += ok
     assert 0 < free < 2 * len(words)
@@ -321,6 +322,22 @@ class TestCycleFastCheck:
         with pytest.raises(InvalidArgumentError):
             is_walk_nonrepetitive_cycle_fast(
                 path_graph(4), Coloring.from_digits("1213"))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_cycle_fast_check_matches_distance2_and_path(n):
+    """The fast check reads distance-2 and squares off the circular word:
+    on every coloring of C_n over 1..4 it is is_distance2 plus the path
+    verdict of holds."""
+    g = cycle_graph(n)
+    valid = 0
+    for cols in itertools.product((1, 2, 3, 4), repeat=n):
+        c = Coloring(cols, 4)
+        want = is_distance2(g, c) is None and holds(g, c, "path")
+        assert is_walk_nonrepetitive_cycle_fast(g, c) == want, cols
+        valid += want
+    # result (i): sigma(C_n) = 4 for n >= 4 but n = 5, 7
+    assert (valid == 0) == (n in (5, 7))
 
 
 def _witness_checks(g, c, witness, prop):
@@ -690,7 +707,7 @@ def _same_as_labelled(cases, monkeypatch):
     the fold lemma is assumed."""
     cases = list(cases)
     short = _witnesses(cases)
-    monkeypatch.setattr(decide, "_short_bound", lambda *args: (None, [True]))
+    monkeypatch.setattr(decide, "_short_bound", lambda *args: (None, True))
     monkeypatch.setattr(decide, "_square_free_line", lambda *args: True)
     assert short == _witnesses(cases)
     return short
@@ -782,9 +799,11 @@ def test_stroll_fold_without_abab_is_labelled(monkeypatch):
 
     monkeypatch.setattr(decide, "accepting_starts", counted)
     c = Coloring.from_colors((1, 2, 3, 1, 3, 2, 1, 2, 3, 1, 2, 3))
-    assert decide._short_bound(path_graph(c.n), c.colors, False)[0] is None
-    assert decide._short_bound(path_graph(c.n), c.colors, True)[0] == 4
-    w = find_witness(path_graph(c.n), c, "stroll")
+    g = path_graph(c.n)
+    text = decide._line_text(g, c.colors)
+    assert decide._short_bound(g, text, False) == (None, True)
+    assert decide._short_bound(g, text, True) == (4, True)
+    w = find_witness(g, c, "stroll")
     assert calls and w.walk.vertices == (6, 7, 8, 9, 10, 11)
 
 
@@ -795,21 +814,121 @@ def test_short_bound_reads_round_the_cycle(n):
     g = cycle_graph(n)
     for word in itertools.product((1, 2, 3), repeat=n):
         for diagonal in (False, True):
-            bounds = {decide._short_bound(g, word[r:] + word[:r], diagonal)[0]
-                      for r in range(n)}
+            bounds = {decide._short_bound(
+                g, decide._line_text(g, word[r:] + word[:r]), diagonal)
+                for r in range(n)}
             assert len(bounds) == 1, (word, diagonal, bounds)
 
 
 @pytest.mark.parametrize("big", [10, 300, 0x110000])
 @pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
 def test_short_bound_large_colors(make_graph, big):
-    """Colors are compared, never encoded: 10 (newline as chr), 300 (past a
-    byte) and 0x110000 (past chr) bound like any other."""
+    """10 (newline, which the patterns match), 300 (past a byte) and
+    0x110000 (past chr, renamed to ranks) bound like any other color."""
     g = make_graph(6)
-    assert decide._short_bound(g, (big, 1, big, 2, 1, 2), True)[0] == 4
-    assert decide._short_bound(g, (big, 1, big, 1, 2, 3), False)[0] == 4
-    assert decide._short_bound(g, (1, big, big, 2, 1, 3), False)[0] == 2
-    assert decide._short_bound(g, (big, 1, 2, big, 3, 2), False)[0] is None
+
+    def bound(cols, diagonal):
+        return decide._short_bound(g, decide._line_text(g, cols), diagonal)[0]
+
+    assert bound((big, 1, big, 2, 1, 2), True) == 4
+    assert bound((big, 1, big, 1, 2, 3), False) == 4
+    assert bound((1, big, big, 2, 1, 3), False) == 2
+    assert bound((big, 1, 2, big, 3, 2), False) is None
+
+
+def _reference_short_bound(g, cols, allow_diagonal):
+    """_short_bound on a list: the color word along g.line, its equal edges
+    by operator.eq and its folds by model.folds, circularly on a cycle."""
+    word = [cols[v] for v in g.line]
+    cyclic = g.shape == "cycle"
+    if cyclic:
+        word.append(word[0])  # the closing edge
+    if any(map(operator.eq, word, word[1:])):
+        return 2, None
+    fold = folds(g, cols)
+    if allow_diagonal:
+        return (4 if any(fold) else None), fold
+    pairs = bytes(fold + fold[:1] if cyclic else fold)
+    return (4 if b"\1\1" in pairs else None), fold
+
+
+def _same_short_bound(g, cols):
+    """The text bound of cols on g, both modes, is the list bound; returns
+    the bounds."""
+    text = decide._line_text(g, cols)
+    bounds = []
+    for diagonal in (False, True):
+        bound, fold = _reference_short_bound(g, cols, diagonal)
+        want = bound, None if fold is None else any(fold)
+        assert decide._short_bound(g, text, diagonal) == want, (cols, diagonal)
+        bounds.append(bound)
+    return bounds
+
+
+@pytest.mark.parametrize("g", [*map(path_graph, range(1, 10)),
+                               *map(cycle_graph, range(3, 10))],
+                         ids=[*(f"P{n}" for n in range(1, 10)),
+                              *(f"C{n}" for n in range(3, 10))])
+def test_short_bound_matches_reference_exhaustive(g):
+    """Every word over 1..3: the same bound and fold as the list reads."""
+    for cols in itertools.product((1, 2, 3), repeat=g.n):
+        _same_short_bound(g, cols)
+
+
+def test_short_bound_matches_reference_seeded():
+    """Seeded 4- and 5-color words up to n = 60, on paths, cycles and
+    relabelled lines, with 10, 300 and 0x110000 among the colors: mostly
+    square-free, some with a square of half-length 1 or 2 copied in."""
+    rng = random.Random(25)
+    seen = set()
+    for i in range(300):
+        n, k = rng.randint(1, 60), 4 + i % 2
+        word = _random_square_free(n, k, rng)
+        if n >= 4 and rng.random() < 0.4:
+            t = rng.randint(1, 2)
+            p = rng.randrange(n - 2 * t + 1)
+            word[p + t:p + 2 * t] = word[p:p + t]
+        names = rng.sample([10, 300, 0x110000, *range(1, 6)], k)
+        word = [names[col - 1] for col in word]
+        graphs = [path_graph(n), _relabelled_line(n, False, rng)]
+        if n >= 3:
+            graphs += [cycle_graph(n), _relabelled_line(n, True, rng)]
+        for g in graphs:
+            cols = [0] * n
+            for v, col in zip(g.line, word):
+                cols[v] = col
+            seen.update(_same_short_bound(g, cols))
+    assert seen == {2, 4, None}
+
+
+# One word of each kind, over colors chr cannot hold: an equal edge, a fold,
+# a square (abcabc, no fold) and none of these (five colors, as C7 has no
+# walk-nonrepetitive 4-coloring).
+PAST_CHR = 0x110000
+PAST_CHR_WORDS = {"equal edge": "abbcdab", "fold": "abacdbc",
+                  "square": "abcabcd", "none": "abcdabe"}
+
+
+@pytest.mark.parametrize("kind", PAST_CHR_WORDS)
+@pytest.mark.parametrize("g", [path_graph(7), cycle_graph(7), P7_RELABELLED],
+                         ids=["P7", "C7", "P7-relabelled"])
+def test_colors_past_chr_give_the_renamed_witnesses(g, kind):
+    """find_witness on colors of 0x110000 and more gives, for each
+    property, the witness of the same word renamed to 1..5."""
+    letters = PAST_CHR_WORDS[kind]
+    small, large = [0] * g.n, [0] * g.n
+    for v, ch in zip(g.line, letters):
+        small[v] = "abcde".index(ch) + 1
+        large[v] = PAST_CHR + small[v] * 7
+
+    def witnesses(cols):
+        c = Coloring.from_colors(cols)
+        return [w and (w.walk.vertices, w.violated)
+                for w in (find_witness(g, c, prop) for prop in PROPERTIES)]
+
+    found = witnesses(large)
+    assert found == witnesses(small)
+    assert any(found) == (kind != "none"), found
 
 
 @pytest.mark.parametrize("depth", range(3, 9))
@@ -890,7 +1009,7 @@ def test_fold_free_components_are_straight_runs(g):
         cols = tuple(cols)
         folds = _folds(g, cols)
         inner = g.line if cyclic else g.line[1:-1]
-        assert {v for v, f in zip(inner, decide.folds(g, cols)) if f} == folds
+        assert {v for v, f in zip(inner, model.folds(g, cols)) if f} == folds
         square = _square_factor(g, cols) is not None
         for allow_diagonal in (False, True):
             seeds = {(u, w) for u, w in itertools.combinations(range(n), 2)
@@ -958,13 +1077,16 @@ def _drawn_seeds(monkeypatch):
 @pytest.mark.parametrize("n", [22, 47, 90, 300])
 def test_sigma_is_decided_without_labelling(n, monkeypatch):
     """sigma(C_n) and its restriction to P_n have no fold and no square:
-    find_witness labels no state for either property."""
+    find_witness never calls accepting_starts for either property."""
     _, c = sigma_cycle_coloring(n)
-    drawn = _drawn_seeds(monkeypatch)
+
+    def unused(*args):
+        raise AssertionError("accepting_starts called")
+
+    monkeypatch.setattr(decide, "accepting_starts", unused)
     for g in (cycle_graph(n), path_graph(n)):
         for prop in ("stroll", "walk"):
             assert find_witness(g, c, prop) is None, (g.shape, prop)
-    assert drawn == []
 
 
 @pytest.mark.parametrize("off,n", [(0, 64), (3, 40), (20, 31), (42, 22)])
@@ -973,8 +1095,9 @@ def test_fold_route_on_rho_windows(off, n, monkeypatch):
     find_witness labels from every seed, as holds does, and agrees with it."""
     word = RHO64_FROZEN[off:off + n]
     g, c = path_graph(n), Coloring.from_colors(word)
-    assert decide._short_bound(g, word, False)[0] is None
-    assert decide._square_free_line(g, word)
+    text = decide._line_text(g, word)
+    assert decide._short_bound(g, text, False) == (None, True)
+    assert decide._square_free_line(g, text)
     drawn = _drawn_seeds(monkeypatch)
     assert find_witness(g, c, "stroll") is None
     assert drawn == list(_seeds(word))
@@ -993,7 +1116,7 @@ def test_fold_route_finds_square_free_strolls(monkeypatch):
         line = case["line"]
         g = Graph.from_edges(len(line), list(zip(line, line[1:])))
         word = tuple(int(ch) for ch in case["colors"])
-        assert decide._square_free_line(g, word)
+        assert decide._square_free_line(g, decide._line_text(g, word))
         drawn.clear()
         w = find_witness(g, Coloring.from_colors(word), "stroll")
         assert list(w.walk.vertices) == case["stroll"]
@@ -1017,7 +1140,7 @@ def test_holds_reads_no_square_and_no_fold(monkeypatch):
     def unused(*args):
         raise AssertionError("holds read the color word")
 
-    for name in ("_square_free_line", "_square_factor", "folds",
-                 "_short_bound"):
+    for name in ("_square_free_line", "_square_factor", "_short_bound",
+                 "_line_text"):
         monkeypatch.setattr(decide, name, unused)
     assert [holds(g, c, p) for g, c in cases for p in props] == expected

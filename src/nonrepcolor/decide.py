@@ -18,11 +18,14 @@ find_witness builds the witness by BFS from the accepting start states
 alone.  On paths and cycles it first builds the color word along the line
 once, as one string (_line_text), and reads it only by regex searches: a
 witness of 2 or 4 vertices (an equal edge; a fold u x w x, for walks;
-abab, for strolls) bounds the BFS with no labelling; a word with neither
-a square nor a fold (a vertex whose neighbours share a color) has no
-witness, as its product components are straight runs; a square-free word
-with a fold labels every component; and the least square bounds the
-components labelled.  The oracle module cross-validates all of it.
+abab, for strolls) is read off the word; a word with no fold (a vertex
+whose neighbours share a color) has straight-run product components, so
+its witness is the least square, or None.  A walk with a fold has a
+witness of 4 vertices, so only strolls with a fold and no abab are
+labelled, and graphs that are not lines: a square-free word labels every
+component; with a square, only the components through a state with a fold
+coordinate, within the band the least square bounds, are labelled.  The
+oracle module cross-validates all of it.
 
 The path property is a bit-parallel scan of the color word for its least
 square on paths and cycles (_square_factor), and a DFS over simple paths
@@ -41,6 +44,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, filterfalse, repeat
+from operator import itemgetter
 from typing import Optional
 
 from .model import (
@@ -197,32 +201,30 @@ def _seeds(cols):
     return chain.from_iterable(map(combinations, classes.values(), repeat(2)))
 
 
-def _band_seeds(g: Graph, cols, h: int):
-    """The seeds at most h apart along g.line, circularly on a cycle."""
-    line, n, cyclic = g.line, g.n, g.shape == "cycle"
-    for d in range(1, h + 1):
-        far = line[d:] + line[:d] if cyclic else line[d:]
-        # on a cycle of 2d vertices, (line[i], line[i + d]) once
-        for u, w in zip(line[:n // 2] if 2 * d == n else line, far):
-            if cols[u] == cols[w]:
-                yield (u, w) if u < w else (w, u)
-
-
-# an edge joining equal colors, a fold u x w x, four letters abab
+# an edge joining equal colors, a fold u x w x, four letters abab; as
+# lookaheads, every one, overlapping ones too
 _EQUAL_EDGE, _FOLD, _ABAB = (re.compile(p, re.DOTALL).search
                              for p in (r"(.)\1", r"(.).\1", r"(.)(.)\1\2"))
+_EQUAL_EDGES, _FOLDS, _ABABS = (re.compile(p, re.DOTALL).finditer for p in (
+    r"(?=(.)\1)", r"(?=(.).\1)", r"(?=(.)(.)\1\2)"))
 
 
 def _line_text(g: Graph, cols) -> str:
     """The color word along g.line, one letter per vertex.
 
+    Colors below 256 are read off as bytes, in C; larger ones by chr.
     Colors that chr cannot hold (0x110000 or more) are renamed to their
     ranks first: renaming makes or breaks no equal edge, fold or square.
     """
+    line = g.line
+    word = itemgetter(*line)(cols) if len(line) > 1 else (cols[line[0]],)
     try:
-        return "".join([chr(cols[v]) for v in g.line])
+        return bytes(word).decode("latin-1")
+    except ValueError:  # a color of 256 or more
+        pass
+    try:
+        return "".join(map(chr, word))
     except ValueError:
-        word = [cols[v] for v in g.line]
         rank = {col: chr(i) for i, col in enumerate(sorted(set(word)))}
         return "".join(map(rank.__getitem__, word))
 
@@ -249,6 +251,57 @@ def _short_bound(g: Graph, text: str, allow_diagonal: bool) -> tuple:
     return (4 if _ABAB(text, 0, n + 3 * cyclic) else None), True
 
 
+def _short_witness(g: Graph, text: str, bound: int, allow_diagonal: bool):
+    """The best witness of bound (_short_bound) vertices in the color word
+    text along g.line, read by regex at every start, circularly on a cycle.
+
+    2: the least (u, w), either orientation, over the equal edges.  4: the
+    least over the abab factors, read forward and reversed, and for walks
+    over the fold walks (x, u, x, w) and (u, x, w, x), either order of u and
+    w, at each fold x whose neighbours along g.line are u and w.  On a line
+    these are all the walks of 2 and 4 vertices that repeat.
+    """
+    line, n = g.line, len(text)
+    cyclic = g.shape == "cycle"
+    if cyclic:  # each letter's next three, round the cycle
+        line += line[:3]
+        text += text[:3]
+    if bound == 2:
+        edges = (line[m.start():m.start() + 2]
+                 for m in _EQUAL_EDGES(text, 0, n + cyclic))
+        return min((min(e), max(e)) for e in edges)
+    walks = []
+    for m in _ABABS(text, 0, n + 3 * cyclic):
+        seg = line[m.start():m.start() + 4]
+        walks.append(min(seg, seg[::-1]))
+    if allow_diagonal:
+        for m in _FOLDS(text, 0, n + 2 * cyclic):
+            u, x, w = line[m.start():m.start() + 3]
+            if u > w:
+                u, w = w, u
+            # the least of the four; x != u, as x ~ u
+            walks.append((x, u, x, w) if x < u else (u, x, w, x))
+    return min(walks)
+
+
+def _fold_seeds(g: Graph, text: str, h: int):
+    """The seeds at most h apart along g.line, circularly on a cycle, with a
+    fold (a vertex whose two neighbours share a color) as a coordinate; text
+    is the color word along g.line (_line_text), h at most g.n // 2."""
+    line, n = g.line, len(text)
+    cyclic = g.shape == "cycle"
+    for m in _FOLDS(text + text[:2] if cyclic else text):
+        i = (m.start() + 1) % n  # the fold, between two letters alike
+        x, col = line[i], text[i]
+        lo, hi = i - h, i + h + 1
+        if not cyclic:
+            lo, hi = max(lo, 0), min(hi, n)
+        for j in range(lo, hi):
+            if j != i and text[j % n] == col:
+                y = line[j % n]
+                yield (x, y) if x < y else (y, x)
+
+
 def _product_search(g: Graph, cols, allow_diagonal: bool):
     """Find the best repetitive stroll (or nonboring walk) via product BFS.
 
@@ -261,54 +314,71 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
     On a path or cycle the color word along g.line is built once, as one
     string (_line_text), and only searched.  A walk v_1..v_2t with 2t <= L
     starts at (v_1, v_{t+1}), at most L/2 apart along g.line.
-    - A witness of L = 2 or 4 vertices in the word (_short_bound): nothing
-      is labelled.  Every color-matched state at most L/2 apart, in both
-      orientations, and for walks with L = 4 every (v, v), starts a BFS
-      bounded at L; once the best has 4 vertices, no later start beats it.
-    - No square (_square_free_line) and no fold: None.  Where neither
+    - A witness of 2 or 4 vertices in the word (_short_bound): it is read
+      off the word (_short_witness), with nothing labelled.
+    - No fold (no vertex whose neighbours share a color): where neither
       coordinate of a state is a fold, a move of one fixes the other's, so
       a fold-free component is a straight run along g.line of constant
       difference d, accepting only at a square of half-length d, or of
       constant sum, reaching adjacency only through an equal edge or the
-      diagonal, which needs a fold.  Walks with a fold have L = 4.
-    - No square and a fold: every component is labelled from _seeds, as
-      off paths and cycles.
-    - A square, the least of L vertices (_square_factor): only the
-      components through a seed at most L/2 apart (_band_seeds) are
-      labelled, and their starts in that band kept, both orientations.
+      diagonal, which needs a fold.  So the witness is the least square
+      (_square_factor), or None if the word has no square
+      (_square_free_line).
+    Walks with a fold have a witness of 4 vertices, so only strolls with a
+    fold and no abab, and graphs that are not lines, are labelled:
+    - no square: every component, from _seeds, as off paths and cycles;
+    - a square, the least of L vertices (_least_squares): a witness that
+      beats it passes a state with a fold coordinate, all its states at
+      most L/2 apart, so only the components through such a seed
+      (_fold_seeds) are labelled, and their starts at most L/2 apart kept,
+      both orientations.  A least square whose start is in none of them
+      is taken as it is: every walk of at most L vertices from that start
+      passes no fold state, so the BFS would find that square alone.
     Each kept start's BFS stops where its walks would be longer than L or
-    than the best so far.
+    than the best so far; on that last route, where walks are bounded,
+    it skips a start farther apart than half the bound, and a state whose
+    first vertex is too far along g.line to reach the start's second
+    vertex's neighbours within the bound.
 
     Returns the lexicographically smallest (2t, walk) over all start states,
     or None: the witness is shortest, ties break to the lowest starting
     vertex and then the lexicographically smallest walk.
     """
     adj, line = g._adj, g.line
-    bound = fold = None
+    bound = squares = seeds = None
     if line:
         text = _line_text(g, cols)
         bound, fold = _short_bound(g, text, allow_diagonal)
-    # with bound 4 no edge joins equal colors, so no witness is shorter
-    shortest = 4 if bound == 4 else 2
-    if bound is not None:  # every matched state in the band starts a BFS
-        starts = set(_band_seeds(g, cols, bound // 2))
-        starts.update([(w, u) for u, w in starts])
-        if bound > 2 and allow_diagonal:  # a walk from (v, v) has 4 or more
-            starts.update(zip(line, line))
-    elif not line or _square_free_line(g, text):
-        if line and not fold:
-            return None  # every component is a straight run with no square
-        starts = set().union(*accepting_starts(g, cols, allow_diagonal,
-                                               _seeds(cols)))
-    else:  # no witness is longer than the square; its starts lie in the band
-        bound = len(_square_factor(g, cols))
-        band = set(_band_seeds(g, cols, bound // 2))
-        # no (v, v) is kept: strolls have none, and walks come here with no
-        # fold, so none shares a component with a seed
-        labelled = set().union(*accepting_starts(g, cols, allow_diagonal, band))
-        starts = [s for s in labelled if (min(s), max(s)) in band]
-    if not starts:
-        return None
+        if bound is not None:
+            return _short_witness(g, text, bound, allow_diagonal)
+        if not _square_free_line(g, text):
+            squares = _least_squares(g, cols)
+            if not fold:
+                return min(squares)
+            # no witness is longer than the square, and one that beats it
+            # passes a fold state, all its states at most bound / 2 apart
+            bound = len(squares[0])
+            seeds = _fold_seeds(g, text, bound // 2)
+        elif not fold:
+            return None
+    if seeds is None:
+        seeds = _seeds(cols)
+    starts = set().union(*accepting_starts(g, cols, allow_diagonal, seeds))
+    square = apart = None  # square: the least square no kept start finds
+    if squares:
+        h = bound // 2
+        # a square from a labelled start is left to its BFS; from any other,
+        # on a straight run, the BFS would find that square alone
+        square = min(((bound, w) for w in squares
+                      if (w[0], w[h]) not in starts), default=None)
+        pos = {v: i for i, v in enumerate(line)}
+        span = len(line) if g.shape == "cycle" else 2 * len(line)
+
+        def apart(u, w):  # along g.line; on a path span - d > d
+            d = abs(pos[u] - pos[w])
+            return min(d, span - d)
+
+        starts = [s for s in starts if apart(*s) <= h]
 
     best = None  # (length, walk tuple)
     for s0 in sorted(starts):
@@ -317,8 +387,10 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
         # vertex, only a strictly shorter walk can be better
         longest = (bound if best is None else
                    best[0] if a == best[1][0] else best[0] - 2)
-        if longest is not None and longest < shortest:
-            break  # best is shortest, and every later start is past it
+        if longest is not None and longest < 2:
+            break  # no witness is shorter, and every later start is past it
+        if apart and 2 * apart(a, b) > longest:
+            continue  # a walk of 2t vertices starts at most t apart
         start_bit = a != b  # always set for strolls: no diagonal states
         # BFS over (state, off_diagonal_seen)
         pred = {(s0, start_bit): None}
@@ -341,6 +413,8 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
                             continue
                         if u2 == w2 and not allow_diagonal:
                             continue
+                        if apart and apart(u2, b) > longest // 2 - d:
+                            continue  # too far to reach the link in time
                         node = ((u2, w2), bit or u2 != w2)
                         if node in pred:
                             continue
@@ -362,7 +436,9 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
             cand = (len(walk), walk)
             if best is None or cand < best:
                 best = cand
-    return best[1]
+    if square is not None and (best is None or square < best):
+        best = square
+    return None if best is None else best[1]
 
 
 def _witness(g: Graph, c: Coloring, violated: str, search, *args):
@@ -421,7 +497,15 @@ def _bit_planes(word) -> list:
 
 
 def _square_factor(g: Graph, cols) -> Optional[tuple]:
-    """The witness of exists_repetitive_path on a path or cycle, or None.
+    """The witness of exists_repetitive_path on a path or cycle, or None:
+    the least of _least_squares."""
+    squares = _least_squares(g, cols)
+    return min(squares) if squares else None
+
+
+def _least_squares(g: Graph, cols) -> list:
+    """The squares of least length in the color word along g.line, as walks
+    in both directions, or [] if it has none.
 
     The color word is read along g.line, doubled on a cycle so that factors
     may wrap, and held as bit-planes, one int per bit of the colors.  A
@@ -456,8 +540,8 @@ def _square_factor(g: Graph, cols) -> Optional[tuple]:
                 run &= run - 1
                 seg = line[i:i + 2 * t]
                 squares += (seg, seg[::-1])
-            return min(squares)
-    return None
+            return squares
+    return []
 
 
 @lru_cache(maxsize=128)

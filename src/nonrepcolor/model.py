@@ -220,13 +220,17 @@ class Walk:
         return len(self.vertices)
 
     def validate(self, g: Graph) -> None:
-        vs = self.vertices
-        for v in vs:
-            if not (0 <= v < g.n):
-                raise InvalidWalkError(f"vertex {v} not in graph")
-        for a, b in zip(vs, vs[1:]):
-            if not g.adjacent(a, b):
-                raise InvalidWalkError(f"vertices {a} and {b} are not adjacent")
+        """Raise on the first vertex not in g, else on the first step that
+        is no edge of g.  The passing case iterates in C: the least and
+        greatest vertex, then each step's end in g's neighbour tuple of its
+        start."""
+        vs, adj = self.vertices, g._adj
+        if not 0 <= min(vs) <= max(vs) < g.n:
+            v = next(v for v in vs if not 0 <= v < g.n)
+            raise InvalidWalkError(f"vertex {v} not in graph")
+        if not all(map(operator.contains, map(adj.__getitem__, vs), vs[1:])):
+            a, b = next((a, b) for a, b in zip(vs, vs[1:]) if b not in adj[a])
+            raise InvalidWalkError(f"vertices {a} and {b} are not adjacent")
 
 
 @dataclass(frozen=True)
@@ -260,8 +264,9 @@ def classify_walk(g: Graph, c: Coloring, w: Walk) -> WalkClass:
     if even:
         first, second = vs[:t], vs[t:]
         boring = first == second
-        stroll = all(a != b for a, b in zip(first, second))
-        repetitive = c.sequence_of(first) == c.sequence_of(second)
+        stroll = not any(map(operator.eq, first, second))
+        color = c.colors.__getitem__
+        repetitive = [*map(color, first)] == [*map(color, second)]
     else:
         boring = stroll = False
         repetitive = None

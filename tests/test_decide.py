@@ -199,9 +199,15 @@ def test_path_verdict_large_colors(make_graph, cols, path_free, cycle_free):
 
 
 def _reference_square_factor(g, cols):
-    """_square_factor as a scan per half-length: eq[i] = (word[i] ==
+    """The least of _reference_least_squares, or None."""
+    squares = _reference_least_squares(g, cols)
+    return min(squares) if squares else None
+
+
+def _reference_least_squares(g, cols):
+    """_least_squares as a scan per half-length: eq[i] = (word[i] ==
     word[i + t]), one bytes.find per run of t ones, starts below n on a
-    cycle; the least of both directions of every square at the first t."""
+    cycle; both directions of every square at the first t, or []."""
     n, line, cyclic = g.n, g.line, g.shape == "cycle"
     if cyclic:
         line += line
@@ -217,8 +223,8 @@ def _reference_square_factor(g, cols):
             squares += (seg, seg[::-1])
             i = eq.find(run, i + 1, end)
         if squares:
-            return min(squares)
-    return None
+            return squares
+    return []
 
 
 # mixed into small colors: 10 is "\n", and from 256 on the planes are built
@@ -255,8 +261,9 @@ def _relabelled_line(n, cyclic, rng):
 @pytest.mark.parametrize("seed", range(4))
 def test_square_factor_matches_reference(seed):
     """The bit-parallel scan gives the least square of the scan per
-    half-length on seeded words up to n = 80, on paths, cycles and lines
-    whose vertex ids are shuffled, with both plane builders."""
+    half-length, and every square of that length in both directions
+    (_least_squares), on seeded words up to n = 80, on paths, cycles and
+    lines whose vertex ids are shuffled, with both plane builders."""
     rng = random.Random(seed)
     halves, large = set(), 0
     for n, word in _seeded_line_words(rng, 400):
@@ -270,6 +277,8 @@ def test_square_factor_matches_reference(seed):
                 cols[v] = col
             square = _square_factor(g, cols)
             assert square == _reference_square_factor(g, cols), (g.line, cols)
+            assert set(decide._least_squares(g, cols)) == \
+                set(_reference_least_squares(g, cols)), (g.line, cols)
             halves.add(square and len(square) // 2)
     assert 0 < large < 400
     assert None in halves and max(halves - {None}) >= 10
@@ -772,20 +781,120 @@ def test_short_bound_keeps_witnesses_on_c12_shuffled(monkeypatch):
     _same_as_labelled(((g, c.colors) for c in colorings), monkeypatch)
 
 
+@pytest.mark.parametrize("g", [*map(path_graph, range(3, 8)),
+                               *map(cycle_graph, range(3, 8))],
+                         ids=[*(f"P{n}" for n in range(3, 8)),
+                              *(f"C{n}" for n in range(3, 8))])
+def test_short_bound_keeps_witnesses_four_colors(g, monkeypatch):
+    """Every 4-coloring, stroll and walk: the same witness as the labelled
+    route."""
+    _same_as_labelled(((g, cols) for cols in
+                       itertools.product((1, 2, 3, 4), repeat=g.n)), monkeypatch)
+
+
+def _planted_sigma(rng):
+    """sigma(C22..C72) with a square of half-length 2..8 copied in, once on
+    C_n (round the cycle) and once on P_n."""
+    for n in range(22, 73):
+        _, sigma = sigma_cycle_coloring(n)
+        for t in range(2, 9):
+            for g in (cycle_graph(n), path_graph(n)):
+                word = list(sigma.colors)
+                p = rng.randrange(n if g.is_cycle() else n - 2 * t + 1)
+                for j in range(t):
+                    word[(p + t + j) % n] = word[(p + j) % n]
+                yield g, tuple(word)
+
+
+def test_short_bound_keeps_witnesses_on_planted_sigma(monkeypatch):
+    """sigma's words with a planted square: the same witness as the labelled
+    route, many of them through the fold-free square route."""
+    cases = list(_planted_sigma(random.Random(26)))
+    fold_free = [(g, cols) for g, cols in cases if decide._short_bound(
+        g, decide._line_text(g, cols), True) == (None, False)]
+    assert len(fold_free) > len(cases) // 10
+    found = _same_as_labelled(cases, monkeypatch)
+    assert all(found)
+
+
+@pytest.mark.parametrize("names", [(10, 1, 2), (10, 0x110000, 0x110007)],
+                         ids=["newline", "past-chr"])
+@pytest.mark.parametrize("g", [path_graph(6), cycle_graph(6), P7_RELABELLED],
+                         ids=["P6", "C6", "P7-relabelled"])
+def test_short_bound_keeps_witnesses_large_colors(g, names, monkeypatch):
+    """Every word over three colors among 10 (newline, which the patterns
+    must match: DOTALL) and colors chr cannot hold (renamed to ranks): the
+    equal edges, abab factors and folds are read at every start as over
+    1..3, with the same witness as the labelled route."""
+    words = [tuple(names[col] for col in word)
+             for word in itertools.product(range(3), repeat=g.n)]
+    _same_as_labelled(((g, cols) for cols in words), monkeypatch)
+
+
+class _NoAdjacency:
+    def __getitem__(self, v):
+        raise AssertionError("the product graph was read")
+
+
+def _line_only(g):
+    """g with its line and shape, but an adjacency that raises on every read:
+    neither accepting_starts nor the witness BFS can run on it."""
+    assert g.line and g.shape != "graph"  # both cached, read from g's edges
+    h = object.__new__(Graph)
+    vars(h).update(vars(g), _adj=_NoAdjacency())
+    return h
+
+
+def _fold_free_sigma_square(n):
+    """sigma(C_n) with its first square of half-length 3 copied in that
+    leaves no equal edge and no fold round the cycle."""
+    _, sigma = sigma_cycle_coloring(n)
+    g = cycle_graph(n)
+    for p in range(n - 6):
+        word = list(sigma.colors)
+        word[p + 3:p + 6] = word[p:p + 3]
+        if decide._short_bound(g, decide._line_text(g, word), True) == \
+                (None, False):
+            return tuple(word)
+
+
+SIGMA47_SQUARE = _fold_free_sigma_square(47)
+
+
 @pytest.mark.parametrize("prop,cols,walk", [
     ("stroll", (1, 2, 3, 3, 1), (2, 3)),
     ("walk", (1, 2, 3, 3, 1), (2, 3)),
     ("walk", (1, 2, 3, 1, 3, 2), (2, 3, 4, 3)),
     ("stroll", (1, 2, 3, 2, 3, 1), (1, 2, 3, 4)),
+    ("stroll", SIGMA47_SQUARE, _square_factor(path_graph(47), SIGMA47_SQUARE)),
+    ("walk", SIGMA47_SQUARE, _square_factor(path_graph(47), SIGMA47_SQUARE)),
 ])
 def test_short_bound_skips_the_labelling(prop, cols, walk, monkeypatch):
-    """An equal edge, a walk fold or a stroll abab: no labelling at all."""
+    """An equal edge, a walk fold, a stroll abab or a square with no fold:
+    the witness is read off the color word, with neither the labelling nor
+    the BFS over product states."""
     def unused(*args):
         raise AssertionError("accepting_starts called")
 
     monkeypatch.setattr(decide, "accepting_starts", unused)
-    w = find_witness(path_graph(len(cols)), Coloring.from_colors(cols), prop)
+    g = path_graph(len(cols))
+    assert decide._product_search(_line_only(g), cols, prop == "walk") == walk
+    w = find_witness(g, Coloring.from_colors(cols), prop)
     assert w.walk.vertices == walk
+
+
+@pytest.mark.parametrize("g", [
+    *map(path_graph, range(1, 9)), *map(cycle_graph, range(3, 9)),
+    P7_RELABELLED, C7_SHUFFLED,
+], ids=[*(f"P{n}" for n in range(1, 9)), *(f"C{n}" for n in range(3, 9)),
+        "P7-relabelled", "C7-shuffled"])
+def test_walks_on_lines_skip_the_labelling(g):
+    """Every 3-coloring: a walk witness on a path or cycle is read off the
+    color word, with neither the labelling nor the BFS over product states,
+    whatever the word shows."""
+    h = _line_only(g)
+    for cols in itertools.product((1, 2, 3), repeat=g.n):
+        decide._product_search(h, cols, True)
 
 
 def test_stroll_fold_without_abab_is_labelled(monkeypatch):
@@ -805,6 +914,61 @@ def test_stroll_fold_without_abab_is_labelled(monkeypatch):
     assert decide._short_bound(g, text, True) == (4, True)
     w = find_witness(g, c, "stroll")
     assert calls and w.walk.vertices == (6, 7, 8, 9, 10, 11)
+
+
+@pytest.mark.parametrize("g", [
+    *map(path_graph, range(1, 9)), *map(cycle_graph, range(3, 9)),
+    P7_RELABELLED, C7_SHUFFLED,
+], ids=[*(f"P{n}" for n in range(1, 9)), *(f"C{n}" for n in range(3, 9)),
+        "P7-relabelled", "C7-shuffled"])
+def test_fold_seeds_are_the_band_seeds_through_a_fold(g):
+    """Every 3-coloring and every h up to n // 2: _fold_seeds gives the
+    color-matched pairs at most h apart along g.line (round the cycle)
+    with a fold, read from g's edges, as a coordinate; each as (u, w) with
+    u < w."""
+    n, pos = g.n, {v: i for i, v in enumerate(g.line)}
+
+    def apart(u, w):
+        d = abs(pos[u] - pos[w])
+        return min(d, n - d) if g.is_cycle() else d
+
+    for cols in itertools.product((1, 2, 3), repeat=n):
+        text, fold = decide._line_text(g, cols), _folds(g, cols)
+        for h in range(1, n // 2 + 1):
+            seeds = list(decide._fold_seeds(g, text, h))
+            assert all(u < w for u, w in seeds), (cols, h)
+            assert set(seeds) == {
+                (u, w) for u, w in itertools.combinations(range(n), 2)
+                if cols[u] == cols[w] and apart(u, w) <= h
+                and (u in fold or w in fold)}, (cols, h)
+
+
+def test_fold_square_route_labels_through_folds(monkeypatch):
+    """Strolls on words with a fold, a square and no abab: only seeds with
+    a fold as a coordinate are labelled, and the witness is the labelled
+    route's (_same_as_labelled), on seeded planted words and sigma's."""
+    rng = random.Random(27)
+    cases = []
+    for n in range(4, 41):
+        for g in (path_graph(n), cycle_graph(n)):
+            cases += [(g, word) for word in _planted_words(rng, n, g.is_cycle(), 12)]
+    cases += _planted_sigma(rng)
+    route = []
+    for g, cols in cases:
+        text = decide._line_text(g, cols)
+        if decide._short_bound(g, text, False) == (None, True) and \
+                not decide._square_free_line(g, text):
+            route.append((g, cols))
+    assert len(route) > 100
+    drawn, labelled = _drawn_seeds(monkeypatch), 0
+    for g, cols in route:
+        drawn.clear()
+        find_witness(g, Coloring.from_colors(cols), "stroll")
+        fold = _folds(g, cols)
+        assert all(u in fold or w in fold for u, w in drawn), cols
+        labelled += bool(drawn)
+    assert 0 < labelled < len(route)  # a fold may have no seed in the band
+    _same_as_labelled(route, monkeypatch)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -981,20 +1145,38 @@ def _straight_run(comp, pos, n, cyclic):
     return False
 
 
+def _least_accepted_walk(adj, comp, starts):
+    """The least (2t, walk) over the accepted nonboring product walks in comp
+    from starts, every product walk enumerated, shortest first."""
+    best = None
+    for s0 in starts:
+        walks = [(s0,)]
+        while walks and (best is None or 2 * len(walks[0]) <= best[0]):
+            for seq in walks:
+                if seq[-1][0] in adj[s0[1]] and any(u != w for u, w in seq):
+                    walk = tuple(u for u, _ in seq) + tuple(w for _, w in seq)
+                    best = min(best or (len(walk), walk), (len(walk), walk))
+            walks = [seq + (s,) for seq in walks for s in itertools.product(
+                adj[seq[-1][0]], adj[seq[-1][1]]) if s in comp]
+    return best
+
+
 @pytest.mark.parametrize("g", [
     *map(path_graph, range(1, 9)), *map(cycle_graph, range(3, 9)),
     P7_RELABELLED, C7_SHUFFLED,
 ], ids=[*(f"P{n}" for n in range(1, 9)), *(f"C{n}" for n in range(3, 9)),
         "P7-relabelled", "C7-shuffled"])
 def test_fold_free_components_are_straight_runs(g):
-    """The lemma behind find_witness's square-free route, on every 3- and
+    """The lemma behind find_witness's fold-free routes, on every 3- and
     4-coloring up to renaming the colors (the folds, the product
     components, their acceptance and the squares are all blind to color
     names), both modes.
 
     A component with no fold coordinate is a constant-difference or
     constant-sum run along g.line and accepts only if the color word holds
-    a square; without a square the components through the seeds through a
+    a square; so in a word with no fold the least accepted walk is the
+    least square (_square_factor), which find_witness returns with nothing
+    labelled; without a square the components through the seeds through a
     fold (and, for walks, the pair of each fold's neighbours, as (v, v)
     moves to it) give every accepting start; and a word with neither a
     fold nor a square has no accepting start, so find_witness labels
@@ -1016,7 +1198,7 @@ def test_fold_free_components_are_straight_runs(g):
                      if cols[u] == cols[w] and (u in folds or w in folds)}
             if allow_diagonal:
                 seeds |= {tuple(sorted(g._adj[v])) for v in folds}
-            ref = set()
+            ref, least = set(), []
             for comp in _reference_components(g._adj, cols, allow_diagonal):
                 accepting = _reference_accepting(g._adj, comp)
                 ref |= accepting
@@ -1024,6 +1206,10 @@ def test_fold_free_components_are_straight_runs(g):
                     continue
                 assert _straight_run(comp, pos, n, cyclic), (word, comp)
                 assert square or not accepting, (word, comp)
+                if accepting:
+                    least.append(_least_accepted_walk(g._adj, comp, accepting))
+            if square and not folds:
+                assert min(least)[1] == _square_factor(g, cols), (word, least)
             if not square:
                 lists = accepting_starts(g, cols, allow_diagonal, seeds)
                 assert set().union(*lists) == ref, (word, allow_diagonal)

@@ -181,6 +181,48 @@ class TestClassifyWalk:
         with pytest.raises(InvalidWalkError):
             classify_walk(g, c, Walk((0, 2)))
 
+    @pytest.mark.parametrize("vertices,message", [
+        ((1, 5, 2, 9), "vertex 5 not in graph"),
+        ((1, -1, 2), "vertex -1 not in graph"),
+        ((0, 1, 3, 0, 2), "vertices 1 and 3 are not adjacent"),
+        ((4, 3, 2, 0), "vertices 2 and 0 are not adjacent"),
+    ])
+    def test_validate_names_the_first_fault(self, vertices, message):
+        """Range first, then adjacency, each reported at its first fault."""
+        with pytest.raises(InvalidWalkError, match=f"^{message}$"):
+            Walk(vertices).validate(cycle_graph(5))
+
+    @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(4),
+                                   Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])],
+                             ids=["P4", "C4", "star"])
+    def test_flags_match_their_definitions(self, g):
+        """Every vertex sequence of 1..6 vertices under two colorings: it is
+        a walk iff every step is an edge, and the flags are the walk's
+        halves compared vertex by vertex and color by color."""
+        for cols in ((1, 2, 1, 2), (1, 2, 3, 1)):
+            c = Coloring(cols, 3)
+            for m in range(1, 7):
+                for vs in itertools.product(range(4), repeat=m):
+                    is_walk = all((min(a, b), max(a, b)) in g.edges
+                                  for a, b in zip(vs, vs[1:]))
+                    if not is_walk:
+                        with pytest.raises(InvalidWalkError):
+                            classify_walk(g, c, Walk(vs))
+                        continue
+                    wc = classify_walk(g, c, Walk(vs))
+                    t = m // 2
+                    first, second = vs[:t], vs[t:]
+                    assert wc.even_length == (m % 2 == 0)
+                    assert wc.simple_path == (len(set(vs)) == m)
+                    if m % 2:
+                        assert wc.repetitive is None and not wc.boring
+                        assert not wc.stroll
+                        continue
+                    assert wc.boring == (first == second)
+                    assert wc.stroll == all(a != b for a, b in zip(first, second))
+                    assert wc.repetitive == (
+                        [cols[v] for v in first] == [cols[v] for v in second])
+
 
 class TestDistance2:
     def test_four_cycle_rainbow(self):

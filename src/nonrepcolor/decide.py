@@ -16,21 +16,26 @@ coordinates maps each component onto one that accepts alike: only seeds
 
 find_witness builds the witness by BFS from the accepting start states
 alone.  On paths and cycles it first builds the color word along the line
-once, as one string (_line_text), and reads it only by regex searches: a
-witness of 2 or 4 vertices (an equal edge; a fold u x w x, for walks;
-abab, for strolls) is read off the word; a word with no fold (a vertex
-whose neighbours share a color) has straight-run product components, so
-its witness is the least square, or None.  A walk with a fold has a
-witness of 4 vertices, so only strolls with a fold and no abab are
-labelled, and graphs that are not lines: a square-free word labels every
-component; with a square, only the components through a state with a fold
-coordinate, within the band the least square bounds, are labelled.  The
-oracle module cross-validates all of it.
+once, as one string (_line_text; colors of 256 or more are renamed to
+their ranks), and every read of the word takes that text, circular on a
+cycle (_circular).  Three readers do the reading:
+- _short_witness: a witness of 2 or 4 vertices (an equal edge; a fold
+  u x w x, for walks; abab, for strolls), and whether the word has a fold
+  (a vertex whose neighbours share a color);
+- _square_free_line: the one square verdict, one regex search, which on a
+  cycle tries each rotation once;
+- _least_squares: a bit-parallel scan of the text for its least squares.
+A word with no fold has straight-run product components, so its witness
+is the least square, or None.  A walk with a fold has a witness of 4
+vertices, so only strolls with a fold and no abab are labelled, and graphs
+that are not lines: a square-free word labels every component; with a
+square, only the components through a state with a fold coordinate,
+within the band the least square bounds, are labelled.  The oracle module
+cross-validates all of it.
 
-The path property is a bit-parallel scan of the color word for its least
-square on paths and cycles (_square_factor), and a DFS over simple paths
-on other graphs; its verdict alone, on paths and cycles, is one regex
-search of the same text, which on a cycle tries each rotation once.
+The path property's witness is the least square on paths and cycles, and
+a DFS over simple paths on other graphs; its verdict alone, on paths and
+cycles, is the square verdict.
 
 holds gives the verdict alone: the labelling stops at the first accepting
 component, and no witness is built.  Its stroll and walk verdicts read
@@ -212,85 +217,75 @@ _EQUAL_EDGES, _FOLDS, _ABABS = (re.compile(p, re.DOTALL).finditer for p in (
 def _line_text(g: Graph, cols) -> str:
     """The color word along g.line, one letter per vertex.
 
-    Colors below 256 are read off as bytes, in C; larger ones by chr.
-    Colors that chr cannot hold (0x110000 or more) are renamed to their
-    ranks first: renaming makes or breaks no equal edge, fold or square.
+    Colors below 256 are read off as bytes, in C.  If any is larger, every
+    color is renamed to its rank first: renaming makes or breaks no equal
+    edge, fold or square.
     """
     line = g.line
     word = itemgetter(*line)(cols) if len(line) > 1 else (cols[line[0]],)
     try:
         return bytes(word).decode("latin-1")
     except ValueError:  # a color of 256 or more
-        pass
-    try:
-        return "".join(map(chr, word))
-    except ValueError:
         rank = {col: chr(i) for i, col in enumerate(sorted(set(word)))}
         return "".join(map(rank.__getitem__, word))
 
 
-def _short_bound(g: Graph, text: str, allow_diagonal: bool) -> tuple:
-    """(bound, fold) for the color word text along g.line (_line_text),
-    read circularly on a cycle: bound is 2 or 4, the vertices of a witness
-    the word shows, else None; fold is whether a vertex's two neighbours
-    share a color, not read (None) past an equal edge.
-
-    2 if an edge joins equal colors (both properties); else 4 for walks if
-    the word has a fold (the walk u x w x over it), and for strolls if it
-    has four letters abab (two folds in a row).
-    """
+def _circular(g: Graph, text: str) -> tuple:
+    """(line, text, ends) for the color word text along g.line (_line_text):
+    g.line and text with their first three letters appended on a cycle, so
+    that factors may wrap, and the end positions of searches for factors of
+    2, 3 and 4 letters that try each start once, round the cycle."""
     n = len(text)
-    cyclic = g.shape == "cycle"
-    if cyclic:  # each letter's next three, round the cycle
-        text += text[:3]
-    if _EQUAL_EDGE(text, 0, n + cyclic):
-        return 2, None
-    fold = _FOLD(text, 0, n + 2 * cyclic) is not None
-    if allow_diagonal or not fold:
-        return (4 if fold else None), fold
-    return (4 if _ABAB(text, 0, n + 3 * cyclic) else None), True
+    if g.shape != "cycle":
+        return g.line, text, (n, n, n)
+    return g.line + g.line[:3], text + text[:3], (n + 1, n + 2, n + 3)
 
 
-def _short_witness(g: Graph, text: str, bound: int, allow_diagonal: bool):
-    """The best witness of bound (_short_bound) vertices in the color word
-    text along g.line, read by regex at every start, circularly on a cycle.
+def _short_witness(g: Graph, text: str, allow_diagonal: bool) -> tuple:
+    """(walk, fold) for the color word text along g.line (_line_text), read
+    by regex, circularly on a cycle: walk is the best witness of 2 or 4
+    vertices the word shows, else None; fold is whether a vertex's two
+    neighbours share a color, not read (None) past an equal edge.
 
-    2: the least (u, w), either orientation, over the equal edges.  4: the
-    least over the abab factors, read forward and reversed, and for walks
-    over the fold walks (x, u, x, w) and (u, x, w, x), either order of u and
-    w, at each fold x whose neighbours along g.line are u and w.  On a line
-    these are all the walks of 2 and 4 vertices that repeat.
+    2 if an edge joins equal colors (both properties): the least (u, w),
+    either orientation, over the equal edges.  Else 4 for walks if the word
+    has a fold, and for strolls if it has four letters abab (two folds in a
+    row): the least over the abab factors, read forward and reversed, and
+    for walks over the fold walks (x, u, x, w) and (u, x, w, x), either
+    order of u and w, at each fold x whose neighbours along g.line are u
+    and w.  On a line these are all the walks of 2 and 4 vertices that
+    repeat.  Every start is read only once a search has found a witness.
     """
-    line, n = g.line, len(text)
-    cyclic = g.shape == "cycle"
-    if cyclic:  # each letter's next three, round the cycle
-        line += line[:3]
-        text += text[:3]
-    if bound == 2:
+    line, text, (two, three, four) = _circular(g, text)
+    if _EQUAL_EDGE(text, 0, two):
         edges = (line[m.start():m.start() + 2]
-                 for m in _EQUAL_EDGES(text, 0, n + cyclic))
-        return min((min(e), max(e)) for e in edges)
+                 for m in _EQUAL_EDGES(text, 0, two))
+        return min((min(e), max(e)) for e in edges), None
+    if not _FOLD(text, 0, three):
+        return None, False
+    if not allow_diagonal and not _ABAB(text, 0, four):
+        return None, True
     walks = []
-    for m in _ABABS(text, 0, n + 3 * cyclic):
+    for m in _ABABS(text, 0, four):
         seg = line[m.start():m.start() + 4]
         walks.append(min(seg, seg[::-1]))
     if allow_diagonal:
-        for m in _FOLDS(text, 0, n + 2 * cyclic):
+        for m in _FOLDS(text, 0, three):
             u, x, w = line[m.start():m.start() + 3]
             if u > w:
                 u, w = w, u
             # the least of the four; x != u, as x ~ u
             walks.append((x, u, x, w) if x < u else (u, x, w, x))
-    return min(walks)
+    return min(walks), True
 
 
 def _fold_seeds(g: Graph, text: str, h: int):
     """The seeds at most h apart along g.line, circularly on a cycle, with a
     fold (a vertex whose two neighbours share a color) as a coordinate; text
     is the color word along g.line (_line_text), h at most g.n // 2."""
-    line, n = g.line, len(text)
-    cyclic = g.shape == "cycle"
-    for m in _FOLDS(text + text[:2] if cyclic else text):
+    n, cyclic = len(text), g.shape == "cycle"
+    line, text, (_, three, _) = _circular(g, text)
+    for m in _FOLDS(text, 0, three):
         i = (m.start() + 1) % n  # the fold, between two letters alike
         x, col = line[i], text[i]
         lo, hi = i - h, i + h + 1
@@ -314,15 +309,15 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
     On a path or cycle the color word along g.line is built once, as one
     string (_line_text), and only searched.  A walk v_1..v_2t with 2t <= L
     starts at (v_1, v_{t+1}), at most L/2 apart along g.line.
-    - A witness of 2 or 4 vertices in the word (_short_bound): it is read
-      off the word (_short_witness), with nothing labelled.
+    - A witness of 2 or 4 vertices in the word: it is read off the word
+      (_short_witness), with nothing labelled.
     - No fold (no vertex whose neighbours share a color): where neither
       coordinate of a state is a fold, a move of one fixes the other's, so
       a fold-free component is a straight run along g.line of constant
       difference d, accepting only at a square of half-length d, or of
       constant sum, reaching adjacency only through an equal edge or the
       diagonal, which needs a fold.  So the witness is the least square
-      (_square_factor), or None if the word has no square
+      (_least_squares), or None if the word has no square
       (_square_free_line).
     Walks with a fold have a witness of 4 vertices, so only strolls with a
     fold and no abab, and graphs that are not lines, are labelled:
@@ -348,11 +343,11 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
     bound = squares = seeds = None
     if line:
         text = _line_text(g, cols)
-        bound, fold = _short_bound(g, text, allow_diagonal)
-        if bound is not None:
-            return _short_witness(g, text, bound, allow_diagonal)
-        if not _square_free_line(g, text):
-            squares = _least_squares(g, cols)
+        walk, fold = _short_witness(g, text, allow_diagonal)
+        if walk:
+            return walk
+        if not _square_free_line(text, g.shape == "cycle"):
+            squares = _least_squares(g, text)
             if not fold:
                 return min(squares)
             # no witness is longer than the square, and one that beats it
@@ -426,13 +421,13 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
         # reconstruct all accepted product walks at minimal distance and
         # keep the lexicographically smallest resulting walk
         for node in accepted:
-            chain = []
+            trail = []
             cur = node
             while cur is not None:
-                chain.append(cur[0])
+                trail.append(cur[0])
                 cur = pred[cur]
-            chain.reverse()
-            walk = tuple(s[0] for s in chain) + tuple(s[1] for s in chain)
+            trail.reverse()
+            walk = tuple(s[0] for s in trail) + tuple(s[1] for s in trail)
             cand = (len(walk), walk)
             if best is None or cand < best:
                 best = cand
@@ -468,62 +463,60 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
     lexicographically least vertex sequence: lowest start vertex, then the
     direction in g.neighbors(start) order.  On paths and cycles (g.line) a
     simple path is a factor of the color word, of the circular word on a
-    cycle, and the check is _square_factor's bit-parallel scan for squares:
-    O(log n) operations on ints of about n bits per half-length.  On any
-    other graph it is a DFS over simple paths, exponential in general.
+    cycle, and the check is the bit-parallel scan of its text for the least
+    squares (_least_squares): O(log n) operations on ints of about n bits
+    per half-length.  On any other graph it is a DFS over simple paths,
+    exponential in general.
     """
-    square = _square_path_dfs if g.shape == "graph" else _square_factor
-    return _witness(g, c, "path", square)
+    if g.shape == "graph":
+        return _witness(g, c, "path", _square_path_dfs)
+    return _witness(g, c, "path", lambda g, cols: min(
+        _least_squares(g, _line_text(g, cols)), default=None))
 
 
 # _BIT_TABLES[b] maps a byte to b"1" if its bit b is set, else to b"0"
 _BIT_TABLES = [bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8)]
 
 
-def _bit_planes(word) -> list:
-    """The colors of word as bit-planes: bit i of plane b is bit b of word[i].
+def _bit_planes(text: str) -> list:
+    """The letters of text as bit-planes: bit i of plane b is bit b of
+    text[i]'s code.
 
-    Colors below 256 take one bytes.translate per plane; larger ones a plain
-    loop.  int(·, 2) reads its first digit as the top bit, hence the reversal.
+    Codes below 256, the text of at most 256 colors, take one
+    bytes.translate per plane; larger ones a plain loop.  int(·, 2) reads
+    its first digit as the top bit, hence the reversal.
     """
     try:
-        data = bytes(word)[::-1]
-    except ValueError:  # a color of 256 or more
-        rev = word[::-1]
-        return [int("".join(["1" if col >> b & 1 else "0" for col in rev]), 2)
-                for b in range(max(word).bit_length())]
+        data = text[::-1].encode("latin-1")
+    except UnicodeEncodeError:  # more than 256 colors, renamed to ranks
+        codes = list(map(ord, reversed(text)))
+        return [int("".join(["1" if code >> b & 1 else "0" for code in codes]), 2)
+                for b in range(max(codes).bit_length())]
     return [int(data.translate(table), 2)
             for table in _BIT_TABLES[:max(data).bit_length()]]
 
 
-def _square_factor(g: Graph, cols) -> Optional[tuple]:
-    """The witness of exists_repetitive_path on a path or cycle, or None:
-    the least of _least_squares."""
-    squares = _least_squares(g, cols)
-    return min(squares) if squares else None
+def _least_squares(g: Graph, text: str) -> list:
+    """The squares of least length in the color word text along g.line
+    (_line_text), as walks in both directions, or [] if it has none.
 
-
-def _least_squares(g: Graph, cols) -> list:
-    """The squares of least length in the color word along g.line, as walks
-    in both directions, or [] if it has none.
-
-    The color word is read along g.line, doubled on a cycle so that factors
-    may wrap, and held as bit-planes, one int per bit of the colors.  A
-    factor of 2t vertices from i is a square iff eq_t, whose bit j means
-    word[j] == word[j + t], holds at bits i..i + t - 1.  eq_t is the
-    complement of the planes XORed with themselves shifted by t, for all j
-    at once, and its runs of t ones come from about log2(t) shift-ANDs
-    (Baeza-Yates and Gonnet's shift-and).  So each half-length costs
-    O(log t) operations on ints of the word's length, not a step per letter.
-    The first t with a run is the least; the reverse of a square is a square,
-    so each square found gives both directions as candidates.  On a cycle
-    a square from i >= n is the one from i - n, vertex for vertex.
+    The text is doubled on a cycle so that factors may wrap, and held as
+    bit-planes, one int per bit of its letters.  A factor of 2t vertices
+    from i is a square iff eq_t, whose bit j means text[j] == text[j + t],
+    holds at bits i..i + t - 1.  eq_t is the complement of the planes XORed
+    with themselves shifted by t, for all j at once, and its runs of t ones
+    come from about log2(t) shift-ANDs (Baeza-Yates and Gonnet's
+    shift-and).  So each half-length costs O(log t) operations on ints of
+    the word's length, not a step per letter.  The first t with a run is
+    the least; the reverse of a square is a square, so each square found
+    gives both directions as candidates.  On a cycle a square from i >= n
+    is the one from i - n, vertex for vertex.
     """
-    n, line = g.n, g.line
+    n, line = len(text), g.line
     if g.shape == "cycle":
-        line += line
-    planes = _bit_planes([cols[v] for v in line])
-    full = (1 << len(line)) - 1
+        line, text = line + line, text + text
+    planes = _bit_planes(text)
+    full = (1 << len(text)) - 1
     for t in range(1, n // 2 + 1):
         run = full >> t  # eq_t, for j + t inside the word
         for plane in planes:
@@ -546,45 +539,37 @@ def _least_squares(g: Graph, cols) -> list:
 
 @lru_cache(maxsize=128)
 def _squares_upto(h: int):
-    """search(text) for a square of half-length at most h, h >= 1.
-
-    DOTALL because color 10 is "\n"; chr, not bytes, keeps colors above 255.
-    """
+    """search(text) for a square of half-length at most h, h >= 1; DOTALL,
+    as color 10 is "\n"."""
     return re.compile(rf"(.{{1,{h}}})\1", re.DOTALL).search
 
 
 @lru_cache(maxsize=128)
 def _circular_squares(n: int):
     """match(text) for a square of half-length at most n // 2 that starts
-    at one of text's first n letters, n >= 2 (_circular_square_free)."""
+    at one of text's first n letters, n >= 2 (_square_free_line)."""
     return re.compile(rf".{{0,{n - 1}}}?(.{{1,{n // 2}}})\1", re.DOTALL).match
 
 
-def _circular_square_free(text: str) -> bool:
-    """No square in the circular word text of n >= 2 letters, by one match.
+def _square_free_line(text: str, cyclic: bool) -> bool:
+    """No square in the color word text along a line (_line_text), by one
+    regex search; in the circular word, on a cycle (cyclic), by one match.
 
-    The word is read from its second letter round to its last but one,
-    2n - 2 letters, which hold every circular factor of at most n letters
-    up to rotation; a half of at most n // 2 keeps a square inside n
-    letters.  Only the first n starts are tried, one per rotation
-    (_circular_squares): a square starting later repeats one that starts n
-    letters earlier, at the same circular position; a whole-word square xx,
-    |x| = n / 2, cannot start at letter n - 1, but the word then has period
-    n / 2, so every rotation, the one at the first letter too, is a square.
+    A linear word of n letters holds a square of half-length at most
+    n // 2 or none.  A circular word of n >= 3 letters is read from its
+    second letter round to its last but one, 2n - 2 letters, which hold
+    every circular factor of at most n letters up to rotation; a half of
+    at most n // 2 keeps a square inside n letters.  Only the first n
+    starts are tried, one per rotation (_circular_squares): a square
+    starting later repeats one that starts n letters earlier, at the same
+    circular position; a whole-word square xx, |x| = n / 2, cannot start
+    at letter n - 1, but the word then has period n / 2, so every
+    rotation, the one at the first letter too, is a square.
     """
-    return _circular_squares(len(text))(text[1:] + text[:-1]) is None
-
-
-def _square_free_line(g: Graph, text: str) -> bool:
-    """_square_factor finds no square in the color word text along g.line
-    (_line_text), by one regex search; circularly on a cycle
-    (_circular_square_free)."""
-    n = g.n
-    if n < 2:
-        return True
-    if g.shape == "cycle":
-        return _circular_square_free(text)
-    return _squares_upto(n // 2)(text) is None
+    n = len(text)
+    if cyclic:
+        return _circular_squares(n)(text[1:] + text[:-1]) is None
+    return n < 2 or _squares_upto(n // 2)(text) is None
 
 
 def _square_path_dfs(g: Graph, cols) -> Optional[tuple]:
@@ -659,7 +644,7 @@ def holds(g: Graph, c: Coloring, property: str) -> bool:
     if property == "path":
         if g.shape == "graph":
             return _square_path_dfs(g, cols) is None
-        return _square_free_line(g, _line_text(g, cols))
+        return _square_free_line(_line_text(g, cols), g.shape == "cycle")
     diagonal = property == "walk"
     starts = accepting_starts(g, cols, diagonal, _seeds(cols))
     return next(starts, None) is None
@@ -669,11 +654,13 @@ def is_walk_nonrepetitive_cycle_fast(g: Graph, c: Coloring) -> bool:
     """Cycle shortcut: walk-nonrepetitive iff distance-2 and path-nonrepetitive.
 
     Both are read off the circular color word (_line_text): distance-2 is
-    no equal edge and no fold (_short_bound for walks finds no bound), then
-    the square verdict (_square_free_line).
+    no equal edge and no fold (_short_witness finds neither; for strolls,
+    so that a fold lists no walks), then the square verdict
+    (_square_free_line).
     """
     if not g.is_cycle():
         raise InvalidArgumentError("fast check applies to cycles only")
     _check_coloring(g, c)
     text = _line_text(g, c.colors)
-    return _short_bound(g, text, True)[0] is None and _square_free_line(g, text)
+    return _short_witness(g, text, False) == (None, False) and \
+        _square_free_line(text, True)

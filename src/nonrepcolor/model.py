@@ -169,16 +169,31 @@ class Coloring:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
+        """Raise on the first color that is not an int, else on the first
+        outside 1..k; a valid coloring is checked in C (types, min, max)."""
+        cols, k = self.colors, self.k
+        if k < 1:
             raise InvalidArgumentError("k must be positive")
-        for i, col in enumerate(self.colors):
-            if not (1 <= col <= self.k):
-                raise InvalidArgumentError(
-                    f"vertex {i} has color {col} outside 1..{self.k}")
+        if not {int}.issuperset(map(type, cols)):
+            i, col = next((i, col) for i, col in enumerate(cols)
+                          if type(col) is not int)
+            raise InvalidArgumentError(f"vertex {i} has color {col!r}, not an int")
+        if cols and not 1 <= min(cols) <= max(cols) <= k:
+            i, col = next((i, col) for i, col in enumerate(cols)
+                          if not 1 <= col <= k)
+            raise InvalidArgumentError(f"vertex {i} has color {col} outside 1..{k}")
 
     @staticmethod
     def from_colors(colors: Iterable, k: Optional[int] = None) -> "Coloring":
-        colors = tuple(int(c) for c in colors)
+        """Each color converted by operator.index, which refuses a float
+        where int() would truncate it; k defaults to the greatest."""
+        colors = tuple(colors)
+        try:
+            colors = tuple(map(operator.index, colors))
+        except TypeError:  # name the first color operator.index refuses
+            i, col = next((i, c) for i, c in enumerate(colors)
+                          if not hasattr(type(c), "__index__"))
+            raise InvalidArgumentError(f"vertex {i} has color {col!r}, not an int")
         if not colors:
             raise InvalidArgumentError("coloring must be nonempty")
         return Coloring(colors, max(colors) if k is None else k)

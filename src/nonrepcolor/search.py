@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import decide
-from .decide import _circular_square_free, _squares_upto
+from .decide import _square_free_line, _squares_upto
 from .model import Coloring, Graph, InvalidArgumentError
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -164,14 +164,14 @@ def _closing_squares(g, order, colors, word, rev, depth):
     15 of it along the cycle, arc[-15:] + arc[:16] of the reversed arc
     rev[depth], are searched first for a square of half-length at most 8:
     they are distinct vertices, so one found there is on the cycle.  Only
-    then is the whole circular word searched (decide._circular_square_free),
+    then is the whole circular word searched (decide._square_free_line),
     here from rev[depth]: that reads the word reversed, and a reversed
     square is a square.
     """
     arc = rev[depth]
     if g.n >= 32 and _squares_upto(8)(arc[-15:] + arc[:16]):
         return False
-    return _circular_square_free(arc)
+    return _square_free_line(arc, True)
 
 
 class _StrollPrefix:
@@ -283,8 +283,8 @@ def _prefix_rules(g: Graph, property: str, prefix=()) -> tuple:
 class Colorings:
     """Every k-coloring of g that no prefix rule prunes, depth first.
 
-    Vertices are colored in _vertex_order(g), colors ascending.  With
-    symmetry breaking, color j is introduced only after colors 1..j-1 have
+    Vertices are colored in _vertex_order(g), colors ascending.  Symmetry
+    is broken: color j is introduced only after colors 1..j-1 have
     appeared.  `nodes` counts the colors tried so far; trying one more than
     node_budget raises BudgetExhausted.  On a path or cycle, _proper and
     _distance2 among the rules are color skips instead of rule calls: a
@@ -301,11 +301,9 @@ class Colorings:
     """
 
     def __init__(self, g: Graph, k: int, rules: tuple = (),
-                 node_budget: int = DEFAULT_NODE_BUDGET,
-                 symmetry_break: bool = True):
+                 node_budget: int = DEFAULT_NODE_BUDGET):
         self.g, self.k, self.rules = g, k, rules
         self.node_budget = node_budget
-        self.symmetry_break = symmetry_break
         self.nodes = 0
 
     def __iter__(self):
@@ -329,8 +327,7 @@ class Colorings:
         if closing >= 0:
             rules_at[closing] = rules  # _closing_squares closes the cycle
         colors = [0] * n  # by vertex; 0 = uncolored, else last color tried
-        tops = [0] * (n + 1)  # largest color order[depth] may take
-        tops[0] = 1 if self.symmetry_break else k
+        tops = [1] + [0] * n  # largest color order[depth] may take
         # word[-1] and rev[-1] stand before the arc: no color, the empty arc
         word, rev = [0] * (n + 1), [""] * (n + 1)
         nodes, depth = self.nodes, 0

@@ -18,7 +18,6 @@ from nonrepcolor.construct import (
 from nonrepcolor.decide import (
     PROPERTIES,
     _seeds,
-    _square_factor,
     _square_path_dfs,
     accepting_starts,
     exists_repetitive_nonboring_walk,
@@ -43,7 +42,7 @@ from nonrepcolor.saseq import encode_sa
 from nonrepcolor.search import Colorings, _proper
 
 from test_oracle import _colored, _small_graphs
-from test_search import _random_square_free
+from test_search import _least_square, _random_square_free
 
 P21_WORD = "121312321323123213121"
 PRODUCT_WITNESSES = Path(__file__).parent / "data" / "product_witnesses.json"
@@ -156,11 +155,12 @@ def test_square_factor_matches_dfs_relabelled(k):
 
 
 def _path_verdicts_agree(g, colorings):
-    """holds(g, c, "path") is _square_factor's verdict; count rejections."""
+    """holds(g, c, "path") is the least-square scan's verdict; count
+    rejections."""
     rejected = 0
     for c in colorings:
         ok = holds(g, c, "path")
-        assert ok == (_square_factor(g, c.colors) is None), c.colors
+        assert ok == (_least_square(g, c.colors) is None), c.colors
         rejected += not ok
     return rejected
 
@@ -195,7 +195,7 @@ def test_path_verdict_large_colors(make_graph, cols, path_free, cycle_free):
     c = Coloring(cols, max(cols))
     want = cycle_free if g.is_cycle() else path_free
     assert holds(g, c, "path") is want
-    assert (_square_factor(g, cols) is None) is want
+    assert (_least_square(g, cols) is None) is want
 
 
 def _reference_square_factor(g, cols):
@@ -227,8 +227,8 @@ def _reference_least_squares(g, cols):
     return []
 
 
-# mixed into small colors: 10 is "\n", and from 256 on the planes are built
-# by a plain loop, not bytes.translate
+# mixed into small colors: 10 is "\n", and from 256 on every color of the
+# word is renamed to its rank
 LARGE_COLORS = (10, 255, 256, 300, 0x110000)
 
 
@@ -263,7 +263,7 @@ def test_square_factor_matches_reference(seed):
     """The bit-parallel scan gives the least square of the scan per
     half-length, and every square of that length in both directions
     (_least_squares), on seeded words up to n = 80, on paths, cycles and
-    lines whose vertex ids are shuffled, with both plane builders."""
+    lines whose vertex ids are shuffled."""
     rng = random.Random(seed)
     halves, large = set(), 0
     for n, word in _seeded_line_words(rng, 400):
@@ -275,13 +275,38 @@ def test_square_factor_matches_reference(seed):
             cols = [0] * n
             for v, col in zip(g.line, word):
                 cols[v] = col
-            square = _square_factor(g, cols)
+            square = _least_square(g, cols)
             assert square == _reference_square_factor(g, cols), (g.line, cols)
-            assert set(decide._least_squares(g, cols)) == \
+            text = decide._line_text(g, cols)
+            assert set(decide._least_squares(g, text)) == \
                 set(_reference_least_squares(g, cols)), (g.line, cols)
             halves.add(square and len(square) // 2)
     assert 0 < large < 400
     assert None in halves and max(halves - {None}) >= 10
+
+
+def test_least_squares_past_256_colors():
+    """Words of more than 256 colors, renamed to ranks past a byte, so the
+    planes come from a plain loop: every square of least length, as the
+    scan per half-length finds them, with none and with one planted, on
+    paths and cycles (round the closing edge too)."""
+    rng = random.Random(28)
+    for n in (301, 600):
+        base = rng.sample(range(1, 10 ** 7), n)
+        for t in (None, 1, 5, 40, n // 2):
+            word = list(base)
+            if t:
+                p = rng.randrange(n)
+                for j in range(t):
+                    word[(p + t + j) % n] = word[(p + j) % n]
+            if len(set(word)) <= 256:
+                continue
+            for g in path_graph(n), cycle_graph(n):
+                text = decide._line_text(g, word)
+                assert ord(max(text)) >= 256
+                squares = decide._least_squares(g, text)
+                assert set(squares) == set(_reference_least_squares(g, word))
+                assert bool(squares) == (t is not None) or not g.is_cycle()
 
 
 def _whole_word_only(m, rng):
@@ -297,8 +322,9 @@ def _whole_word_only(m, rng):
 @pytest.mark.parametrize("seed", range(2))
 def test_circular_square_search_matches_square_factor(seed):
     """The regex verdict on cycles tries the first n starts of its text:
-    it agrees with _square_factor on seeded cycles up to n = 80, colors
-    past chr included, and on even n whose only square is the whole word."""
+    it agrees with the least-square scan on seeded cycles up to n = 80, colors
+    of 256 or more (renamed to ranks) included, and on even n whose only
+    square is the whole word."""
     rng = random.Random(seed)
     words = [(n, word) for n, word in _seeded_line_words(rng, 600) if n >= 3]
     words += [(2 * m, _whole_word_only(m, rng)) for m in range(2, 41)]
@@ -308,8 +334,8 @@ def test_circular_square_search_matches_square_factor(seed):
             cols = [0] * n
             for v, col in zip(g.line, word):
                 cols[v] = col
-            ok = decide._square_free_line(g, decide._line_text(g, cols))
-            assert ok == (_square_factor(g, cols) is None), word
+            ok = decide._square_free_line(decide._line_text(g, cols), True)
+            assert ok == (_least_square(g, cols) is None), word
             free += ok
     assert 0 < free < 2 * len(words)
 
@@ -698,6 +724,29 @@ def test_general_loops_past_degree_two(monkeypatch):
             _same_starts(g, cols, allow_diagonal)
 
 
+def _short_bound(g, cols, allow_diagonal):
+    """(the vertices of _short_witness's walk or None, fold) for cols."""
+    walk, fold = decide._short_witness(g, decide._line_text(g, cols),
+                                       allow_diagonal)
+    return walk and len(walk), fold
+
+
+def _proper_3_colorings(g):
+    """Every proper 3-coloring of the path or cycle g, by vertex, from
+    itertools.product: along g.line each color is one or two past the one
+    before, mod 3, and a cycle's last color differs from its first."""
+    steps = itertools.product((1, 2, 3), *[(1, 2)] * (g.n - 1))
+    for first, *rest in steps:
+        word = list(itertools.accumulate(
+            rest, lambda col, step: (col + step - 1) % 3 + 1, initial=first))
+        if g.is_cycle() and word[-1] == word[0]:
+            continue
+        cols = [0] * g.n
+        for v, col in zip(g.line, word):
+            cols[v] = col
+        yield tuple(cols)
+
+
 def _witnesses(cases):
     found = []
     for g, cols in cases:
@@ -711,12 +760,12 @@ def _witnesses(cases):
 def _same_as_labelled(cases, monkeypatch):
     """find_witness on each (g, cols) gives what it gives through a
     labelling of every component from _seeds and a BFS from each accepting
-    start with no bound: _short_bound is made to find no short witness but
-    a fold, and _square_free_line no square, so that neither the band nor
-    the fold lemma is assumed."""
+    start with no bound: _short_witness is made to find no short witness
+    but a fold, and _square_free_line no square, so that neither the band
+    nor the fold lemma is assumed."""
     cases = list(cases)
     short = _witnesses(cases)
-    monkeypatch.setattr(decide, "_short_bound", lambda *args: (None, True))
+    monkeypatch.setattr(decide, "_short_witness", lambda *args: (None, True))
     monkeypatch.setattr(decide, "_square_free_line", lambda *args: True)
     assert short == _witnesses(cases)
     return short
@@ -777,8 +826,8 @@ def test_short_bound_keeps_witnesses_planted(cyclic, monkeypatch):
 def test_short_bound_keeps_witnesses_on_c12_shuffled(monkeypatch):
     """The shuffled C12, every proper 3-coloring."""
     g = C12_SHUFFLED
-    colorings = Colorings(g, 3, (_proper,), symmetry_break=False)
-    _same_as_labelled(((g, c.colors) for c in colorings), monkeypatch)
+    _same_as_labelled(((g, cols) for cols in _proper_3_colorings(g)),
+                      monkeypatch)
 
 
 @pytest.mark.parametrize("g", [*map(path_graph, range(3, 8)),
@@ -810,8 +859,8 @@ def test_short_bound_keeps_witnesses_on_planted_sigma(monkeypatch):
     """sigma's words with a planted square: the same witness as the labelled
     route, many of them through the fold-free square route."""
     cases = list(_planted_sigma(random.Random(26)))
-    fold_free = [(g, cols) for g, cols in cases if decide._short_bound(
-        g, decide._line_text(g, cols), True) == (None, False)]
+    fold_free = [(g, cols) for g, cols in cases
+                 if _short_bound(g, cols, True) == (None, False)]
     assert len(fold_free) > len(cases) // 10
     found = _same_as_labelled(cases, monkeypatch)
     assert all(found)
@@ -823,7 +872,7 @@ def test_short_bound_keeps_witnesses_on_planted_sigma(monkeypatch):
                          ids=["P6", "C6", "P7-relabelled"])
 def test_short_bound_keeps_witnesses_large_colors(g, names, monkeypatch):
     """Every word over three colors among 10 (newline, which the patterns
-    must match: DOTALL) and colors chr cannot hold (renamed to ranks): the
+    must match: DOTALL) and colors of 256 or more (renamed to ranks): the
     equal edges, abab factors and folds are read at every start as over
     1..3, with the same witness as the labelled route."""
     words = [tuple(names[col] for col in word)
@@ -853,8 +902,7 @@ def _fold_free_sigma_square(n):
     for p in range(n - 6):
         word = list(sigma.colors)
         word[p + 3:p + 6] = word[p:p + 3]
-        if decide._short_bound(g, decide._line_text(g, word), True) == \
-                (None, False):
+        if _short_bound(g, word, True) == (None, False):
             return tuple(word)
 
 
@@ -866,8 +914,8 @@ SIGMA47_SQUARE = _fold_free_sigma_square(47)
     ("walk", (1, 2, 3, 3, 1), (2, 3)),
     ("walk", (1, 2, 3, 1, 3, 2), (2, 3, 4, 3)),
     ("stroll", (1, 2, 3, 2, 3, 1), (1, 2, 3, 4)),
-    ("stroll", SIGMA47_SQUARE, _square_factor(path_graph(47), SIGMA47_SQUARE)),
-    ("walk", SIGMA47_SQUARE, _square_factor(path_graph(47), SIGMA47_SQUARE)),
+    ("stroll", SIGMA47_SQUARE, _least_square(path_graph(47), SIGMA47_SQUARE)),
+    ("walk", SIGMA47_SQUARE, _least_square(path_graph(47), SIGMA47_SQUARE)),
 ])
 def test_short_bound_skips_the_labelling(prop, cols, walk, monkeypatch):
     """An equal edge, a walk fold, a stroll abab or a square with no fold:
@@ -909,9 +957,8 @@ def test_stroll_fold_without_abab_is_labelled(monkeypatch):
     monkeypatch.setattr(decide, "accepting_starts", counted)
     c = Coloring.from_colors((1, 2, 3, 1, 3, 2, 1, 2, 3, 1, 2, 3))
     g = path_graph(c.n)
-    text = decide._line_text(g, c.colors)
-    assert decide._short_bound(g, text, False) == (None, True)
-    assert decide._short_bound(g, text, True) == (4, True)
+    assert _short_bound(g, c.colors, False) == (None, True)
+    assert _short_bound(g, c.colors, True) == (4, True)
     w = find_witness(g, c, "stroll")
     assert calls and w.walk.vertices == (6, 7, 8, 9, 10, 11)
 
@@ -956,8 +1003,8 @@ def test_fold_square_route_labels_through_folds(monkeypatch):
     route = []
     for g, cols in cases:
         text = decide._line_text(g, cols)
-        if decide._short_bound(g, text, False) == (None, True) and \
-                not decide._square_free_line(g, text):
+        if decide._short_witness(g, text, False) == (None, True) and \
+                not decide._square_free_line(text, g.is_cycle()):
             route.append((g, cols))
     assert len(route) > 100
     drawn, labelled = _drawn_seeds(monkeypatch), 0
@@ -978,9 +1025,8 @@ def test_short_bound_reads_round_the_cycle(n):
     g = cycle_graph(n)
     for word in itertools.product((1, 2, 3), repeat=n):
         for diagonal in (False, True):
-            bounds = {decide._short_bound(
-                g, decide._line_text(g, word[r:] + word[:r]), diagonal)
-                for r in range(n)}
+            bounds = {_short_bound(g, word[r:] + word[:r], diagonal)
+                      for r in range(n)}
             assert len(bounds) == 1, (word, diagonal, bounds)
 
 
@@ -988,11 +1034,11 @@ def test_short_bound_reads_round_the_cycle(n):
 @pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
 def test_short_bound_large_colors(make_graph, big):
     """10 (newline, which the patterns match), 300 (past a byte) and
-    0x110000 (past chr, renamed to ranks) bound like any other color."""
+    0x110000 (both renamed to ranks) bound like any other color."""
     g = make_graph(6)
 
     def bound(cols, diagonal):
-        return decide._short_bound(g, decide._line_text(g, cols), diagonal)[0]
+        return _short_bound(g, cols, diagonal)[0]
 
     assert bound((big, 1, big, 2, 1, 2), True) == 4
     assert bound((big, 1, big, 1, 2, 3), False) == 4
@@ -1019,12 +1065,11 @@ def _reference_short_bound(g, cols, allow_diagonal):
 def _same_short_bound(g, cols):
     """The text bound of cols on g, both modes, is the list bound; returns
     the bounds."""
-    text = decide._line_text(g, cols)
     bounds = []
     for diagonal in (False, True):
         bound, fold = _reference_short_bound(g, cols, diagonal)
         want = bound, None if fold is None else any(fold)
-        assert decide._short_bound(g, text, diagonal) == want, (cols, diagonal)
+        assert _short_bound(g, cols, diagonal) == want, (cols, diagonal)
         bounds.append(bound)
     return bounds
 
@@ -1175,7 +1220,7 @@ def test_fold_free_components_are_straight_runs(g):
     A component with no fold coordinate is a constant-difference or
     constant-sum run along g.line and accepts only if the color word holds
     a square; so in a word with no fold the least accepted walk is the
-    least square (_square_factor), which find_witness returns with nothing
+    least square (_least_squares), which find_witness returns with nothing
     labelled; without a square the components through the seeds through a
     fold (and, for walks, the pair of each fold's neighbours, as (v, v)
     moves to it) give every accepting start; and a word with neither a
@@ -1192,7 +1237,7 @@ def test_fold_free_components_are_straight_runs(g):
         folds = _folds(g, cols)
         inner = g.line if cyclic else g.line[1:-1]
         assert {v for v, f in zip(inner, model.folds(g, cols)) if f} == folds
-        square = _square_factor(g, cols) is not None
+        square = _least_square(g, cols) is not None
         for allow_diagonal in (False, True):
             seeds = {(u, w) for u, w in itertools.combinations(range(n), 2)
                      if cols[u] == cols[w] and (u in folds or w in folds)}
@@ -1209,7 +1254,7 @@ def test_fold_free_components_are_straight_runs(g):
                 if accepting:
                     least.append(_least_accepted_walk(g._adj, comp, accepting))
             if square and not folds:
-                assert min(least)[1] == _square_factor(g, cols), (word, least)
+                assert min(least)[1] == _least_square(g, cols), (word, least)
             if not square:
                 lists = accepting_starts(g, cols, allow_diagonal, seeds)
                 assert set().union(*lists) == ref, (word, allow_diagonal)
@@ -1227,7 +1272,7 @@ def test_folds_are_sa_letters_and_edge_classes(g):
     matching edge is good iff neither end is a fold."""
     inner = g.line if g.is_cycle() else g.line[1:-1]
     count = 0
-    for c in Colorings(g, 3, (_proper,), symmetry_break=False):
+    for c in map(Coloring, _proper_3_colorings(g), itertools.repeat(3)):
         flags = folds(g, c.colors)
         assert {v for v, f in zip(inner, flags) if f} == _folds(g, c.colors)
         assert flags == [ch == "S" for ch in encode_sa(g, c)], c.colors
@@ -1282,8 +1327,8 @@ def test_fold_route_on_rho_windows(off, n, monkeypatch):
     word = RHO64_FROZEN[off:off + n]
     g, c = path_graph(n), Coloring.from_colors(word)
     text = decide._line_text(g, word)
-    assert decide._short_bound(g, text, False) == (None, True)
-    assert decide._square_free_line(g, text)
+    assert decide._short_witness(g, text, False) == (None, True)
+    assert decide._square_free_line(text, False)
     drawn = _drawn_seeds(monkeypatch)
     assert find_witness(g, c, "stroll") is None
     assert drawn == list(_seeds(word))
@@ -1302,7 +1347,7 @@ def test_fold_route_finds_square_free_strolls(monkeypatch):
         line = case["line"]
         g = Graph.from_edges(len(line), list(zip(line, line[1:])))
         word = tuple(int(ch) for ch in case["colors"])
-        assert decide._square_free_line(g, decide._line_text(g, word))
+        assert decide._square_free_line(decide._line_text(g, word), False)
         drawn.clear()
         w = find_witness(g, Coloring.from_colors(word), "stroll")
         assert list(w.walk.vertices) == case["stroll"]
@@ -1326,7 +1371,49 @@ def test_holds_reads_no_square_and_no_fold(monkeypatch):
     def unused(*args):
         raise AssertionError("holds read the color word")
 
-    for name in ("_square_free_line", "_square_factor", "_short_bound",
+    for name in ("_square_free_line", "_least_squares", "_short_witness",
                  "_line_text"):
         monkeypatch.setattr(decide, name, unused)
     assert [holds(g, c, p) for g, c in cases for p in props] == expected
+
+
+@pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
+def test_find_witness_reads_one_text(make_graph, monkeypatch):
+    """find_witness on a path or cycle builds the color word's text once
+    (_line_text), for every property, and the least-square scan reads that
+    very text: on sigma's square-free word, and with a square of
+    half-length 1..8 planted in it."""
+    built, scanned = [], []
+
+    def line_text(g, cols, build=decide._line_text):
+        built.append(build(g, cols))
+        return built[-1]
+
+    def least_squares(g, text, scan=decide._least_squares):
+        scanned.append(text)
+        return scan(g, text)
+
+    monkeypatch.setattr(decide, "_line_text", line_text)
+    monkeypatch.setattr(decide, "_least_squares", least_squares)
+    rng, n = random.Random(29), 47
+    _, sigma = sigma_cycle_coloring(n)
+    g, words = make_graph(n), [sigma.colors]
+    for t in range(1, 9):
+        word = list(sigma.colors)
+        p = rng.randrange(n - 2 * t + 1)
+        word[p + t:p + 2 * t] = word[p:p + t]
+        words.append(tuple(word))
+    product_scans = 0
+    for word in words:
+        for prop in PROPERTIES:
+            built.clear()
+            scanned.clear()
+            w = find_witness(g, Coloring.from_colors(word), prop)
+            assert len(built) == 1, (word, prop)
+            assert all(text is built[0] for text in scanned), (word, prop)
+            assert (w is None) == (word == sigma.colors), (word, prop)
+            if prop == "path":
+                assert len(scanned) == 1, word
+            else:
+                product_scans += len(scanned)
+    assert product_scans > 0

@@ -128,6 +128,34 @@ class TestColoring:
         c = Coloring((1, 2, 1), 5)
         assert c.k == 5 and c.colors_used() == 2
 
+    @pytest.mark.parametrize("colors,message", [
+        ((1, 2.0, 1), "vertex 1 has color 2.0, not an int"),
+        ((1, 2, "3"), "vertex 2 has color '3', not an int"),
+        ((True, 2, 1), "vertex 0 has color True, not an int"),
+        ((1, 0, 2.5), "vertex 2 has color 2.5, not an int"),
+        ((2, 1, 0, 3), "vertex 2 has color 0 outside 1..3"),
+    ])
+    def test_names_the_first_fault(self, colors, message):
+        """Types first, then range, each reported at its first fault."""
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            Coloring(colors, 3)
+
+    @pytest.mark.parametrize("colors,message", [
+        ([1.7, 2.2], "vertex 0 has color 1.7, not an int"),
+        ([1, 2, "3"], "vertex 2 has color '3', not an int"),
+        ([True, 2, "x"], "vertex 2 has color 'x', not an int"),
+    ])
+    def test_from_colors_refuses_what_is_no_int(self, colors, message):
+        """No truncation: a float or a string color is refused, by name; a
+        bool before it converts, so the string is the one named."""
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            Coloring.from_colors(colors)
+
+    def test_from_colors_takes_integer_types(self):
+        """operator.index converts what is an integer, a bool too."""
+        c = Coloring.from_colors(iter([True, 2, 3]))
+        assert c.colors == (1, 2, 3) and type(c.colors[0]) is int
+
 
 class TestIsRepetitive:
     def test_square(self):

@@ -9,7 +9,7 @@ from nonrepcolor import search
 from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE
 from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                cycle_graph, path_graph)
-from nonrepcolor.decide import _square_factor, holds
+from nonrepcolor.decide import exists_repetitive_path, holds
 from nonrepcolor.search import (Colorings, _closing_squares, _distance2,
                                 _prefix_rules, _proper, _StrollPrefix,
                                 _suffix_squares, final_check, search_fixed_k,
@@ -108,11 +108,11 @@ class TestReportContract:
         assert r.aborted and r.value is None and r.nodes_visited >= 5
 
 
-def _reference_solve(g, prop, k_max, rules, symmetry_break=True):
+def _reference_solve(g, prop, k_max, rules):
     """(value, certificate) of solve, from the first coloring that
     Colorings(g, k, rules) yields and final_check passes, k = 1, 2, ..."""
     for k in range(1, k_max + 1):
-        colorings = Colorings(g, k, rules, symmetry_break=symmetry_break)
+        colorings = Colorings(g, k, rules)
         cert = next((c for c in colorings if final_check(g, c, prop)), None)
         if cert is not None:
             return k, cert
@@ -127,14 +127,27 @@ def _solved(g, prop, k_max):
 @pytest.mark.parametrize("make_graph,ns", [(path_graph, range(2, 9)),
                                            (cycle_graph, range(3, 9))])
 def test_symmetry_breaking_sound(make_graph, ns):
-    """The search's rules without symmetry breaking find the same first
-    certificate: the least coloring passing them introduces its colors in
-    ascending order."""
+    """solve's certificate is the least coloring along g.line, over every
+    k-coloring from itertools.product, that final_check passes, for the
+    least such k: it introduces its colors in ascending order, so neither
+    symmetry breaking nor a rule loses it."""
     for n in ns:
         g = make_graph(n)
         for prop in ("path", "stroll", "walk"):
-            ref = _reference_solve(g, prop, 5, _prefix_rules(g, prop),
-                                   symmetry_break=False)
+            ref = None, None
+            for k in range(1, 6):
+                for word in itertools.product(range(1, k + 1), repeat=n):
+                    if any(map(int.__eq__, word, word[1:])):
+                        continue  # an improper edge is a square
+                    cols = [0] * n
+                    for v, col in zip(g.line, word):
+                        cols[v] = col
+                    c = Coloring(tuple(cols), k)
+                    if final_check(g, c, prop):
+                        ref = k, c
+                        break
+                if ref[0] is not None:
+                    break
             assert _solved(g, prop, 5) == ref, (n, prop)
 
 
@@ -260,10 +273,11 @@ _STROLL_RULE_CASES += [(_shuffled_cycle_graph, 10, 3, ""),
 def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k, prefix):
     """Every verdict of the stroll rule is decide.holds on the colored arc.
 
-    Without symmetry breaking the enumeration recolors each position with
-    every color, after rejections by the rule itself and by _proper (at
-    the closing edge too, on a cycle), so each column is rebuilt from the
-    one before it, whatever the search left there; after each passing
+    The enumeration, a depth-first search in the order Colorings takes but
+    without symmetry breaking, recolors each position with every color
+    1..k, after rejections by the rule itself and by _proper (at the
+    closing edge too, on a cycle), so each column is rebuilt from the one
+    before it, whatever the search left there; after each passing
     call the column holds each linked state's component box, as a search
     over the arc finds it.  From 10 vertices on, some passing
     call joins two components of the column before through a fold w, a
@@ -289,10 +303,26 @@ def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k, prefix):
         return verdict
 
     g = make_graph(n)  # the rules before pruning: the prefix and properness
-    rules = _prefix_rules(g, "stroll", map(int, prefix))[:1 + bool(prefix)]
-    colorings = Colorings(g, k, (*rules, checked), symmetry_break=False)
-    leaves = sum(1 for _ in colorings)
-    assert leaves > 0 and all(calls)
+    rules = (*_prefix_rules(g, "stroll", map(int, prefix))[:1 + bool(prefix)],
+             checked)
+    order, colors = list(g.line), [0] * n
+    word, rev = [0] * (n + 1), [""] * (n + 1)  # word[-1], rev[-1]: empty arc
+
+    def leaves(depth):
+        """The colorings of order[depth:] that every rule passes, each
+        color 1..k tried at each depth, as Colorings calls the rules."""
+        if depth == n:
+            return 1
+        found, v = 0, order[depth]
+        for col in range(1, k + 1):
+            colors[v] = word[depth] = col
+            rev[depth] = chr(col) + rev[depth - 1]
+            if all(rule(g, order, colors, word, rev, depth) for rule in rules):
+                found += leaves(depth + 1)
+        colors[v] = 0  # undone: uncolored for _proper
+        return found
+
+    assert leaves(0) > 0 and all(calls)
     assert joins[0] > 0 or n < 10, joins
 
 
@@ -455,12 +485,13 @@ def _closes(g, cols):
 
 
 def _closing_verdicts_agree(g, colorings):
-    """The closing rule rejects iff _square_factor finds a square; count them."""
+    """The closing rule rejects iff _least_square finds a square; count
+    them."""
     rejected = 0
     for cols in colorings:
         cols = list(cols)
         kept = _closes(g, cols)
-        assert kept == (_square_factor(g, cols) is None), cols
+        assert kept == (_least_square(g, cols) is None), cols
         rejected += not kept
     return rejected
 
@@ -492,8 +523,15 @@ def test_colorings_call_closing_squares_at_the_last_vertex(n):
     closed, open_ = Colorings(g, 3, (*rules, _closing_squares)), Colorings(g, 3, rules)
     leaves = [c.colors for c in open_]
     kept = [c.colors for c in closed]
-    assert kept == [c for c in leaves if _square_factor(g, c) is None]
+    assert kept == [c for c in leaves if _least_square(g, c) is None]
     assert closed.nodes == open_.nodes and 0 < len(kept) < len(leaves)
+
+
+def _least_square(g, cols):
+    """The least square of cols along the path or cycle g, as the path
+    witness's vertices, or None: the bit-parallel least-square scan."""
+    w = exists_repetitive_path(g, Coloring.from_colors(cols))
+    return w and w.walk.vertices
 
 
 def _random_square_free(n, k, rng):
@@ -550,25 +588,26 @@ def test_closing_window_then_whole_word(n, monkeypatch):
     closed = Colorings(g, 3, rules)
     leaves = [c.colors for c in open_]
     kept = [c.colors for c in closed]
-    assert kept == [c for c in leaves if _square_factor(g, c) is None]
+    assert kept == [c for c in leaves if _least_square(g, c) is None]
     assert closed.nodes == open_.nodes
 
-    # the searches made: ("window", half-length bound), ("whole", n)
+    # the searches made: ("window", half-length bound), ("whole", n, cyclic)
     searched = []
-    window, whole = search._squares_upto, search._circular_square_free
+    window, whole = search._squares_upto, search._square_free_line
     monkeypatch.setattr(search, "_squares_upto",
                         lambda h: searched.append(("window", h)) or window(h))
-    monkeypatch.setattr(search, "_circular_square_free", lambda text:
-                        searched.append(("whole", len(text))) or whole(text))
+    monkeypatch.setattr(search, "_square_free_line", lambda text, cyclic:
+                        searched.append(("whole", len(text), cyclic))
+                        or whole(text, cyclic))
     kinds = {"short": 0, "long": 0, "square-free": 0}
     for cols in leaves:
-        square = _square_factor(g, cols)
+        square = _least_square(g, cols)
         kind = ("square-free" if square is None
                 else "short" if len(square) <= 16 else "long")
         searched.clear()
         assert _closes(g, cols) == (square is None), cols
         assert searched == ([("window", 8)] if kind == "short"
-                            else [("window", 8), ("whole", n)]), cols
+                            else [("window", 8), ("whole", n, True)]), cols
         kinds[kind] += 1
     assert min(kinds.values()) > 0, kinds
 
@@ -610,15 +649,12 @@ def test_proper_skip_keeps_the_proper_colorings(make_graph, ns):
                 if all(c.colors[u] != c.colors[v] for u, v in g.edges)], (n, k)
 
 
-@pytest.mark.parametrize("symmetry_break", [True, False])
 @pytest.mark.parametrize("rules", ["distance2", "proper+distance2"])
-def test_distance2_skip_keeps_the_rule_colorings(rules, symmetry_break):
+def test_distance2_skip_keeps_the_rule_colorings(rules):
     """On a line _distance2 is a color skip: it yields the colorings of the
     same test called as a rule (wrapped, so Colorings cannot spot it), in
     its order, and counts the same nodes; on P1..P9, C3..C10 and P7, C7
-    laid out 1-6-3-5-2-0-4, k = 1..5, except k = 5 above 7 vertices with
-    neither _proper nor symmetry breaking (C10 alone has 1,040,400 such
-    colorings)."""
+    laid out 1-6-3-5-2-0-4, k = 1..5."""
     graphs = [path_graph(n) for n in range(1, 10)]
     graphs += [cycle_graph(n) for n in range(3, 11)]
     graphs += [_on_line(make, (1, 6, 3, 5, 2, 0, 4))
@@ -626,12 +662,8 @@ def test_distance2_skip_keeps_the_rule_colorings(rules, symmetry_break):
     first = (_proper,) if rules == "proper+distance2" else ()
     for g in graphs:
         for k in range(1, 6):
-            if not first and g.n > 7 and not symmetry_break and k == 5:
-                continue
-            skip = Colorings(g, k, (*first, _distance2),
-                             symmetry_break=symmetry_break)
-            called = Colorings(g, k, (*first, lambda *args: _distance2(*args)),
-                               symmetry_break=symmetry_break)
+            skip = Colorings(g, k, (*first, _distance2))
+            called = Colorings(g, k, (*first, lambda *args: _distance2(*args)))
             assert (list(skip), skip.nodes) == (list(called), called.nodes), (
                 g.line, k)
 

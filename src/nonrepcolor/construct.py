@@ -190,8 +190,8 @@ def sigma_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     with k = ceil(n/3) (_base_coloring); drop m = 3k - n good matching
     edges; subdivide the remaining matching edges once, coloring the new
     vertices 4.  The result is checked by the full walk decider before
-    returning, which bounds n in practice: 0.15-0.2 s at n = 1,000 and
-    1.5-2.4 s at 3,000, most of it that check (2 cores, Python 3.11.7).
+    returning, which bounds n in practice: 0.07-0.13 s at n = 1,000 and
+    0.55-0.89 s at 3,000, most of it that check (2 cores, Python 3.11.7).
     """
     if n <= 21:
         raise InvalidArgumentError("subdivision construction applies for n > 21")

@@ -7,12 +7,13 @@ states (off the diagonal, for strolls) is undirected: a move joins two
 color-matched states, and adjacency is symmetric.  So a start state reaches
 another exactly when both lie in one connected component, and deciding the
 stroll or walk property is one labelling of the components
-(accepting_starts): a repetitive stroll exists iff a component holds states
-(a, b) and (x, y) with x ~ b; a repetitive nonboring walk iff such a
-component also holds an off-diagonal state.  The reverse v_2t..v_1 of such
-a walk is one too, through the swapped states in reverse order, so swapping
-coordinates maps each component onto one that accepts alike: only seeds
-(u, w) with u < w are labelled, once per mirror pair.
+(accepting_starts, over one byte per state, in one bytearray per vertex): a
+repetitive stroll exists iff a component holds states (a, b) and (x, y)
+with x ~ b; a repetitive nonboring walk iff such a component also holds an
+off-diagonal state.  The reverse v_2t..v_1 of such a walk is one too,
+through the swapped states in reverse order, so swapping coordinates maps
+each component onto one that accepts alike: only seeds (u, w) with u < w
+are labelled, once per mirror pair.
 
 find_witness builds the witness by BFS from the accepting start states
 alone.  On paths and cycles it first builds the color word along the line
@@ -48,7 +49,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, filterfalse, repeat
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -98,17 +99,20 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
     Components are labelled in seed order, each once, in O(S * maxdeg^2) for
     its S states, and each accepting one yields the list of its accepting
     states: asking whether one exists stops at the first.
+    A state is one byte, free[u][w]: 1 while (u, w) is color-matched (off
+    the diagonal, for strolls) and unlabelled, row u a copy of u's color's
+    mask, so a move costs one index and one truth test; n^2 bytes per call.
     On a path or cycle a state (u, w) has the four candidate moves
     (nbr[u][i], nbr[w][j]), i, j in 0, 1, over each vertex's lower and
     higher neighbour (_two_neighbours), in the order of the general loops
     over g's sorted neighbour lists; other graphs take those loops.
 
     Reversing a walk swaps its states' coordinates, so the mirror swap(K) of
-    a component K accepts iff K does.  A labelled seed is dropped in C
-    (filterfalse over seen), one whose mirror is labelled is skipped, and
-    an accepting K other than swap(K) yields swap(K)'s accepting states as
-    a second list, unlabelled.  So the seeds (u, w) with u < w
-    (_seeds) suffice: K or swap(K) holds one if K has an off-diagonal state.
+    a component K accepts iff K does.  A seed is skipped if it or its mirror
+    is labelled, and an accepting K other than swap(K) yields swap(K)'s
+    accepting states as a second list, unlabelled.  So the seeds (u, w)
+    with u < w (_seeds) suffice: K or swap(K) holds one if K has an
+    off-diagonal state.
 
     On a path or cycle a component K seeded at least 2|K| apart along
     g.line (round the cycle) accepts nothing, and is not tested.  Were
@@ -119,9 +123,16 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
     and a move changes the distance by at most 2, so all would lie within
     2|K| - t <= 2|K| - 1.
     """
-    seen = set()
-    add = seen.add
     adj, line, n = g._adj, g.line, g.n
+    try:  # colors below 256: one translate of their bytes per color, in C
+        data = bytes(cols)
+        masks = {col: data.translate(_ONE_HOT[col]) for col in set(cols)}
+    except ValueError:  # a color of 256 or more
+        masks = {col: bytes(map(col.__eq__, cols)) for col in set(cols)}
+    free = list(map(bytearray, map(masks.__getitem__, cols)))
+    if not allow_diagonal:
+        for u, row in enumerate(free):
+            row[u] = 0
     nbr = None
     reach = -1  # the greatest distance along the line; none off lines
     if line is not None:
@@ -130,59 +141,49 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
         reach = n // 2 if cyclic else n - 1
         pos = range(n) if line == tuple(range(n)) else \
             {v: i for i, v in enumerate(line)}
-    for a, b in filterfalse(seen.__contains__, seeds):
-        if (b, a) in seen:
-            continue
-        add((a, b))
+    for a, b in seeds:
+        if not free[a][b] or not free[b][a]:
+            continue  # labelled, or its mirror is
+        free[a][b] = 0
         comp = [(a, b)]
         grow = comp.append
         if nbr is not None:
             for u, w in comp:  # comp grows while it is read: the BFS queue
                 u1, u2 = nbr[u]
                 w1, w2 = nbr[w]
-                cu1, cu2 = cols[u1], cols[u2]
-                cw1, cw2 = cols[w1], cols[w2]
-                if cu1 == cw1 and (allow_diagonal or u1 != w1) and \
-                        (s := (u1, w1)) not in seen:
-                    add(s)
-                    grow(s)
-                if cu1 == cw2 and (allow_diagonal or u1 != w2) and \
-                        (s := (u1, w2)) not in seen:
-                    add(s)
-                    grow(s)
-                if cu2 == cw1 and (allow_diagonal or u2 != w1) and \
-                        (s := (u2, w1)) not in seen:
-                    add(s)
-                    grow(s)
-                if cu2 == cw2 and (allow_diagonal or u2 != w2) and \
-                        (s := (u2, w2)) not in seen:
-                    add(s)
-                    grow(s)
+                row = free[u1]
+                if row[w1]:
+                    row[w1] = 0
+                    grow((u1, w1))
+                if row[w2]:
+                    row[w2] = 0
+                    grow((u1, w2))
+                row = free[u2]
+                if row[w1]:
+                    row[w1] = 0
+                    grow((u2, w1))
+                if row[w2]:
+                    row[w2] = 0
+                    grow((u2, w2))
         else:
             for u, w in comp:
                 adj_w = adj[w]
                 for u2 in adj[u]:
-                    col = cols[u2]
+                    row = free[u2]
                     for w2 in adj_w:
-                        if cols[w2] == col and (allow_diagonal or u2 != w2):
-                            state = (u2, w2)
-                            if state not in seen:
-                                add(state)
-                                grow(state)
+                        if row[w2]:
+                            row[w2] = 0
+                            grow((u2, w2))
         if 2 * len(comp) <= reach:
             d = abs(pos[a] - pos[b])
             if 2 * len(comp) <= (min(d, n - d) if cyclic else d):
                 continue  # too far apart to hold a witness
-        near = set()
-        for u, _ in comp:
-            near.update(adj[u])
+        near = {x for u, _ in comp for x in adj[u]}
         starts = [s for s in comp if s[1] in near]
         if starts:
             yield starts
-            if (b, a) not in seen:  # swap(K) is another component
-                far = set()
-                for _, w in comp:
-                    far.update(adj[w])
+            if free[b][a]:  # swap(K) is another component
+                far = {x for _, w in comp for x in adj[w]}
                 yield [(w, u) for u, w in comp if u in far]
 
 
@@ -404,9 +405,7 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
                 for u2 in adj[u]:
                     cu2 = cols[u2]
                     for w2 in adj[w]:
-                        if cols[w2] != cu2:
-                            continue
-                        if u2 == w2 and not allow_diagonal:
+                        if cols[w2] != cu2 or u2 == w2 and not allow_diagonal:
                             continue
                         if apart and apart(u2, b) > longest // 2 - d:
                             continue  # too far to reach the link in time
@@ -421,8 +420,7 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
         # reconstruct all accepted product walks at minimal distance and
         # keep the lexicographically smallest resulting walk
         for node in accepted:
-            trail = []
-            cur = node
+            trail, cur = [], node
             while cur is not None:
                 trail.append(cur[0])
                 cur = pred[cur]
@@ -476,6 +474,8 @@ def exists_repetitive_path(g: Graph, c: Coloring) -> Optional[Witness]:
 
 # _BIT_TABLES[b] maps a byte to b"1" if its bit b is set, else to b"0"
 _BIT_TABLES = [bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8)]
+# _ONE_HOT[c] maps byte c to 1 and every other byte to 0 (accepting_starts)
+_ONE_HOT = [bytes(c) + b"\1" + bytes(255 - c) for c in range(256)]
 
 
 def _bit_planes(text: str) -> list:
@@ -579,8 +579,7 @@ def _square_path_dfs(g: Graph, cols) -> Optional[tuple]:
     starts ascend and extensions follow the sorted adjacency, so the first
     square found is the lexicographically least.
     """
-    n = g.n
-    adj = g._adj
+    n, adj = g.n, g._adj
     for order in range(2, n + 1, 2):
         t = order // 2
         for start in range(n):

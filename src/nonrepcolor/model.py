@@ -169,11 +169,12 @@ class Coloring:
     k: int
 
     def __post_init__(self):
-        """Raise on the first color that is not an int, else on the first
-        outside 1..k; a valid coloring is checked in C (types, min, max)."""
+        """Raise on a k that is no positive int, then on the first color
+        that is not an int, then on the first outside 1..k; a valid
+        coloring is checked in C (types, min, max)."""
         cols, k = self.colors, self.k
-        if k < 1:
-            raise InvalidArgumentError("k must be positive")
+        if type(k) is not int or k < 1:
+            raise InvalidArgumentError(f"k must be a positive int, not {k!r}")
         if not {int}.issuperset(map(type, cols)):
             i, col = next((i, col) for i, col in enumerate(cols)
                           if type(col) is not int)
@@ -186,7 +187,7 @@ class Coloring:
     @staticmethod
     def from_colors(colors: Iterable, k: Optional[int] = None) -> "Coloring":
         """Each color converted by operator.index, which refuses a float
-        where int() would truncate it; k defaults to the greatest."""
+        where int() would truncate it; k defaults to the greatest, or 1."""
         colors = tuple(colors)
         try:
             colors = tuple(map(operator.index, colors))
@@ -196,7 +197,7 @@ class Coloring:
             raise InvalidArgumentError(f"vertex {i} has color {col!r}, not an int")
         if not colors:
             raise InvalidArgumentError("coloring must be nonempty")
-        return Coloring(colors, max(colors) if k is None else k)
+        return Coloring(colors, max(max(colors), 1) if k is None else k)
 
     @staticmethod
     def from_digits(text: str, k: Optional[int] = None) -> "Coloring":

@@ -92,6 +92,12 @@ class TestVerify:
                            "--colors", "1213", "--property", "path")
         assert code == 2 and "error" in err
 
+    def test_colors_below_one_name_the_vertex(self, capsys):
+        code, out, err = run(capsys, "verify", "path:3",
+                             "--colors", "000", "--property", "path")
+        assert code == 2 and out == ""
+        assert "vertex 0 has color 0" in err and "k must" not in err
+
     def test_missing_coloring(self, capsys):
         code, _, err = run(capsys, "verify", "path:5", "--property", "path")
         assert code == 2 and "coloring" in err

@@ -713,15 +713,26 @@ def test_two_neighbour_kernel_matches_reference(g, monkeypatch):
     assert len(kernels) == (4 * 3 ** g.n if g.line is not None else 0)
 
 
+# three colors no byte holds: accepting_starts builds a row mask per color
+WIDE_COLORS = (256, 300, 0x110000)
+
+
 def test_general_loops_past_degree_two(monkeypatch):
     """A vertex of degree 3 keeps the nested loops over g's neighbours,
-    every word over k <= 3, both modes."""
+    every word over k <= 3 and over WIDE_COLORS, both modes; before those
+    loops are forced, the words over WIDE_COLORS on P6, C6, the relabelled
+    P7 and the matching too."""
+    for h in (path_graph(6), cycle_graph(6), P7_RELABELLED, MATCHING):
+        for cols in itertools.product(WIDE_COLORS, repeat=h.n):
+            for allow_diagonal in (False, True):
+                _same_starts(h, cols, allow_diagonal)
     monkeypatch.setattr(decide, "_two_neighbours", None)
     g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     assert g.line is None
-    for cols in itertools.product((1, 2, 3), repeat=g.n):
-        for allow_diagonal in (False, True):
-            _same_starts(g, cols, allow_diagonal)
+    for names in ((1, 2, 3), WIDE_COLORS):
+        for cols in itertools.product(names, repeat=g.n):
+            for allow_diagonal in (False, True):
+                _same_starts(g, cols, allow_diagonal)
 
 
 def _short_bound(g, cols, allow_diagonal):

@@ -151,6 +151,24 @@ class TestColoring:
         with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
             Coloring.from_colors(colors)
 
+    @pytest.mark.parametrize("k", [2.5, True, "3", None, 0, -1])
+    def test_k_is_a_positive_int(self, k):
+        """k is checked as the colors are: exactly an int, and at least 1."""
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^k must be a positive int, not {k!r}$"):
+            Coloring((1, 2, 1), k)
+
+    @pytest.mark.parametrize("colors,message", [
+        ([0, 0], "vertex 0 has color 0 outside 1..1"),
+        ([-1, 0, -2], "vertex 0 has color -1 outside 1..1"),
+        ([2, 0, 1], "vertex 1 has color 0 outside 1..2"),
+    ])
+    def test_from_colors_names_a_color_below_one(self, colors, message):
+        """A color below 1 is named with its vertex, also when no color is
+        1 or more and k defaults to 1."""
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            Coloring.from_colors(colors)
+
     def test_from_colors_takes_integer_types(self):
         """operator.index converts what is an integer, a bool too."""
         c = Coloring.from_colors(iter([True, 2, 3]))

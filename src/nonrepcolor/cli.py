@@ -3,8 +3,9 @@
 Exit codes: 0 property holds (all claims pass), 1 property fails (witness
 printed), 2 usage error, 3 budget exhausted (partial report), 4 internal
 error (a construction failed its own checks) or out of memory.  All JSON
-outputs carry a "schema": 1 field.  The NONREP_BUDGET environment variable
-overrides the default search node budget.
+outputs carry a "schema": 1 field.  --budget sets the search node budget
+of solve and construct; --time-budget is the one deadline of reproduce,
+which has none without it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import construct, decide, reproduce, saseq, search
@@ -37,21 +37,13 @@ class UsageError(Exception):
 
 
 def _node_budget(args) -> int:
-    """--budget, else NONREP_BUDGET, else the default; a positive integer."""
-    if getattr(args, "budget", None) is not None:
-        budget, source = args.budget, "--budget"
-    else:
-        env = os.environ.get("NONREP_BUDGET")
-        if not env:
-            return search.DEFAULT_NODE_BUDGET
-        source = "NONREP_BUDGET"
-        try:
-            budget = int(env)
-        except ValueError:
-            raise UsageError(f"{source} must be an integer, not {env!r}")
-    if budget < 1:
-        raise UsageError(f"{source} must be a positive node count, not {budget}")
-    return budget
+    """--budget, else the default; a positive integer."""
+    if args.budget is None:
+        return search.DEFAULT_NODE_BUDGET
+    if args.budget < 1:
+        raise UsageError(
+            f"--budget must be a positive node count, not {args.budget}")
+    return args.budget
 
 
 def _line_size(spec: str):
@@ -245,7 +237,7 @@ def cmd_reproduce(args) -> int:
     if budget is not None and not 0 < budget < math.inf:  # nan fails too
         raise UsageError("--time-budget must be a positive, finite number "
                          f"of seconds, not {budget:g}")
-    rows, aborted = reproduce.run_claim(args.claim, budget=budget)
+    rows, aborted = reproduce.CLAIMS[args.claim](budget=budget)
     ok = all(r["pass"] for r in rows) and not aborted
     if args.json:
         print(json.dumps({"schema": 1, "claim": args.claim, "pass": ok,
@@ -327,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     for what in ("table1", "sigma-cycle", "rho-path", "rho-cycle", "fig1"):
         q = targets.add_parser(what)
         if what != "fig1":
-            q.add_argument("--n", type=int, default=0)
+            q.add_argument("--n", type=int, required=True)
         if what == "sigma-cycle":
             q.add_argument("--trace", action="store_true")
         if what not in ("table1", "fig1"):

@@ -31,7 +31,8 @@ is the least square, or None.  A walk with a fold has a witness of 4
 vertices, so only strolls with a fold and no abab are labelled, and graphs
 that are not lines: a square-free word labels every component; with a
 square, only the components through a state with a fold coordinate,
-within the band the least square bounds, are labelled.  The oracle module
+within the band the least square bounds, are labelled, and the BFS runs
+from their starts and the least squares' own.  The oracle module
 cross-validates all of it.
 
 The path property's witness is the least square on paths and cycles, and
@@ -100,8 +101,8 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
     its S states, and each accepting one yields the list of its accepting
     states: asking whether one exists stops at the first.
     A state is one byte, free[u][w]: 1 while (u, w) is color-matched (off
-    the diagonal, for strolls) and unlabelled, row u a copy of u's color's
-    mask, so a move costs one index and one truth test; n^2 bytes per call.
+    the diagonal, for strolls) and unlabelled, each row one translate of the
+    colors, so a move costs one index and one truth test; n^2 bytes a call.
     On a path or cycle a state (u, w) has the four candidate moves
     (nbr[u][i], nbr[w][j]), i, j in 0, 1, over each vertex's lower and
     higher neighbour (_two_neighbours), in the order of the general loops
@@ -124,12 +125,11 @@ def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
     2|K| - t <= 2|K| - 1.
     """
     adj, line, n = g._adj, g.line, g.n
-    try:  # colors below 256: one translate of their bytes per color, in C
-        data = bytes(cols)
-        masks = {col: data.translate(_ONE_HOT[col]) for col in set(cols)}
+    try:  # colors below 256: each row is one translate of their bytes, in C
+        data = bytearray(cols)
+        free = [data.translate(_ONE_HOT[col]) for col in cols]
     except ValueError:  # a color of 256 or more
-        masks = {col: bytes(map(col.__eq__, cols)) for col in set(cols)}
-    free = list(map(bytearray, map(masks.__getitem__, cols)))
+        free = [bytearray(map(col.__eq__, cols)) for col in cols]
     if not allow_diagonal:
         for u, row in enumerate(free):
             row[u] = 0
@@ -326,10 +326,10 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
     - a square, the least of L vertices (_least_squares): a witness that
       beats it passes a state with a fold coordinate, all its states at
       most L/2 apart, so only the components through such a seed
-      (_fold_seeds) are labelled, and their starts at most L/2 apart kept,
-      both orientations.  A least square whose start is in none of them
-      is taken as it is: every walk of at most L vertices from that start
-      passes no fold state, so the BFS would find that square alone.
+      (_fold_seeds) are labelled, both orientations, and the least squares'
+      starts join their starts, as a square of L vertices is a walk that
+      the bounded BFS from its own start finds; starts more than L/2
+      apart are dropped.
     Each kept start's BFS stops where its walks would be longer than L or
     than the best so far; on that last route, where walks are bounded,
     it skips a start farther apart than half the bound, and a state whose
@@ -341,32 +341,27 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
     vertex and then the lexicographically smallest walk.
     """
     adj, line = g._adj, g.line
-    bound = squares = seeds = None
+    bound = squares = seeds = apart = None
     if line:
         text = _line_text(g, cols)
         walk, fold = _short_witness(g, text, allow_diagonal)
         if walk:
             return walk
-        if not _square_free_line(text, g.shape == "cycle"):
-            squares = _least_squares(g, text)
-            if not fold:
-                return min(squares)
+        squares = [] if _square_free_line(text, g.shape == "cycle") else \
+            _least_squares(g, text)
+        if not fold:
+            return min(squares) if squares else None
+        if squares:
             # no witness is longer than the square, and one that beats it
             # passes a fold state, all its states at most bound / 2 apart
             bound = len(squares[0])
             seeds = _fold_seeds(g, text, bound // 2)
-        elif not fold:
-            return None
     if seeds is None:
         seeds = _seeds(cols)
     starts = set().union(*accepting_starts(g, cols, allow_diagonal, seeds))
-    square = apart = None  # square: the least square no kept start finds
     if squares:
         h = bound // 2
-        # a square from a labelled start is left to its BFS; from any other,
-        # on a straight run, the BFS would find that square alone
-        square = min(((bound, w) for w in squares
-                      if (w[0], w[h]) not in starts), default=None)
+        starts.update((w[0], w[h]) for w in squares)
         pos = {v: i for i, v in enumerate(line)}
         span = len(line) if g.shape == "cycle" else 2 * len(line)
 
@@ -429,8 +424,6 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
             cand = (len(walk), walk)
             if best is None or cand < best:
                 best = cand
-    if square is not None and (best is None or square < best):
-        best = square
     return None if best is None else best[1]
 
 

@@ -2,8 +2,9 @@
 
 Each claim function returns (rows, aborted) where rows are dicts with
 "check", "pass" and "detail" keys; aborted means the time budget ran out
-before all sub-checks finished.  The CLI `reproduce` command and the
-acceptance tests are both built on these.
+before all sub-checks finished.  A claim has no deadline unless a budget
+is given, and the budget is checked between rows.  The CLI `reproduce`
+command and the acceptance tests are both built on these.
 """
 
 from __future__ import annotations
@@ -229,24 +230,3 @@ CLAIMS: dict = {
     "fig1": claim_fig1,
     "hierarchy": claim_hierarchy,
 }
-
-# generous wall-clock defaults per claim, seconds
-DEFAULT_BUDGETS = {
-    "table1": 120.0,
-    "currie": 120.0,
-    "thm1": 600.0,
-    "thm2": 90.0,
-    "thm3": 300.0,
-    "lemma4": 10.0,
-    "lemma5": 10.0,
-    "fig1": 10.0,
-    "hierarchy": 300.0,
-}
-
-
-def run_claim(name: str, budget: Optional[float] = None):
-    if name not in CLAIMS:
-        raise KeyError(name)
-    if budget is None:
-        budget = DEFAULT_BUDGETS[name]
-    return CLAIMS[name](budget=budget)

@@ -20,7 +20,7 @@ def _report(num, label, ok):
 
 
 def _claim_ok(name):
-    rows, aborted = reproduce.run_claim(name)
+    rows, aborted = reproduce.CLAIMS[name]()
     failed = [r["check"] for r in rows if not r["pass"]]
     return not aborted and not failed, failed
 

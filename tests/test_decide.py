@@ -1004,9 +1004,12 @@ def test_fold_seeds_are_the_band_seeds_through_a_fold(g):
 def test_fold_square_route_labels_through_folds(monkeypatch):
     """Strolls on words with a fold, a square and no abab: only seeds with
     a fold as a coordinate are labelled, and the witness is the labelled
-    route's (_same_as_labelled), on seeded planted words and sigma's."""
+    route's (_same_as_labelled), on seeded planted words and sigma's.  Some
+    least squares start in no labelled component, so the witness comes
+    from the BFS from a square's own start: on P8 12412434 the fold 434
+    has no seed in the band, and the witness is the square 124124."""
     rng = random.Random(27)
-    cases = []
+    cases = [(path_graph(8), (1, 2, 4, 1, 2, 4, 3, 4))]
     for n in range(4, 41):
         for g in (path_graph(n), cycle_graph(n)):
             cases += [(g, word) for word in _planted_words(rng, n, g.is_cycle(), 12)]
@@ -1018,14 +1021,22 @@ def test_fold_square_route_labels_through_folds(monkeypatch):
                 not decide._square_free_line(text, g.is_cycle()):
             route.append((g, cols))
     assert len(route) > 100
-    drawn, labelled = _drawn_seeds(monkeypatch), 0
+    drawn, labelled, own = _drawn_seeds(monkeypatch), 0, []
     for g, cols in route:
         drawn.clear()
-        find_witness(g, Coloring.from_colors(cols), "stroll")
+        found = find_witness(g, Coloring.from_colors(cols), "stroll")
         fold = _folds(g, cols)
         assert all(u in fold or w in fold for u, w in drawn), cols
         labelled += bool(drawn)
+        squares = decide._least_squares(g, decide._line_text(g, cols))
+        h = len(squares[0]) // 2
+        comps = list(_reference_components(g._adj, cols, False))
+        for square in squares:
+            comp = next(k for k in comps if (square[0], square[h]) in k)
+            if not any(s in comp or s[::-1] in comp for s in drawn):
+                own.append((g, cols, found.walk.vertices))
     assert 0 < labelled < len(route)  # a fold may have no seed in the band
+    assert own[0] == (path_graph(8), (1, 2, 4, 1, 2, 4, 3, 4), (0, 1, 2, 3, 4, 5))
     _same_as_labelled(route, monkeypatch)
 
 

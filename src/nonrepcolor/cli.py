@@ -14,12 +14,14 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 from . import construct, decide, reproduce, saseq, search
 from .model import (
     Coloring,
     Graph,
     InvalidArgumentError,
+    _graph_json,
     cycle_graph,
     is_distance2,
     path_graph,
@@ -46,38 +48,38 @@ def _node_budget(args) -> int:
     return args.budget
 
 
-def _line_size(spec: str):
-    """N of the spec path:N or cycle:N; None for a graph file."""
-    if not spec.startswith(("path:", "cycle:")):
-        return None
+def _graph_spec(spec: str) -> tuple:
+    """(n, build) of the spec path:N, cycle:N or a graph file: its number
+    of vertices, read before the graph is built, and the call that builds
+    the graph."""
+    if spec.startswith(("path:", "cycle:")):
+        try:
+            n = int(spec.partition(":")[2])
+        except ValueError:
+            raise UsageError(f"bad graph size in {spec!r}")
+        line = path_graph if spec.startswith("path:") else cycle_graph
+        return n, partial(line, n)
     try:
-        return int(spec.partition(":")[2])
-    except ValueError:
-        raise UsageError(f"bad graph size in {spec!r}")
+        with open(spec) as fh:
+            n, edges = _graph_json(fh.read())
+    except (OSError, ValueError, InvalidArgumentError) as exc:
+        raise UsageError(f"cannot load graph from {spec!r}: {exc}")
+    return n, partial(Graph.from_edges, n, edges)
 
 
 def _load_graph(args) -> Graph:
-    spec = args.graph
-    n = _line_size(spec)
-    if n is not None:
-        return path_graph(n) if spec.startswith("path:") else cycle_graph(n)
-    try:
-        with open(spec) as fh:
-            return Graph.from_json(fh.read())
-    except (OSError, ValueError, InvalidArgumentError) as exc:
-        raise UsageError(f"cannot load graph from {spec!r}: {exc}")
+    return _graph_spec(args.graph)[1]()
 
 
 def _load_colored_graph(args):
     """The graph and coloring that verify and sa encode read, of one size.
 
-    A path:N or cycle:N longer than the coloring is refused before the
-    graph, which takes memory in proportion to N, is built."""
-    n = _line_size(args.graph)
+    A graph larger than the coloring is refused before it is built, as it
+    takes memory in proportion to its size; a smaller one once built, so
+    that its own checks come first."""
     c = _load_coloring(args)
-    if n is None or n <= c.n:
-        g = _load_graph(args)
-        n = g.n
+    n, build = _graph_spec(args.graph)
+    g = n <= c.n and build()
     if c.n != n:
         raise UsageError(
             f"coloring has {c.n} entries but the graph has {n} vertices")
@@ -237,7 +239,7 @@ def cmd_reproduce(args) -> int:
     if budget is not None and not 0 < budget < math.inf:  # nan fails too
         raise UsageError("--time-budget must be a positive, finite number "
                          f"of seconds, not {budget:g}")
-    rows, aborted = reproduce.CLAIMS[args.claim](budget=budget)
+    rows, aborted = reproduce.run(args.claim, budget)
     ok = all(r["pass"] for r in rows) and not aborted
     if args.json:
         print(json.dumps({"schema": 1, "claim": args.claim, "pass": ok,

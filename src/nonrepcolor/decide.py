@@ -32,8 +32,8 @@ vertices, so only strolls with a fold and no abab are labelled, and graphs
 that are not lines: a square-free word labels every component; with a
 square, only the components through a state with a fold coordinate,
 within the band the least square bounds, are labelled, and the BFS runs
-from their starts and the least squares' own.  The oracle module
-cross-validates all of it.
+from their starts with the least square as the best so far.  The oracle
+module cross-validates all of it.
 
 The path property's witness is the least square on paths and cycles, and
 a DFS over simple paths on other graphs; its verdict alone, on paths and
@@ -326,42 +326,37 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
     - a square, the least of L vertices (_least_squares): a witness that
       beats it passes a state with a fold coordinate, all its states at
       most L/2 apart, so only the components through such a seed
-      (_fold_seeds) are labelled, both orientations, and the least squares'
-      starts join their starts, as a square of L vertices is a walk that
-      the bounded BFS from its own start finds; starts more than L/2
-      apart are dropped.
-    Each kept start's BFS stops where its walks would be longer than L or
-    than the best so far; on that last route, where walks are bounded,
-    it skips a start farther apart than half the bound, and a state whose
-    first vertex is too far along g.line to reach the start's second
-    vertex's neighbours within the bound.
+      (_fold_seeds) are labelled, both orientations, and the least square
+      is the first best.
+    Each start's BFS stops where its walks would be longer than the best
+    so far; on that last route it skips a start farther apart than half
+    the best's length, and a state whose first vertex is too far along
+    g.line to reach the start's second vertex's neighbours in time.
 
     Returns the lexicographically smallest (2t, walk) over all start states,
     or None: the witness is shortest, ties break to the lowest starting
     vertex and then the lexicographically smallest walk.
     """
     adj, line = g._adj, g.line
-    bound = squares = seeds = apart = None
+    best = seeds = apart = None  # best: (length, walk tuple)
     if line:
         text = _line_text(g, cols)
         walk, fold = _short_witness(g, text, allow_diagonal)
         if walk:
             return walk
-        squares = [] if _square_free_line(text, g.shape == "cycle") else \
-            _least_squares(g, text)
+        if not _square_free_line(text, g.shape == "cycle"):
+            squares = _least_squares(g, text)
+            best = (len(squares[0]), min(squares))
         if not fold:
-            return min(squares) if squares else None
-        if squares:
+            return best and best[1]
+        if best:
             # no witness is longer than the square, and one that beats it
-            # passes a fold state, all its states at most bound / 2 apart
-            bound = len(squares[0])
-            seeds = _fold_seeds(g, text, bound // 2)
+            # passes a fold state, all its states at most best[0] / 2 apart
+            seeds = _fold_seeds(g, text, best[0] // 2)
     if seeds is None:
         seeds = _seeds(cols)
     starts = set().union(*accepting_starts(g, cols, allow_diagonal, seeds))
-    if squares:
-        h = bound // 2
-        starts.update((w[0], w[h]) for w in squares)
+    if best:
         pos = {v: i for i, v in enumerate(line)}
         span = len(line) if g.shape == "cycle" else 2 * len(line)
 
@@ -369,17 +364,13 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
             d = abs(pos[u] - pos[w])
             return min(d, span - d)
 
-        starts = [s for s in starts if apart(*s) <= h]
-
-    best = None  # (length, walk tuple)
     for s0 in sorted(starts):
         a, b = s0
-        # walks from s0 begin with a, and starts ascend: past best's first
-        # vertex, only a strictly shorter walk can be better
-        longest = (bound if best is None else
-                   best[0] if a == best[1][0] else best[0] - 2)
-        if longest is not None and longest < 2:
-            break  # no witness is shorter, and every later start is past it
+        # walks from s0 begin with a, and starts ascend: up to best's first
+        # vertex a walk as long as best can be better, past it only a
+        # strictly shorter one
+        longest = (None if best is None else
+                   best[0] if a <= best[1][0] else best[0] - 2)
         if apart and 2 * apart(a, b) > longest:
             continue  # a walk of 2t vertices starts at most t apart
         start_bit = a != b  # always set for strolls: no diagonal states
@@ -424,7 +415,7 @@ def _product_search(g: Graph, cols, allow_diagonal: bool):
             cand = (len(walk), walk)
             if best is None or cand < best:
                 best = cand
-    return None if best is None else best[1]
+    return best and best[1]
 
 
 def _witness(g: Graph, c: Coloring, violated: str, search, *args):

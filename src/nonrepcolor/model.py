@@ -98,19 +98,24 @@ class Graph:
 
     @staticmethod
     def from_json(text: str) -> "Graph":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise InvalidArgumentError("a graph must be a JSON object")
-        for key in ("n", "edges"):
-            if key not in data:
-                raise InvalidArgumentError(f"missing key {key!r}")
-        n, edges = data["n"], data["edges"]
-        if not (type(n) is int and n >= 1 and isinstance(edges, list) and all(
-                isinstance(e, list) and len(e) == 2
-                and all(type(v) is int for v in e) for e in edges)):
-            raise InvalidArgumentError("n must be a positive integer and "
-                                       "edges a list of integer [u, v] pairs")
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(*_graph_json(text))
+
+
+def _graph_json(text: str) -> tuple:
+    """(n, edges) of a graph's JSON text, checked for shape alone."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InvalidArgumentError("a graph must be a JSON object")
+    for key in ("n", "edges"):
+        if key not in data:
+            raise InvalidArgumentError(f"missing key {key!r}")
+    n, edges = data["n"], data["edges"]
+    if not (type(n) is int and n >= 1 and isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2
+            and all(type(v) is int for v in e) for e in edges)):
+        raise InvalidArgumentError("n must be a positive integer and "
+                                   "edges a list of integer [u, v] pairs")
+    return n, edges
 
 
 def _line_graph(n: int, cycle: bool) -> Graph:

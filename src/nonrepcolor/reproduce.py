@@ -1,15 +1,16 @@
 """Reproduction suites: each claim re-derives one published result.
 
-Each claim function returns (rows, aborted) where rows are dicts with
-"check", "pass" and "detail" keys; aborted means the time budget ran out
-before all sub-checks finished.  A claim has no deadline unless a budget
-is given, and the budget is checked between rows.  The CLI `reproduce`
-command and the acceptance tests are both built on these.
+Each claim_* takes no arguments and yields its rows as (check, ok) or
+(check, ok, detail) tuples.  run(claim, budget) builds the row dicts,
+with "check", "pass" and "detail" keys, and returns (rows, aborted):
+aborted means the time budget ran out before all rows were made.  A claim
+has no deadline unless a budget is given, and the budget is checked after
+each row.  The CLI `reproduce` command and the acceptance tests are both
+built on run.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Optional
 
@@ -21,130 +22,95 @@ CURRIE_EXCEPTIONAL = frozenset({5, 7, 9, 10, 14, 17})
 STROLL_CYCLE_3 = frozenset({3, 4, 6, 8})
 
 
-class _OutOfTime(Exception):
-    pass
-
-
-class _Run:
-    def __init__(self, budget: Optional[float]):
-        self.rows = []
-        self.deadline = None if budget is None else time.perf_counter() + budget
-
-    def add(self, check: str, ok: bool, detail: str = "") -> None:
-        """Record one row; stop the claim once its deadline has passed."""
-        self.rows.append({"check": check, "pass": bool(ok), "detail": detail})
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise _OutOfTime()
-
-
-def _claim(body):
-    """Public form of a claim body: claim(budget=None) -> (rows, aborted)."""
-    @functools.wraps(body)
-    def claim(budget: Optional[float] = None):
-        run = _Run(budget)
-        try:
-            body(run)
-        except _OutOfTime:
-            return run.rows, True
-        return run.rows, False
-    return claim
-
-
-@_claim
-def claim_table1(run):
+def claim_table1():
     """Embedded cycle table: every row walk-verifies; small lower bounds exhaust."""
     for n in range(4, 22):
         value, c = construct.table1_coloring(n)
         ok = decide.holds(cycle_graph(n), c, "walk")
         tight = c.colors_used() == value
-        run.add(f"C{n} row verifies with {value} colors", ok and tight)
+        yield (f"C{n} row verifies with {value} colors", ok and tight)
     for n in range(4, 22):
         r = search.solve(cycle_graph(n), "walk", 3)
-        run.add(f"C{n}: no walk-nonrepetitive 3-coloring",
-                not r.aborted and r.value is None,
-                f"nodes={r.nodes_visited}")
+        yield (f"C{n}: no walk-nonrepetitive 3-coloring",
+               not r.aborted and r.value is None,
+               f"nodes={r.nodes_visited}")
     for n in (5, 7):
         r = search.solve(cycle_graph(n), "walk", 4)
-        run.add(f"C{n}: no walk-nonrepetitive 4-coloring",
-                not r.aborted and r.value is None,
-                f"nodes={r.nodes_visited}")
+        yield (f"C{n}: no walk-nonrepetitive 4-coloring",
+               not r.aborted and r.value is None,
+               f"nodes={r.nodes_visited}")
 
 
-@_claim
-def claim_currie(run):
+def claim_currie():
     """Path-nonrepetitive chromatic values of small cycles."""
     for n in range(3, 18):
         want = 4 if n in CURRIE_EXCEPTIONAL else 3
         r = search.solve(cycle_graph(n), "path", 4)
-        run.add(f"pi(C{n}) = {want}", not r.aborted and r.value == want,
-                f"got {r.value}")
+        yield (f"pi(C{n}) = {want}", not r.aborted and r.value == want,
+               f"got {r.value}")
 
 
-@_claim
-def claim_thm1(run):
+def claim_thm1():
     """Subdivision construction succeeds and self-verifies beyond the table;
     P6 has no walk-nonrepetitive 3-coloring, so no C_n with n >= 6 has one."""
     for n in range(22, 41):
         try:
             trace, c = construct.sigma_cycle_coloring(n)
         except RuntimeError as exc:
-            run.add(f"C{n}: 4-coloring built and walk-verifies", False, str(exc))
+            yield (f"C{n}: 4-coloring built and walk-verifies", False, str(exc))
             continue
         k2 = trace.base_cycle_n
         m = len(trace.removed_good_edges)
         arith = (3 * (k2 // 2) - n == m and m in (0, 1, 2)
                  and k2 + (k2 // 2 - m) == n == c.n)
-        run.add(f"C{n}: 4-coloring built and walk-verifies",
-                arith and c.colors_used() == 4,
-                f"base C{k2}, m={m}")
+        yield (f"C{n}: 4-coloring built and walk-verifies",
+               arith and c.colors_used() == 4,
+               f"base C{k2}, m={m}")
     # a walk-nonrepetitive coloring restricts to one of any subgraph
     r = search.solve(path_graph(6), "walk", 3)
-    run.add("P6 ⊆ C_n: no walk-nonrepetitive 3-coloring",
-            not r.aborted and r.value is None,
-            f"nodes={r.nodes_visited}; so sigma(C_n) >= 4 for every n >= 6")
+    yield ("P6 ⊆ C_n: no walk-nonrepetitive 3-coloring",
+           not r.aborted and r.value is None,
+           f"nodes={r.nodes_visited}; so sigma(C_n) >= 4 for every n >= 6")
 
 
-@_claim
-def claim_thm2(run):
+def claim_thm2():
     """Stroll chromatic values of paths: 2 at 3 vertices, 3 from 4 up to 21,
     then 4."""
     word = Coloring.from_colors(construct.STROLL_NONREP_P21)
-    run.add("21-vertex word is stroll-nonrepetitive",
-            decide.holds(path_graph(21), word, "stroll"))
+    yield ("21-vertex word is stroll-nonrepetitive",
+           decide.holds(path_graph(21), word, "stroll"))
     r = search.solve(path_graph(22), "stroll", 3)
-    run.add("P22: no stroll-nonrepetitive 3-coloring (search)",
-            not r.aborted and r.value is None, f"nodes={r.nodes_visited}")
+    yield ("P22: no stroll-nonrepetitive 3-coloring (search)",
+           not r.aborted and r.value is None, f"nodes={r.nodes_visited}")
     _, max_len = saseq.enumerate_h_free(20)
-    run.add("P22: no stroll-nonrepetitive 3-coloring (word route)",
-            max_len == 19, f"longest forbidden-factor-free word: {max_len}")
+    yield ("P22: no stroll-nonrepetitive 3-coloring (word route)",
+           max_len == 19, f"longest forbidden-factor-free word: {max_len}")
     for n in (4, 10, 21):
         r = search.solve(path_graph(n), "stroll", 4)
-        run.add(f"rho(P{n}) = 3", not r.aborted and r.value == 3, f"got {r.value}")
+        yield (f"rho(P{n}) = 3", not r.aborted and r.value == 3, f"got {r.value}")
     r = search.solve(path_graph(22), "stroll", 4)
-    run.add("rho(P22) = 4", not r.aborted and r.value == 4, f"got {r.value}")
+    yield ("rho(P22) = 4", not r.aborted and r.value == 4, f"got {r.value}")
     # every walk on P3 alternates with its middle vertex
     r = search.solve(path_graph(3), "stroll", 4)
-    run.add("rho(P3) = 2", not r.aborted and r.value == 2,
-            f"got {r.value}; the abstract's rho(P_n) = 3 for 3 ≤ n ≤ 21 "
-            "holds from n = 4")
+    yield ("rho(P3) = 2", not r.aborted and r.value == 2,
+           f"got {r.value}; the abstract's rho(P_n) = 3 for 3 ≤ n ≤ 21 "
+           "holds from n = 4")
 
 
-@_claim
-def claim_thm3(run):
+def claim_thm3():
     """Stroll chromatic values of small cycles, plus the two explicit words."""
     for n in range(3, 13):
         want = 3 if n in STROLL_CYCLE_3 else 4
         r = search.solve(cycle_graph(n), "stroll", 4)
-        run.add(f"rho(C{n}) = {want}", not r.aborted and r.value == want,
-                f"got {r.value}")
+        yield (f"rho(C{n}) = {want}", not r.aborted and r.value == want,
+               f"got {r.value}")
     for n in (6, 8):
         c = Coloring.from_colors(construct.STROLL_NONREP_SMALL_CYCLES[n])
-        run.add(f"C{n} coloring {c.to_digits()} is stroll-nonrepetitive",
-                decide.holds(cycle_graph(n), c, "stroll"))
+        yield (f"C{n} coloring {c.to_digits()} is stroll-nonrepetitive",
+               decide.holds(cycle_graph(n), c, "stroll"))
 
 
-@_claim
-def claim_lemma4(run):
+def claim_lemma4():
     """Each forbidden word's stroll verifies under its decoded coloring."""
     expected = {
         "SS": (1, 2, 1, 2),
@@ -159,39 +125,36 @@ def claim_lemma4(run):
         c = saseq.decode_sa(h, "path")
         wc = classify_walk(g, c, walk)
         seq_str = "".join(map(str, seq))
-        run.add(f"{h}: stroll {seq_str} is repetitive",
-                wc.stroll and wc.repetitive is True and seq == expected[h])
-        run.add(f"{h}: decider finds a repetitive stroll",
-                not decide.holds(g, c, "stroll"))
+        yield (f"{h}: stroll {seq_str} is repetitive",
+               wc.stroll and wc.repetitive is True and seq == expected[h])
+        yield (f"{h}: decider finds a repetitive stroll",
+               not decide.holds(g, c, "stroll"))
 
 
-@_claim
-def claim_lemma5(run):
+def claim_lemma5():
     """Longest word avoiding the five forbidden factors has length 19."""
     words, max_len = saseq.enumerate_h_free(25)
     longest = [w for w in words if len(w) == max_len]
-    run.add("maximum factor-free length is 19", max_len == 19, f"got {max_len}")
-    run.add("the known longest word is among the maximal ones",
-            saseq.LONGEST_H_FREE_WORD in longest,
-            f"{len(longest)} maximal word(s)")
-    run.add("no factor-free word of length 20",
-            all(len(w) <= 19 for w in words))
+    yield ("maximum factor-free length is 19", max_len == 19, f"got {max_len}")
+    yield ("the known longest word is among the maximal ones",
+           saseq.LONGEST_H_FREE_WORD in longest,
+           f"{len(longest)} maximal word(s)")
+    yield ("no factor-free word of length 20",
+           all(len(w) <= 19 for w in words))
 
 
-@_claim
-def claim_fig1(run):
+def claim_fig1():
     """Unicyclic fixture: distance-2 and path-nonrepetitive but not walk."""
     g, c = construct.figure1_fixture()
-    run.add("fixture is a distance-2 coloring", is_distance2(g, c) is None)
-    run.add("fixture is path-nonrepetitive",
-            decide.holds(g, c, "path"))
+    yield ("fixture is a distance-2 coloring", is_distance2(g, c) is None)
+    yield ("fixture is path-nonrepetitive",
+           decide.holds(g, c, "path"))
     w = decide.exists_repetitive_nonboring_walk(g, c)
-    run.add("fixture has a repetitive nonboring walk", w is not None,
-            "" if w is None else f"witness {list(w.walk.vertices)}")
+    yield ("fixture has a repetitive nonboring walk", w is not None,
+           "" if w is None else f"witness {list(w.walk.vertices)}")
 
 
-@_claim
-def claim_hierarchy(run):
+def claim_hierarchy():
     """Cycle characterization and the chromatic hierarchy, exhaustively.
 
     Over all 3- and 4-colorings of C_4..C_8 (up to color permutation):
@@ -213,10 +176,10 @@ def claim_hierarchy(run):
                 if (walk_ok and not stroll_ok) or (stroll_ok and not path_ok):
                     hier_bad += 1
                 count += 1
-        run.add(f"C{n}: walk-nonrepetitive iff distance-2 + path-nonrepetitive",
-                equiv_bad == 0, f"{count} colorings")
-        run.add(f"C{n}: walk => stroll => path hierarchy", hier_bad == 0,
-                f"{count} colorings")
+        yield (f"C{n}: walk-nonrepetitive iff distance-2 + path-nonrepetitive",
+               equiv_bad == 0, f"{count} colorings")
+        yield (f"C{n}: walk => stroll => path hierarchy", hier_bad == 0,
+               f"{count} colorings")
 
 
 CLAIMS: dict = {
@@ -230,3 +193,15 @@ CLAIMS: dict = {
     "fig1": claim_fig1,
     "hierarchy": claim_hierarchy,
 }
+
+
+def run(claim: str, budget: Optional[float] = None) -> tuple:
+    """The rows of the named claim and whether its budget cut it short."""
+    deadline = None if budget is None else time.perf_counter() + budget
+    rows = []
+    for check, ok, *detail in CLAIMS[claim]():
+        rows.append({"check": check, "pass": bool(ok),
+                     "detail": detail[0] if detail else ""})
+        if deadline is not None and time.perf_counter() > deadline:
+            return rows, True
+    return rows, False

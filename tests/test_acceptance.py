@@ -20,13 +20,13 @@ def _report(num, label, ok):
 
 
 def _claim_ok(name):
-    rows, aborted = reproduce.CLAIMS[name]()
+    rows, aborted = reproduce.run(name)
     failed = [r["check"] for r in rows if not r["pass"]]
     return not aborted and not failed, failed
 
 
 def test_c01_embedded_cycle_colorings_verify():
-    rows, aborted = reproduce.claim_table1(budget=None)
+    rows, aborted = reproduce.run("table1")
     verify_rows = [r for r in rows if "row verifies" in r["check"]]
     ok = not aborted and len(verify_rows) == 18 and all(
         r["pass"] for r in verify_rows)
@@ -34,7 +34,7 @@ def test_c01_embedded_cycle_colorings_verify():
 
 
 def test_c02_cycle_lower_bounds_exhaust():
-    rows, aborted = reproduce.claim_table1(budget=None)
+    rows, aborted = reproduce.run("table1")
     bound_rows = [r for r in rows if "no walk-nonrepetitive" in r["check"]]
     ok = (not aborted and len(bound_rows) == 18 + 2
           and all(r["pass"] for r in bound_rows))
@@ -109,7 +109,7 @@ def test_c09_decider_matches_bounded_oracle(decider_verdicts):
 
 
 def test_c10_cycle_characterization():
-    rows, aborted = reproduce.claim_hierarchy(budget=None)
+    rows, aborted = reproduce.run("hierarchy")
     equiv = [r for r in rows if "iff" in r["check"]]
     ok = not aborted and len(equiv) == 5 and all(r["pass"] for r in equiv)
     _report(10, "walk-nonrepetitive iff distance-2 + path-nonrepetitive "
@@ -117,7 +117,7 @@ def test_c10_cycle_characterization():
 
 
 def test_c11_unicyclic_regression():
-    rows, aborted = reproduce.claim_fig1(budget=None)
+    rows, aborted = reproduce.run("fig1")
     ok = not aborted and all(r["pass"] for r in rows)
     g, c = figure1_fixture()
     w = decide.exists_repetitive_nonboring_walk(g, c)
@@ -136,7 +136,7 @@ def test_c12_hierarchy(decider_verdicts):
             path_ok = w_path is None
             if (walk_ok and not stroll_ok) or (stroll_ok and not path_ok):
                 violations += 1
-    rows, aborted = reproduce.claim_hierarchy(budget=None)
+    rows, aborted = reproduce.run("hierarchy")
     hier = [r for r in rows if "=>" in r["check"]]
     ok = (violations == 0 and not aborted and len(hier) == 5
           and all(r["pass"] for r in hier))

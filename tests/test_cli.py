@@ -5,7 +5,7 @@ import pytest
 
 from nonrepcolor import cli, construct, decide
 from nonrepcolor.cli import main
-from nonrepcolor.model import cycle_graph
+from nonrepcolor.model import Graph, cycle_graph
 
 # P7 laid out 1-6-3-5-2-0-4
 P7_RELABELLED = str(Path(__file__).parent / "data" / "p7_relabelled.json")
@@ -39,7 +39,7 @@ def test_usage_errors_return_two(capsys):
     assert (code, out) == (2, "") and "bad graph size" in err
 
 
-def _unbuilt(n):
+def _unbuilt(n, *edges):
     raise AssertionError(f"a graph of {n} vertices was built")
 
 
@@ -60,6 +60,22 @@ def test_line_longer_than_its_coloring_is_not_built(capsys, monkeypatch, argv):
     n = len(argv[argv.index("--colors") + 1])
     assert (code, out, err) == (2, "", f"error: coloring has {n} entries but "
                                        "the graph has 900000000 vertices\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "FILE", "--property", "path", "--colors", "121"],
+    ["sa", "encode", "FILE", "--colors", "121"],
+])
+def test_graph_file_larger_than_its_coloring_is_not_built(
+        capsys, monkeypatch, tmp_path, argv):
+    """A graph file's n is checked against the coloring, as path:N's is,
+    before the graph is built."""
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 1000000, "edges": []}')
+    monkeypatch.setattr(Graph, "from_edges", _unbuilt)
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert (code, out, err) == (2, "", "error: coloring has 3 entries but "
+                                       "the graph has 1000000 vertices\n")
 
 
 @pytest.mark.parametrize("target,argv", [

@@ -1001,15 +1001,28 @@ def test_fold_seeds_are_the_band_seeds_through_a_fold(g):
                 and (u in fold or w in fold)}, (cols, h)
 
 
+# (g, cols, stroll witness): the witness is as long as the least square
+# and starts at an earlier vertex, (4, 3, 2, 1, 0, 9, 8, 7) on C10 and
+# (5, 6, 7, 8, 9, 10, 11, 12) on P13
+TIES = [
+    (cycle_graph(10), (1, 2, 1, 3, 1, 2, 3, 2, 1, 3), (0, 9, 0, 1, 2, 3, 4, 5)),
+    (path_graph(13), (1, 2, 3, 2, 1, 2, 3, 1, 3, 2, 3, 1, 3),
+     (0, 1, 2, 3, 4, 5, 6, 5)),
+]
+
+
 def test_fold_square_route_labels_through_folds(monkeypatch):
     """Strolls on words with a fold, a square and no abab: only seeds with
     a fold as a coordinate are labelled, and the witness is the labelled
     route's (_same_as_labelled), on seeded planted words and sigma's.  Some
-    least squares start in no labelled component, so the witness comes
-    from the BFS from a square's own start: on P8 12412434 the fold 434
-    has no seed in the band, and the witness is the square 124124."""
+    least squares start in no labelled component, so the witness is the
+    least square the search starts from as its best: on P8 12412434 the
+    fold 434 has no seed in the band, and the witness is the square
+    124124.  A walk as long as the least square that starts at an earlier
+    vertex beats it (TIES)."""
     rng = random.Random(27)
-    cases = [(path_graph(8), (1, 2, 4, 1, 2, 4, 3, 4))]
+    cases = [(path_graph(8), (1, 2, 4, 1, 2, 4, 3, 4)),
+             *((g, cols) for g, cols, _ in TIES)]
     for n in range(4, 41):
         for g in (path_graph(n), cycle_graph(n)):
             cases += [(g, word) for word in _planted_words(rng, n, g.is_cycle(), 12)]
@@ -1037,7 +1050,12 @@ def test_fold_square_route_labels_through_folds(monkeypatch):
                 own.append((g, cols, found.walk.vertices))
     assert 0 < labelled < len(route)  # a fold may have no seed in the band
     assert own[0] == (path_graph(8), (1, 2, 4, 1, 2, 4, 3, 4), (0, 1, 2, 3, 4, 5))
+    for g, cols, walk in TIES:
+        least = min(decide._least_squares(g, decide._line_text(g, cols)))
+        assert len(walk) == len(least) and walk[0] < least[0]
+        assert find_witness(g, Coloring.from_colors(cols), "stroll").walk.vertices == walk
     _same_as_labelled(route, monkeypatch)
+
 
 
 @pytest.mark.parametrize("n", range(3, 8))

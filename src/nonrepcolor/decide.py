@@ -23,8 +23,8 @@ cycle (_circular).  Three readers do the reading:
 - _short_witness: a witness of 2 or 4 vertices (an equal edge; a fold
   u x w x, for walks; abab, for strolls), and whether the word has a fold
   (a vertex whose neighbours share a color);
-- _square_free_line: the one square verdict, one regex search, which on a
-  cycle tries each rotation once;
+- _square_free_line: the one square verdict, one match of the one square
+  regex (_squares), which on a cycle tries each rotation once;
 - _least_squares: a bit-parallel scan of the text for its least squares.
 A word with no fold has straight-run product components, so its witness
 is the least square, or None.  A walk with a fold has a witness of 4
@@ -522,38 +522,29 @@ def _least_squares(g: Graph, text: str) -> list:
 
 
 @lru_cache(maxsize=128)
-def _squares_upto(h: int):
-    """search(text) for a square of half-length at most h, h >= 1; DOTALL,
-    as color 10 is "\n"."""
-    return re.compile(rf"(.{{1,{h}}})\1", re.DOTALL).search
-
-
-@lru_cache(maxsize=128)
-def _circular_squares(n: int):
-    """match(text) for a square of half-length at most n // 2 that starts
-    at one of text's first n letters, n >= 2 (_square_free_line)."""
-    return re.compile(rf".{{0,{n - 1}}}?(.{{1,{n // 2}}})\1", re.DOTALL).match
+def _squares(m: int):
+    """match(text) for a square of half-length at most m // 2 starting at
+    one of text's first m letters, m >= 2; DOTALL, as color 10 is "\n"."""
+    return re.compile(rf".{{0,{m - 1}}}?(.{{1,{m // 2}}})\1", re.DOTALL).match
 
 
 def _square_free_line(text: str, cyclic: bool) -> bool:
-    """No square in the color word text along a line (_line_text), by one
-    regex search; in the circular word, on a cycle (cyclic), by one match.
+    """No square in the color word text along a line (_line_text), or in
+    the circular word on a cycle (cyclic): one match of _squares(n).
 
-    A linear word of n letters holds a square of half-length at most
-    n // 2 or none.  A circular word of n >= 3 letters is read from its
-    second letter round to its last but one, 2n - 2 letters, which hold
-    every circular factor of at most n letters up to rotation; a half of
-    at most n // 2 keeps a square inside n letters.  Only the first n
-    starts are tried, one per rotation (_circular_squares): a square
-    starting later repeats one that starts n letters earlier, at the same
-    circular position; a whole-word square xx, |x| = n / 2, cannot start
-    at letter n - 1, but the word then has period n / 2, so every
-    rotation, the one at the first letter too, is a square.
+    Every square of a linear word of n letters has a half of at most
+    n // 2 and starts at one of its first n letters.  A circular word of
+    n >= 3 letters is read from its second letter round to its last but
+    one, 2n - 2 letters, holding every circular factor of at most n
+    letters up to rotation, whose squares have halves of at most n // 2.
+    Only its first n starts are tried, one per rotation: a square
+    starting later repeats one n letters earlier; a whole-word square
+    xx, |x| = n / 2, cannot start at letter n - 1, but the word then has
+    period n / 2, so every rotation, the first letter's too, is a square.
     """
     n = len(text)
-    if cyclic:
-        return _circular_squares(n)(text[1:] + text[:-1]) is None
-    return n < 2 or _squares_upto(n // 2)(text) is None
+    return n < 2 or \
+        _squares(n)(text[1:] + text[:-1] if cyclic else text) is None
 
 
 def _square_path_dfs(g: Graph, cols) -> Optional[tuple]:

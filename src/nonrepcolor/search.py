@@ -20,10 +20,10 @@ linked to column d - 1 share their component's box, built from column
 d - 1's boxes by the call at depth d, so the structure describes the arc
 as it is colored now with nothing to undo and no hook in Colorings.  On a
 cycle, every search also rejects a completed coloring whose circular color
-word holds a square, through the closing edge included, by a regex search
-of the colors near the last vertex, then of the whole word, each of its n
-rotations tried once: a repetitive simple path is a repetitive stroll and
-a nonboring walk.
+word holds a square, through the closing edge included, by a regex match
+on the colors near the last vertex, then on the whole word read from the
+seam, each of its n rotations tried once: a repetitive simple path is a
+repetitive stroll and a nonboring walk.
 Completed colorings are always re-checked by decide.holds.
 """
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import decide
-from .decide import _square_free_line, _squares_upto
+from .decide import _square_free_line, _squares
 from .model import Coloring, Graph, InvalidArgumentError
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -157,21 +157,21 @@ def _suffix_squares(g, order, colors, word, rev, depth):
 def _closing_squares(g, order, colors, word, rev, depth):
     """No square in the circular color word, through the closing edge too.
 
-    Colorings calls it at the last vertex only.  Each such square is a
-    repetitive simple path, stroll and nonboring walk.  Under the other
-    rules the arc without its last vertex passed, so a square left holds
-    that vertex, and most are short.  So on n >= 32 the 31 colors within
-    15 of it along the cycle, arc[-15:] + arc[:16] of the reversed arc
-    rev[depth], are searched first for a square of half-length at most 8:
-    they are distinct vertices, so one found there is on the cycle.  Only
-    then is the whole circular word searched (decide._square_free_line),
-    here from rev[depth]: that reads the word reversed, and a reversed
-    square is a square.
+    Colorings calls it at the last vertex only; the arc without that
+    vertex passed the other rules, so a square left holds it, and most
+    are short.  So on n >= 32 the 31 colors within 15 of it, arc[-15:] +
+    arc[:16] of the reversed arc rev[depth], are matched first for a
+    square of half-length at most 8 through letter 15, which starts at
+    one of their first 16 letters (decide._squares): they are distinct
+    vertices, so one found there is on the cycle.  Only then is the whole
+    circular word searched (_square_free_line), read reversed from 15
+    letters before the seam, so that a square through it is met within
+    about 15 starts; a rotation or reversal of a square is a square.
     """
     arc = rev[depth]
-    if g.n >= 32 and _squares_upto(8)(arc[-15:] + arc[:16]):
+    if g.n >= 32 and _squares(16)(arc[-15:] + arc[:16]):
         return False
-    return _square_free_line(arc, True)
+    return _square_free_line(arc[-15:] + arc[:-15], True)
 
 
 class _StrollPrefix:

@@ -319,22 +319,25 @@ def _whole_word_only(m, rng):
             return x + x
 
 
+@pytest.mark.parametrize("cyclic", [False, True], ids=["path", "cycle"])
 @pytest.mark.parametrize("seed", range(2))
-def test_circular_square_search_matches_square_factor(seed):
-    """The regex verdict on cycles tries the first n starts of its text:
-    it agrees with the least-square scan on seeded cycles up to n = 80, colors
-    of 256 or more (renamed to ranks) included, and on even n whose only
-    square is the whole word."""
+def test_square_verdict_matches_square_factor(seed, cyclic):
+    """The regex verdict matches a square at one of the first n starts of
+    its text: it agrees with the least-square scan on seeded words up to
+    n = 80, colors of 256 or more (renamed to ranks) included, and on even
+    n whose only square on the cycle is the whole word, along paths and
+    cycles, laid out in order and relabelled."""
     rng = random.Random(seed)
     words = [(n, word) for n, word in _seeded_line_words(rng, 600) if n >= 3]
     words += [(2 * m, _whole_word_only(m, rng)) for m in range(2, 41)]
+    line = cycle_graph if cyclic else path_graph
     free = 0
     for n, word in words:
-        for g in cycle_graph(n), _relabelled_line(n, True, rng):
+        for g in line(n), _relabelled_line(n, cyclic, rng):
             cols = [0] * n
             for v, col in zip(g.line, word):
                 cols[v] = col
-            ok = decide._square_free_line(decide._line_text(g, cols), True)
+            ok = decide._square_free_line(decide._line_text(g, cols), cyclic)
             assert ok == (_least_square(g, cols) is None), word
             free += ok
     assert 0 < free < 2 * len(words)

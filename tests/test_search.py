@@ -578,7 +578,8 @@ def test_closing_window_then_whole_word(n, monkeypatch):
     less its last vertex is square-free, so a leaf's squares hold that
     vertex: one of half-length at most 8 is rejected by the window alone,
     and a leaf whose shortest square is longer by the whole-word search
-    after it.
+    after it, which reads the circular word from 15 letters before the
+    seam.
     """
     t = [bin(i).count("1") % 2 for i in range(n + 1)]
     thue = [t[i] - t[i + 1] + 2 for i in range(n)]
@@ -591,23 +592,26 @@ def test_closing_window_then_whole_word(n, monkeypatch):
     assert kept == [c for c in leaves if _least_square(g, c) is None]
     assert closed.nodes == open_.nodes
 
-    # the searches made: ("window", half-length bound), ("whole", n, cyclic)
+    # the searches made: ("window", m), ("whole", text, cyclic)
     searched = []
-    window, whole = search._squares_upto, search._square_free_line
-    monkeypatch.setattr(search, "_squares_upto",
-                        lambda h: searched.append(("window", h)) or window(h))
+    window, whole = search._squares, search._square_free_line
+    monkeypatch.setattr(search, "_squares",
+                        lambda m: searched.append(("window", m)) or window(m))
     monkeypatch.setattr(search, "_square_free_line", lambda text, cyclic:
-                        searched.append(("whole", len(text), cyclic))
+                        searched.append(("whole", text, cyclic))
                         or whole(text, cyclic))
     kinds = {"short": 0, "long": 0, "square-free": 0}
     for cols in leaves:
         square = _least_square(g, cols)
         kind = ("square-free" if square is None
                 else "short" if len(square) <= 16 else "long")
+        # the reversed arc, read from 15 letters before the seam
+        rev = "".join(chr(cols[v]) for v in reversed(g.line))
         searched.clear()
         assert _closes(g, cols) == (square is None), cols
-        assert searched == ([("window", 8)] if kind == "short"
-                            else [("window", 8), ("whole", n, True)]), cols
+        assert searched == ([("window", 16)] if kind == "short" else
+                            [("window", 16),
+                             ("whole", rev[-15:] + rev[:-15], True)]), cols
         kinds[kind] += 1
     assert min(kinds.values()) > 0, kinds
 

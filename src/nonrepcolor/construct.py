@@ -6,9 +6,9 @@ even base cycle carrying a path-nonrepetitive 3-coloring, with the new
 vertices colored 4.  The base is Thue's square-free word with a searched
 tail that closes the cycle.  Stroll certificates for paths up to 21
 vertices come from one word, lemma 5's longest symmetry word decoded.
-decide.holds checks each certificate once: sigma's for walks on C_n, which
-also covers it as the stroll certificate of P_n and C_n, n >= 22
-(rho_path_coloring); the words of P3..P21 and C3..C21 for strolls.
+Each certificate is checked once (_self_check): sigma's for walks on C_n
+by Barát and Wood's characterization, which covers it as the stroll
+certificate of P_n and C_n, n >= 22; the other words by decide.holds.
 """
 
 from __future__ import annotations
@@ -97,8 +97,10 @@ def _require(ok: bool, fact: str) -> None:
 
 
 def _self_check(g: Graph, coloring: Coloring, prop: str) -> None:
-    """Raise unless decide.holds finds coloring prop-nonrepetitive on g."""
-    if not decide.holds(g, coloring, prop):
+    """Raise unless coloring is prop-nonrepetitive on g: walks on a cycle by
+    decide.is_walk_nonrepetitive_cycle_fast, strolls by decide.holds."""
+    if not (decide.is_walk_nonrepetitive_cycle_fast(g, coloring)
+            if prop == "walk" else decide.holds(g, coloring, prop)):
         raise RuntimeError("constructed coloring failed self-verification")
 
 
@@ -189,9 +191,8 @@ def sigma_cycle_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     Pipeline: a path-nonrepetitive 3-coloring of the even base cycle C_2k
     with k = ceil(n/3) (_base_coloring); drop m = 3k - n good matching
     edges; subdivide the remaining matching edges once, coloring the new
-    vertices 4.  The result is checked by the full walk decider before
-    returning, which bounds n in practice: 0.07-0.13 s at n = 1,000 and
-    0.55-0.89 s at 3,000, most of it that check (2 cores, Python 3.11.7).
+    vertices 4.  Its walk check (_self_check) takes 0.05 s of the 1.3-2.1 s
+    at n = 10,000, most of the rest the base search (2 cores, Python 3.11.7).
     """
     if n <= 21:
         raise InvalidArgumentError("subdivision construction applies for n > 21")
@@ -226,10 +227,10 @@ def rho_path_coloring(n: int, node_budget: int = search.DEFAULT_NODE_BUDGET):
     3 <= n <= 21 returns a prefix of the embedded 21-vertex word (two colors
     suffice for n = 3, where any repetitive walk pins the middle vertex),
     checked by the stroll decider.  n >= 22 returns sigma_cycle_coloring(n)
-    unchanged, 4 colors by exhaustion of the 3-color case, and sigma's walk
-    check covers it: each walk of P_n is one of C_n, and a repetitive stroll
-    is a nonboring repetitive walk (Barát and Wood, Electron. J. Combin. 15
-    (2008) R99).
+    unchanged, 4 colors by exhaustion of the 3-color case, and sigma's
+    Barát–Wood walk check covers it: each walk of P_n is one of C_n, and a
+    repetitive stroll is a nonboring repetitive walk (Barát and Wood,
+    Electron. J. Combin. 15 (2008) R99).
     """
     if n < 3:
         raise InvalidArgumentError("need at least three vertices")

@@ -23,8 +23,8 @@ cycle (_circular).  Three readers do the reading:
 - _short_witness: a witness of 2 or 4 vertices (an equal edge; a fold
   u x w x, for walks; abab, for strolls), and whether the word has a fold
   (a vertex whose neighbours share a color);
-- _square_free_line: the one square verdict, one match of the one square
-  regex (_squares), which on a cycle tries each rotation once;
+- _square_free_line: the square verdict of holds and search, one match of
+  the one square regex (_squares), which on a cycle tries each rotation once;
 - _least_squares: a bit-parallel scan of the text for its least squares.
 A word with no fold has straight-run product components, so its witness
 is the least square, or None.  A walk with a fold has a witness of 4
@@ -41,8 +41,8 @@ cycles, is the square verdict.
 
 holds gives the verdict alone: the labelling stops at the first accepting
 component, and no witness is built.  Its stroll and walk verdicts read
-nothing off the color word, so they rest on the labelling alone,
-independent of the shortcuts above.
+nothing off the color word, unlike the shortcuts above and the Barát–Wood
+cycle verdict that checks sigma (is_walk_nonrepetitive_cycle_fast).
 """
 
 from __future__ import annotations
@@ -629,12 +629,12 @@ def is_walk_nonrepetitive_cycle_fast(g: Graph, c: Coloring) -> bool:
 
     Both are read off the circular color word (_line_text): distance-2 is
     no equal edge and no fold (_short_witness finds neither; for strolls,
-    so that a fold lists no walks), then the square verdict
-    (_square_free_line).
+    so that a fold lists no walks), then no square by the bit-parallel scan
+    (_least_squares), not search's regex; Barát and Wood, EJC 15 (2008) R99.
     """
     if not g.is_cycle():
         raise InvalidArgumentError("fast check applies to cycles only")
     _check_coloring(g, c)
     text = _line_text(g, c.colors)
     return _short_witness(g, text, False) == (None, False) and \
-        _square_free_line(text, True)
+        not _least_squares(g, text)

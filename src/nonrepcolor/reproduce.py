@@ -51,7 +51,7 @@ def claim_currie():
 
 
 def claim_thm1():
-    """Subdivision construction succeeds and self-verifies beyond the table;
+    """sigma's construction self-checks and passes holds beyond the table;
     P6 has no walk-nonrepetitive 3-coloring, so no C_n with n >= 6 has one."""
     for n in range(22, 41):
         try:
@@ -63,9 +63,10 @@ def claim_thm1():
         m = len(trace.removed_good_edges)
         arith = (3 * (k2 // 2) - n == m and m in (0, 1, 2)
                  and k2 + (k2 // 2 - m) == n == c.n)
+        agrees = decide.holds(cycle_graph(n), c, "walk")
         yield (f"C{n}: 4-coloring built and walk-verifies",
-               arith and c.colors_used() == 4,
-               f"base C{k2}, m={m}")
+               arith and agrees and c.colors_used() == 4,
+               f"base C{k2}, m={m}; labelling {'agrees' if agrees else 'rejects'}")
     # a walk-nonrepetitive coloring restricts to one of any subgraph
     r = search.solve(path_graph(6), "walk", 3)
     yield ("P6 ⊆ C_n: no walk-nonrepetitive 3-coloring",
@@ -171,10 +172,8 @@ def claim_hierarchy():
                 walk_ok = decide.holds(g, c, "walk")
                 stroll_ok = decide.holds(g, c, "stroll")
                 path_ok = decide.holds(g, c, "path")
-                if decide.is_walk_nonrepetitive_cycle_fast(g, c) != walk_ok:
-                    equiv_bad += 1
-                if (walk_ok and not stroll_ok) or (stroll_ok and not path_ok):
-                    hier_bad += 1
+                equiv_bad += decide.is_walk_nonrepetitive_cycle_fast(g, c) != walk_ok
+                hier_bad += (walk_ok and not stroll_ok) or (stroll_ok and not path_ok)
                 count += 1
         yield (f"C{n}: walk-nonrepetitive iff distance-2 + path-nonrepetitive",
                equiv_bad == 0, f"{count} colorings")

@@ -418,15 +418,24 @@ class TestConstruct:
                          "--trace")
         assert code == 2
 
-    # above 21 vertices rho returns sigma's coloring, and its walk check is
-    # the one that fails; the path verdicts of sigma's base search still pass
+    # above 21 vertices rho returns sigma's coloring, and its Barát–Wood walk
+    # check is the one that fails: rho-path 22 through a square the scan
+    # reports, rho-cycle 30 through a fold; the path verdicts of sigma's
+    # base search, a regex each, still pass
     @pytest.mark.parametrize("target,n", [
         ("rho-cycle", "8"), ("rho-path", "22"), ("rho-cycle", "30")])
     def test_failed_self_verification_is_internal_error(self, capsys,
                                                         monkeypatch, target, n):
-        real = decide.holds
-        monkeypatch.setattr(decide, "holds", lambda g, c, prop: (
-            prop == "path" and real(g, c, prop)))
+        if n == "22":
+            monkeypatch.setattr(decide, "_least_squares",
+                                lambda g, text: [g.line[:2] * 2])
+        elif n == "30":
+            monkeypatch.setattr(decide, "_short_witness",
+                                lambda g, text, allow_diagonal: (None, True))
+        else:
+            real = decide.holds
+            monkeypatch.setattr(decide, "holds", lambda g, c, prop: (
+                prop == "path" and real(g, c, prop)))
         code, _, err = run(capsys, "construct", target, "--n", n)
         assert code == 4 and "internal error" in err
         assert "self-verification" in err

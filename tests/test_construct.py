@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 
@@ -124,6 +126,11 @@ class TestSubdivision:
         assert g.n == 7 and c.colors[3] == 4
 
 
+@functools.lru_cache(maxsize=None)
+def _sigma(n):
+    return sigma_cycle_coloring(n)
+
+
 class TestSigmaCycle:
     def test_n22_trace_arithmetic(self):
         trace, c = sigma_cycle_coloring(22)
@@ -159,6 +166,50 @@ class TestSigmaCycle:
         _, c = sigma_cycle_coloring(1000)
         assert is_walk_nonrepetitive_cycle_fast(cycle_graph(1000), c)
         assert holds(path_graph(1000), c, "stroll")
+
+    def test_certificates_pinned(self):
+        # only the self-check's route changed, not what is built: one
+        # digest of every base and certificate of n = 22..119
+        digest = hashlib.sha256()
+        for n in range(22, 120):
+            trace, c = _sigma(n)
+            digest.update(f"{n} {trace.base_coloring.to_digits()} "
+                          f"{c.to_digits()}\n".encode())
+        assert digest.hexdigest() == (
+            "817dea32385244475524a0eb2f4b4cdbf5aad6f11efd1c75ac55a8b1eb3caf52")
+
+    def test_labelling_agrees_on_every_certificate(self):
+        # sigma checks itself by Barát and Wood's characterization; the
+        # product labelling, which assumes none of it, accepts each too
+        for n in range(22, 120):
+            assert holds(cycle_graph(n), _sigma(n)[1], "walk"), n
+
+    def test_fast_check_matches_labelling_on_planted_squares(self):
+        # a square of half t = 2..6 planted in sigma's word, at a random
+        # start and across the seam (from n - t), and the same words with
+        # colors of 256 or more: the Barát–Wood verdict is the labelling's
+        rng = random.Random(32)
+        names = {1: 256, 2: 0x110000, 3: 300, 4: 0x110007}
+        rejected = square_only = 0
+        for n in range(22, 73):
+            g, colors = cycle_graph(n), _sigma(n)[1].colors
+            words = [colors]
+            for t in range(2, 7):
+                for p in (rng.randrange(n), n - t):
+                    word = list(colors)
+                    for j in range(p, p + t):
+                        word[(j + t) % n] = word[j % n]
+                    words.append(word)
+            for word in words:
+                for cols in word, [names[col] for col in word]:
+                    c = Coloring.from_colors(cols)
+                    fast = is_walk_nonrepetitive_cycle_fast(g, c)
+                    assert fast == holds(g, c, "walk"), cols
+                    rejected += not fast
+                    square_only += not fast and is_distance2(g, c) is None
+        # every planted word fails, and no sigma word; in some only the
+        # square scan finds the fault
+        assert rejected == 51 * 10 * 2 and square_only > 0
 
     @pytest.mark.parametrize("k", range(8, 31))
     def test_base_is_lex_least_up_to_ninety(self, k):
@@ -249,26 +300,33 @@ class TestRestrictionLemma:
     @pytest.mark.parametrize("n", [3, 8, 9, 21, 22, 23, 30])
     def test_one_self_check_per_certificate(self, monkeypatch, build, shape,
                                             n):
-        # one product labelling per certificate.  n <= 21: the stroll word
-        # on its own graph; n >= 22: sigma's coloring comes back unchanged
-        # after its walk check on C_n.  The path verdicts are the base
-        # search's leaf checks, a regex search each.
-        calls = []
-        real = decide.holds
+        # one self-check per certificate.  n <= 21: one product labelling,
+        # the stroll word on its own graph; n >= 22: sigma's coloring comes
+        # back unchanged after its Barát–Wood walk check on C_n, which
+        # labels nothing.  The path verdicts are the base search's leaf
+        # checks, a regex search each.
+        calls, fast = [], []
+        real, real_fast = decide.holds, decide.is_walk_nonrepetitive_cycle_fast
 
         def counted(g, c, prop):
             if prop != "path":
                 calls.append((g.shape, g.n, prop))
             return real(g, c, prop)
 
+        def counted_fast(g, c):
+            fast.append((g.shape, g.n))
+            return real_fast(g, c)
+
         monkeypatch.setattr(decide, "holds", counted)
+        monkeypatch.setattr(decide, "is_walk_nonrepetitive_cycle_fast",
+                            counted_fast)
         value, c = build(n)
         if n >= 22:
             monkeypatch.setattr(decide, "holds", real)
-            assert calls == [("cycle", n, "walk")]
+            assert (calls, fast) == ([], [("cycle", n)])
             assert (value, c) == (4, sigma_cycle_coloring(n)[1])
         else:
-            assert calls == [(shape, n, "stroll")]
+            assert (calls, fast) == ([(shape, n, "stroll")], [])
 
 
 class TestRhoPath:

@@ -34,16 +34,12 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-class UsageError(Exception):
-    pass
-
-
 def _node_budget(args) -> int:
     """--budget, else the default; a positive integer."""
     if args.budget is None:
         return search.DEFAULT_NODE_BUDGET
     if args.budget < 1:
-        raise UsageError(
+        raise InvalidArgumentError(
             f"--budget must be a positive node count, not {args.budget}")
     return args.budget
 
@@ -56,19 +52,15 @@ def _graph_spec(spec: str) -> tuple:
         try:
             n = int(spec.partition(":")[2])
         except ValueError:
-            raise UsageError(f"bad graph size in {spec!r}")
+            raise InvalidArgumentError(f"bad graph size in {spec!r}")
         line = path_graph if spec.startswith("path:") else cycle_graph
         return n, partial(line, n)
     try:
         with open(spec) as fh:
             n, edges = _graph_json(fh.read())
     except (OSError, ValueError, InvalidArgumentError) as exc:
-        raise UsageError(f"cannot load graph from {spec!r}: {exc}")
+        raise InvalidArgumentError(f"cannot load graph from {spec!r}: {exc}")
     return n, partial(Graph.from_edges, n, edges)
-
-
-def _load_graph(args) -> Graph:
-    return _graph_spec(args.graph)[1]()
 
 
 def _load_colored_graph(args):
@@ -81,7 +73,7 @@ def _load_colored_graph(args):
     n, build = _graph_spec(args.graph)
     g = n <= c.n and build()
     if c.n != n:
-        raise UsageError(
+        raise InvalidArgumentError(
             f"coloring has {c.n} entries but the graph has {n} vertices")
     return g, c
 
@@ -98,9 +90,10 @@ def _load_coloring(args) -> Coloring:
                 raise InvalidArgumentError("colors must be a list of integers")
             c = Coloring.from_colors(data)
         except (OSError, ValueError, InvalidArgumentError) as exc:
-            raise UsageError(f"cannot load coloring: {exc}")
+            raise InvalidArgumentError(f"cannot load coloring: {exc}")
     else:
-        raise UsageError("a coloring is required (--colors or --colors-file)")
+        raise InvalidArgumentError(
+            "a coloring is required (--colors or --colors-file)")
     return c
 
 
@@ -140,7 +133,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args)
+    g = _graph_spec(args.graph)[1]()
     report = search.solve(g, args.property, args.max_colors,
                           node_budget=_node_budget(args))
     if args.json:
@@ -198,7 +191,7 @@ def cmd_sa(args) -> int:
                      "colors": seq_str},
               f"P{n}: stroll {list(walk.vertices)} with colors {seq_str}")
         return EXIT_OK
-    raise UsageError(f"unknown sa action {action!r}")
+    raise InvalidArgumentError(f"unknown sa action {action!r}")
 
 
 def cmd_construct(args) -> int:
@@ -231,14 +224,14 @@ def cmd_construct(args) -> int:
                      "coloring": c.to_digits()},
               f"graph {g.to_json()}\ncoloring {c.to_digits()}")
         return EXIT_OK
-    raise UsageError(f"unknown construction {what!r}")
+    raise InvalidArgumentError(f"unknown construction {what!r}")
 
 
 def cmd_reproduce(args) -> int:
     budget = args.time_budget
     if budget is not None and not 0 < budget < math.inf:  # nan fails too
-        raise UsageError("--time-budget must be a positive, finite number "
-                         f"of seconds, not {budget:g}")
+        raise InvalidArgumentError("--time-budget must be a positive, finite "
+                                   f"number of seconds, not {budget:g}")
     rows, aborted = reproduce.run(args.claim, budget)
     ok = all(r["pass"] for r in rows) and not aborted
     if args.json:
@@ -344,7 +337,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (UsageError, InvalidArgumentError) as exc:
+    except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except search.BudgetExhausted as exc:

@@ -24,7 +24,7 @@ cycle (_circular).  Three readers do the reading:
   u x w x, for walks; abab, for strolls), and whether the word has a fold
   (a vertex whose neighbours share a color);
 - _square_free_line: the square verdict of holds and search, one match of
-  the one square regex (_squares), which on a cycle tries each rotation once;
+  the one square regex (_squares), on the word read twice round on a cycle;
 - _least_squares: a bit-parallel scan of the text for its least squares.
 A word with no fold has straight-run product components, so its witness
 is the least square, or None.  A walk with a fold has a witness of 4
@@ -60,6 +60,7 @@ from .model import (
     InvalidArgumentError,
     Walk,
     WalkClass,
+    _check_coloring,
     classify_walk,
 )
 
@@ -79,11 +80,6 @@ class Witness:
             raise InvalidArgumentError(f"unknown property {self.violated!r}")
         if self.walk_class.repetitive is not True:
             raise InvalidArgumentError("witness walk must be repetitive")
-
-
-def _check_coloring(g: Graph, c: Coloring) -> None:
-    if c.n != g.n:
-        raise InvalidArgumentError("coloring size does not match graph")
 
 
 def accepting_starts(g: Graph, cols, allow_diagonal: bool, seeds):
@@ -233,13 +229,13 @@ def _line_text(g: Graph, cols) -> str:
 
 def _circular(g: Graph, text: str) -> tuple:
     """(line, text, ends) for the color word text along g.line (_line_text):
-    g.line and text with their first three letters appended on a cycle, so
-    that factors may wrap, and the end positions of searches for factors of
-    2, 3 and 4 letters that try each start once, round the cycle."""
+    g.line and text, each twice round on a cycle, so that factors may wrap,
+    and the end positions of searches for factors of 2, 3 and 4 letters
+    that try each start once, round the cycle."""
     n = len(text)
     if g.shape != "cycle":
         return g.line, text, (n, n, n)
-    return g.line + g.line[:3], text + text[:3], (n + 1, n + 2, n + 3)
+    return g.line * 2, text * 2, (n + 1, n + 2, n + 3)
 
 
 def _short_witness(g: Graph, text: str, allow_diagonal: bool) -> tuple:
@@ -484,21 +480,21 @@ def _least_squares(g: Graph, text: str) -> list:
     """The squares of least length in the color word text along g.line
     (_line_text), as walks in both directions, or [] if it has none.
 
-    The text is doubled on a cycle so that factors may wrap, and held as
-    bit-planes, one int per bit of its letters.  A factor of 2t vertices
-    from i is a square iff eq_t, whose bit j means text[j] == text[j + t],
-    holds at bits i..i + t - 1.  eq_t is the complement of the planes XORed
-    with themselves shifted by t, for all j at once, and its runs of t ones
-    come from about log2(t) shift-ANDs (Baeza-Yates and Gonnet's
-    shift-and).  So each half-length costs O(log t) operations on ints of
-    the word's length, not a step per letter.  The first t with a run is
-    the least; the reverse of a square is a square, so each square found
-    gives both directions as candidates.  On a cycle a square from i >= n
-    is the one from i - n, vertex for vertex.
+    The text is read twice round on a cycle (_circular), so that factors
+    may wrap, and held as bit-planes, one int per bit of its letters.  A
+    factor of 2t vertices from i is a square iff eq_t, whose bit j means
+    text[j] == text[j + t], holds at bits i..i + t - 1.  eq_t is the
+    complement of the planes XORed with themselves shifted by t, for all j
+    at once, and its runs of t ones come from about log2(t) shift-ANDs
+    (Baeza-Yates and Gonnet's shift-and).  So each half-length costs
+    O(log t) operations on ints of the word's length, not a step per
+    letter.  The first t with a run is the least; the reverse of a square
+    is a square, so each square found gives both directions as candidates.
+    On a cycle a square from i >= n is the one from i - n, vertex for
+    vertex.
     """
-    n, line = len(text), g.line
-    if g.shape == "cycle":
-        line, text = line + line, text + text
+    n = len(text)
+    line, text, _ = _circular(g, text)
     planes = _bit_planes(text)
     full = (1 << len(text)) - 1
     for t in range(1, n // 2 + 1):
@@ -533,18 +529,13 @@ def _square_free_line(text: str, cyclic: bool) -> bool:
     the circular word on a cycle (cyclic): one match of _squares(n).
 
     Every square of a linear word of n letters has a half of at most
-    n // 2 and starts at one of its first n letters.  A circular word of
-    n >= 3 letters is read from its second letter round to its last but
-    one, 2n - 2 letters, holding every circular factor of at most n
-    letters up to rotation, whose squares have halves of at most n // 2.
-    Only its first n starts are tried, one per rotation: a square
-    starting later repeats one n letters earlier; a whole-word square
-    xx, |x| = n / 2, cannot start at letter n - 1, but the word then has
-    period n / 2, so every rotation, the first letter's too, is a square.
+    n // 2 and starts at one of its first n letters.  A circular word is
+    read twice round, text * 2, where each of its circular factors of at
+    most n letters starts at one of the first n letters; their squares have
+    halves of at most n // 2.
     """
     n = len(text)
-    return n < 2 or \
-        _squares(n)(text[1:] + text[:-1] if cyclic else text) is None
+    return n < 2 or _squares(n)(text * 2 if cyclic else text) is None
 
 
 def _square_path_dfs(g: Graph, cols) -> Optional[tuple]:

@@ -295,14 +295,19 @@ def classify_walk(g: Graph, c: Coloring, w: Walk) -> WalkClass:
     return WalkClass(even, repetitive, boring, stroll, simple)
 
 
+def _check_coloring(g: Graph, c: Coloring) -> None:
+    """The size check of every entry that reads c as a coloring of g."""
+    if c.n != g.n:
+        raise InvalidArgumentError("coloring size does not match graph")
+
+
 def is_distance2(g: Graph, c: Coloring):
     """Check the distance-2 property; return None or one offending pair.
 
     Offending pair: two vertices at distance <= 2 sharing a color; the
     smallest such pair in sorted order is returned, deterministically.
     """
-    if c.n != g.n:
-        raise InvalidArgumentError("coloring size does not match graph")
+    _check_coloring(g, c)
     cols = c.colors
     for u in range(g.n):
         near = set(g.neighbors(u))

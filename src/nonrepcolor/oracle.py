@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Coloring, Graph, InvalidArgumentError, Walk
+from .model import (Coloring, Graph, InvalidArgumentError, Walk,
+                    _check_coloring)
 
 PROPERTIES = ("path", "stroll", "walk")
 
@@ -107,8 +108,7 @@ def brute_force_check_many(
     for p in properties:
         if p not in PROPERTIES:
             raise InvalidArgumentError(f"unknown property {p!r}")
-    if c.n != g.n:
-        raise InvalidArgumentError("coloring size does not match graph")
+    _check_coloring(g, c)
     n = g.n
     if T is None:
         T = n * n

@@ -16,6 +16,7 @@ from .model import (
     Graph,
     InvalidArgumentError,
     Walk,
+    _check_coloring,
     folds,
 )
 
@@ -49,8 +50,7 @@ def encode_sa(g: Graph, c: Coloring) -> str:
     defined; a cycle's closing edge may be improper (closure contradictions
     are still classified letter by letter).
     """
-    if c.n != g.n:
-        raise InvalidArgumentError("coloring size does not match graph")
+    _check_coloring(g, c)
     if max(c.colors) > 3:
         raise InvalidArgumentError("SA encoding requires a 3-coloring")
     if g.line is None:
@@ -106,8 +106,6 @@ def is_h_free(word: str, cyclic: bool = False) -> Optional[tuple]:
         if len(h) > len(word):
             continue
         pos = text.find(h)
-        if cyclic and pos >= len(word):
-            pos = -1
         if pos >= 0 and (best is None or pos < best[0]):
             best = (pos, h)
     return best

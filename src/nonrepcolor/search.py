@@ -2,6 +2,8 @@
 
 Symmetry breaking: color j may be introduced only after colors 1..j-1 have
 appeared (all three properties are invariant under color permutation).
+A fixed prefix sits beside it in Colorings, as a color skip, not a rule:
+it prunes by fiat, and must introduce its colors in ascending order.
 Pruning uses only facts inherited by colored prefixes: proper edges and
 the distance-2 constraint (walk property), both color skips on paths and
 cycles, not rule calls: the new vertex's color against the colors one and
@@ -22,8 +24,8 @@ as it is colored now with nothing to undo and no hook in Colorings.  On a
 cycle, every search also rejects a completed coloring whose circular color
 word holds a square, through the closing edge included, by a regex match
 on the colors near the last vertex, then on the whole word read from the
-seam, each of its n rotations tried once: a repetitive simple path is a
-repetitive stroll and a nonboring walk.
+seam, twice round (decide._square_free_line): a repetitive simple path is
+a repetitive stroll and a nonboring walk.
 Completed colorings are always re-checked by decide.holds.
 """
 
@@ -264,14 +266,10 @@ class _StrollPrefix:
         return True
 
 
-def _prefix_rules(g: Graph, property: str, prefix=()) -> tuple:
-    """The fixed prefix if any, the proper-edge rule, then the pruning rules
-    the property allows."""
-    linear, prefix = g.line is not None, tuple(prefix)
+def _prefix_rules(g: Graph, property: str) -> tuple:
+    """The proper-edge rule, then the pruning rules the property allows."""
+    linear = g.line is not None
     return tuple(rule for rule, wanted in (
-        # order[depth] takes prefix[depth] while depth < len(prefix)
-        (lambda g, order, colors, word, rev, depth: depth >= len(prefix)
-         or word[depth] == prefix[depth], bool(prefix)),
         (_proper, True),
         (_distance2, property == "walk"),
         (_suffix_squares, linear and property != "stroll"),
@@ -285,15 +283,17 @@ class Colorings:
 
     Vertices are colored in _vertex_order(g), colors ascending.  Symmetry
     is broken: color j is introduced only after colors 1..j-1 have
-    appeared.  `nodes` counts the colors tried so far; trying one more than
-    node_budget raises BudgetExhausted.  On a path or cycle, _proper and
-    _distance2 among the rules are color skips instead of rule calls: a
-    color equal to the previous vertex's (or, closing a cycle, to the
-    first's), or for _distance2 to that of the vertex two back (or, at the
-    last two vertices of a cycle, to that of the vertex two ahead round the
-    closing edge), is tried and counted, then passed over.  Off lines both
-    stay rules.  _closing_squares among the rules is called at the last
-    vertex of a cycle only.
+    appeared.  The fixed prefix gives order[depth] the color prefix[depth]
+    while depth < len(prefix): every other color is tried, counted and
+    passed over after the line skips below.  `nodes` counts the colors
+    tried so far; trying one more than node_budget raises BudgetExhausted.
+    On a path or cycle, _proper and _distance2 among the rules are color
+    skips instead of rule calls: a color equal to the previous vertex's
+    (or, closing a cycle, to the first's), or for _distance2 to that of the
+    vertex two back (or, at the last two vertices of a cycle, to that of
+    the vertex two ahead round the closing edge), is tried and counted,
+    then passed over.  Off lines both stay rules.  _closing_squares among
+    the rules is called at the last vertex of a cycle only.
 
     The rules read the arc's color word: word[depth] = colors[order[depth]]
     and rev[depth] = chr(word[depth]) + rev[depth - 1], the reversed arc as
@@ -301,14 +301,15 @@ class Colorings:
     """
 
     def __init__(self, g: Graph, k: int, rules: tuple = (),
-                 node_budget: int = DEFAULT_NODE_BUDGET):
+                 node_budget: int = DEFAULT_NODE_BUDGET, prefix=()):
         self.g, self.k, self.rules = g, k, rules
         self.node_budget = node_budget
+        self.prefix = tuple(prefix)
         self.nodes = 0
 
     def __iter__(self):
         g, k, n, rules = self.g, self.k, self.g.n, self.rules
-        budget = self.node_budget
+        budget, prefix, fixed = self.node_budget, self.prefix, len(self.prefix)
         order = _vertex_order(g)
         # on a line, _proper and _distance2 are color skips: order[depth]
         # differs from order[depth - 1] and, closing a cycle, from order[0];
@@ -356,6 +357,8 @@ class Colorings:
             if skip2 and (depth > 1 and col == word[depth - 2]
                           or depth >= wrap and col == word[depth - wrap]):
                 continue
+            if depth < fixed and col != prefix[depth]:
+                continue
             word[depth] = col
             rev[depth] = chr(col) + rev[depth - 1]
             for rule in rules_at[depth]:
@@ -372,15 +375,15 @@ def search_fixed_k(g: Graph, property: str, k: int,
     """Exhaustive search for one property-nonrepetitive k-coloring.
 
     Every pruning rule the property allows is on, and so is symmetry
-    breaking, so prefix fixes the colors of the first len(prefix) vertices
-    of the order and must introduce its colors in ascending order.
+    breaking, so prefix (Colorings) fixes the colors of the first
+    len(prefix) vertices of the order and must introduce them in order.
     Returns (coloring or None, nodes, aborted).  None with aborted=False is
     a completed exhaustion proof for this k (and this prefix).
     """
     if property not in decide.PROPERTIES:
         raise InvalidArgumentError(f"unknown property {property!r}")
-    colorings = Colorings(g, k, _prefix_rules(g, property, prefix),
-                          node_budget)
+    colorings = Colorings(g, k, _prefix_rules(g, property), node_budget,
+                          prefix)
     try:
         cert = next((c for c in colorings if final_check(g, c, property)), None)
     except BudgetExhausted:

@@ -9,6 +9,8 @@ from nonrepcolor.model import Graph, cycle_graph
 
 # P7 laid out 1-6-3-5-2-0-4
 P7_RELABELLED = str(Path(__file__).parent / "data" / "p7_relabelled.json")
+# the graph of construct fig1: a triangle with a tail, no path or cycle
+FIG1_GRAPH = str(Path(__file__).parent / "data" / "fig1_graph.json")
 
 
 def run(capsys, *argv):
@@ -129,6 +131,13 @@ class TestVerify:
         assert code == 1
         data = json.loads(out)
         assert data["schema"] == 1 and data["violating_pair"] == [0, 2]
+
+    def test_dist2_holds(self, capsys):
+        argv = ["verify", "path:3", "--colors", "123", "--property", "dist2"]
+        assert run(capsys, *argv) == (0, "OK: distance-2\n", "")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out) == {
+            "schema": 1, "property": "dist2", "holds": True}
 
     def test_json_witness(self, capsys):
         code, out, _ = run(capsys, "verify", "path:2",
@@ -274,6 +283,28 @@ class TestSolve:
                          data["certificate"], "--property", "stroll")
         assert code == 0
 
+    def test_fig1_graph_file(self, capsys):
+        assert Graph.from_json(Path(FIG1_GRAPH).read_text()) == \
+            construct.figure1_fixture()[0]
+        edges = json.loads(Path(FIG1_GRAPH).read_text())["edges"]
+        for prop, value in (("path", 3), ("stroll", 4), ("walk", 4)):
+            argv = ["solve", FIG1_GRAPH, "--property", prop, "--max-colors", "5"]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.startswith(f"value {value}  certificate ")
+            code, out, _ = run(capsys, *argv, "--json")
+            data = json.loads(out)
+            assert code == 0 and data["value"] == value
+            assert data["graph"] == {"kind": "graph", "n": 10, "edges": edges}
+
+    def test_infeasible(self, capsys):
+        argv = ["solve", "cycle:5", "--property", "walk", "--max-colors", "4"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("infeasible for k <= 4  nodes ")
+        code, out, _ = run(capsys, *argv, "--json")
+        data = json.loads(out)
+        assert code == 0 and data["value"] is None
+        assert data["notes"] == ["infeasible for all k <= 4"]
+
     def test_budget_exhausted(self, capsys):
         code, out, _ = run(capsys, "solve", "cycle:9", "--property", "path",
                            "--max-colors", "3", "--budget", "5")
@@ -333,6 +364,13 @@ class TestSa:
                            "--word", "AAAASAAASAAA", "--kind", "cycle")
         assert code == 1 and "FAIL" in out
 
+    def test_decode_consistent_cycle(self, capsys):
+        argv = ["sa", "decode", "--word", "AAA", "--kind", "cycle"]
+        assert run(capsys, *argv) == (0, "123\n", "")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out) == {
+            "schema": 1, "consistent": True, "coloring": "123"}
+
     def test_decode_invalid_word_message(self, capsys):
         code, out, err = run(capsys, "sa", "decode", "--word", "XYZ")
         assert (code, out, err) == (
@@ -343,6 +381,12 @@ class TestSa:
                            "--json")
         data = json.loads(out)
         assert code == 1 and data["factor"] == "AASAASAA"
+
+    def test_check_h_free(self, capsys):
+        argv = ["sa", "check", "--word", "SASAASAAASAAASAASAS"]
+        assert run(capsys, *argv) == (0, "OK: no forbidden factor\n", "")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out) == {"schema": 1, "h_free": True}
 
     def test_witness(self, capsys):
         code, out, _ = run(capsys, "sa", "witness", "--word", "SS")
@@ -459,6 +503,25 @@ class TestReproduce:
         assert (code, out, err) == (
             2, "", f"error: --time-budget must be a positive, finite number "
                    f"of seconds, not {shown}\n")
+
+    def test_failed_construction_is_a_failed_row(self, capsys, monkeypatch):
+        """thm1 reports sigma's failure as its row's detail: a failed claim,
+        exit 1, not the internal error (exit 4) of construct sigma-cycle."""
+        def fails(n, node_budget=None):
+            raise RuntimeError("constructed coloring failed self-verification")
+
+        monkeypatch.setattr(construct, "sigma_cycle_coloring", fails)
+        code, out, _ = run(capsys, "reproduce", "thm1", "--json")
+        data = json.loads(out)
+        assert code == 1 and data["pass"] is False and not data["aborted"]
+        failed = [r for r in data["rows"] if not r["pass"]]
+        assert [r["check"] for r in failed] == [
+            f"C{n}: 4-coloring built and walk-verifies" for n in range(22, 41)]
+        assert {r["detail"] for r in failed} == {
+            "constructed coloring failed self-verification"}
+        assert data["rows"][-1]["pass"]
+        code, out, _ = run(capsys, "reproduce", "thm1")
+        assert code == 1 and out.endswith("FAIL: thm1 (1/20 checks)\n")
 
     def test_time_budget_abort(self, capsys):
         code, out, _ = run(capsys, "reproduce", "table1",

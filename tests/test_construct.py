@@ -379,3 +379,11 @@ class TestFigure1Fixture:
         assert is_distance2(g, c) is None
         assert exists_repetitive_path(g, c) is None
         assert exists_repetitive_nonboring_walk(g, c) is not None
+
+
+def test_construct_input_checks():
+    with pytest.raises(InvalidArgumentError,
+                       match="edge classification is defined for 3-colorings"):
+        classify_edges(cycle_graph(4), Coloring.from_digits("1234"))
+    with pytest.raises(InvalidArgumentError, match="at least three vertices"):
+        rho_cycle_coloring(2)

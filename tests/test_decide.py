@@ -17,6 +17,7 @@ from nonrepcolor.construct import (
 )
 from nonrepcolor.decide import (
     PROPERTIES,
+    Witness,
     _seeds,
     _square_path_dfs,
     accepting_starts,
@@ -31,6 +32,7 @@ from nonrepcolor.model import (
     Coloring,
     Graph,
     InvalidArgumentError,
+    Walk,
     classify_walk,
     cycle_graph,
     folds,
@@ -1460,3 +1462,18 @@ def test_find_witness_reads_one_text(make_graph, monkeypatch):
             else:
                 product_scans += len(scanned)
     assert product_scans > 0
+
+
+def test_witness_input_checks():
+    """A Witness names a known property and a walk that repeats."""
+    g = path_graph(2)
+    edge = Walk((0, 1))
+    repeats = classify_walk(g, Coloring.from_digits("11"), edge)
+    assert Witness(edge, repeats, "path").violated == "path"
+    with pytest.raises(InvalidArgumentError, match="unknown property 'dist2'"):
+        Witness(edge, repeats, "dist2")
+    differs = classify_walk(g, Coloring.from_digits("12"), edge)
+    with pytest.raises(InvalidArgumentError, match="must be repetitive"):
+        Witness(edge, differs, "path")
+    with pytest.raises(InvalidArgumentError, match="unknown property 'dist2'"):
+        find_witness(g, Coloring.from_digits("11"), "dist2")

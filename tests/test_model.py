@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
+from nonrepcolor import decide, oracle, saseq
 from nonrepcolor.model import (
     Coloring,
     Graph,
@@ -318,3 +320,45 @@ def test_boring_implies_repetitive(n, data):
         return  # the doubled walk would break adjacency at the seam
     wc = classify_walk(g, c, Walk(tuple(half + half)))
     assert wc.boring and wc.repetitive is True and not wc.stroll
+
+
+class TestInputChecks:
+    def test_empty_colors(self):
+        with pytest.raises(InvalidArgumentError, match="must be nonempty"):
+            Coloring.from_colors([])
+
+    def test_non_digit_string(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="not a digit-string coloring: '12a'"):
+            Coloring.from_digits("12a")
+
+    def test_digit_form_needs_k_at_most_nine(self):
+        assert Coloring((1, 2), 9).to_digits() == "12"
+        with pytest.raises(InvalidArgumentError, match="requires k <= 9"):
+            Coloring((1, 2), 10).to_digits()
+
+    def test_empty_walk(self):
+        with pytest.raises(InvalidArgumentError, match="walk must be nonempty"):
+            Walk(())
+
+
+# every public entry that reads a coloring of a graph, each of which checks
+# the sizes through model._check_coloring
+_SIZED_ENTRIES = {
+    **{f"{f.__name__}-{p}": functools.partial(f, property=p)
+       for f in (decide.find_witness, decide.holds)
+       for p in decide.PROPERTIES},
+    "is_walk_nonrepetitive_cycle_fast": decide.is_walk_nonrepetitive_cycle_fast,
+    "is_distance2": is_distance2,
+    "encode_sa": saseq.encode_sa,
+    "brute_force_check": functools.partial(oracle.brute_force_check,
+                                           property="walk"),
+}
+
+
+@pytest.mark.parametrize("digits", ["1213", "121323"])
+@pytest.mark.parametrize("entry", _SIZED_ENTRIES)
+def test_coloring_size_is_checked(entry, digits):
+    with pytest.raises(InvalidArgumentError,
+                       match="^coloring size does not match graph$"):
+        _SIZED_ENTRIES[entry](cycle_graph(5), Coloring.from_digits(digits))

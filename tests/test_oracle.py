@@ -9,8 +9,8 @@ from nonrepcolor.decide import (
     exists_repetitive_path,
     exists_repetitive_stroll,
 )
-from nonrepcolor.model import (Coloring, Graph, classify_walk, cycle_graph,
-                               path_graph)
+from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
+                               classify_walk, cycle_graph, path_graph)
 from nonrepcolor.oracle import brute_force_check, brute_force_check_many
 
 
@@ -153,3 +153,13 @@ def test_product_deciders_match_oracle(gc):
 
 def test_product_deciders_match_oracle_on_figure1_fixture():
     _product_agreement(*figure1_fixture())
+
+
+def test_input_checks_and_default_bound():
+    g, c = path_graph(4), Coloring.from_digits("1213")
+    with pytest.raises(InvalidArgumentError, match="unknown property 'dist2'"):
+        brute_force_check_many(g, c, ("walk", "dist2"))
+    with pytest.raises(InvalidArgumentError, match="bound T must be >= 1"):
+        brute_force_check(g, c, "walk", T=0)
+    verdict = brute_force_check(g, c, "stroll")
+    assert verdict.bound == 16 and not verdict.found  # T = n^2

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nonrepcolor.construct import figure1_fixture
 from nonrepcolor.decide import exists_repetitive_stroll
 from nonrepcolor.model import (
     Coloring,
@@ -183,3 +184,46 @@ def test_free_words_decode_to_stroll_nonrepetitive_paths():
         g = path_graph(len(word) + 2)
         c = decode_sa(word, "path")
         assert exists_repetitive_stroll(g, c) is None, word
+
+
+def test_input_checks():
+    # the Figure 1 graph, a triangle with a tail, in a proper 3-coloring
+    with pytest.raises(InvalidArgumentError,
+                       match="applies to paths and cycles"):
+        encode_sa(figure1_fixture()[0], Coloring.from_digits("1231312313"))
+    with pytest.raises(InvalidArgumentError, match="unknown graph kind 'tree'"):
+        decode_sa("SA", "tree")
+    with pytest.raises(InvalidArgumentError, match="at least three letters"):
+        decode_sa("SA", "cycle")
+    with pytest.raises(InvalidArgumentError, match="max_len must be >= 1"):
+        enumerate_h_free(0)
+
+
+def test_decode_wrap_letters_disagree():
+    # SAA decodes to 123, whose closing edge is proper but whose first
+    # letter is an A round the cycle
+    assert decode_sa("AAA", "cycle").colors == (1, 2, 3)
+    with pytest.raises(InconsistentWordError,
+                       match=r"wrap letters are A\.\.\.A, word says S\.\.\.A"):
+        decode_sa("SAA", "cycle")
+
+
+def _first_factor(word, cyclic):
+    """is_h_free by brute force: the least start, then the first forbidden
+    word in FORBIDDEN_WORDS, read off each rotation (cyclic) or suffix."""
+    for pos in range(len(word)):
+        rest = word[pos:] + word[:pos] if cyclic else word[pos:]
+        for h in FORBIDDEN_WORDS:
+            if len(h) <= len(word) and rest.startswith(h):
+                return pos, h
+    return None
+
+
+def test_h_free_matches_brute_force():
+    """Every word over {S, A} of 1..12 letters, with wrapping and without."""
+    for length in range(1, 13):
+        for letters in itertools.product("SA", repeat=length):
+            word = "".join(letters)
+            for cyclic in (False, True):
+                assert is_h_free(word, cyclic) == _first_factor(word, cyclic), \
+                    (word, cyclic)

@@ -6,10 +6,11 @@ import sys
 import pytest
 
 from nonrepcolor import search
-from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE
+from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE, figure1_fixture
 from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                cycle_graph, path_graph)
-from nonrepcolor.decide import exists_repetitive_path, holds
+from nonrepcolor.decide import PROPERTIES, exists_repetitive_path, holds
+from nonrepcolor.oracle import brute_force_check
 from nonrepcolor.search import (Colorings, _closing_squares, _distance2,
                                 _prefix_rules, _proper, _StrollPrefix,
                                 _suffix_squares, final_check, search_fixed_k,
@@ -42,17 +43,31 @@ class TestFixedPrefix:
         assert final_check(cycle_graph(30), cert, "path")
 
     def test_empty_prefix_adds_no_rule(self):
+        # the prefix is a color skip in Colorings, never a rule
         g = cycle_graph(30)
         plain = (_proper, _suffix_squares, _closing_squares)
         assert _prefix_rules(g, "path") == plain
-        assert _prefix_rules(g, "path", ()) == plain
-        assert _prefix_rules(g, "path", (1, 2))[1:] == plain
 
     def test_prefix_breaking_symmetry_finds_nothing(self):
         # colors must enter in ascending order under symmetry breaking
         cert, _, aborted = search_fixed_k(path_graph(6), "path", 3,
                                           prefix=(2, 1))
         assert cert is None and not aborted
+
+    @pytest.mark.parametrize("m,w,nodes", [
+        (62, 24, 414), (62, 48, 128), (100, 24, 480), (100, 48, 287),
+        (400, 24, 857), (400, 48, 820), (2000, 24, 4057), (2000, 48, 4020)])
+    def test_thue_prefix_node_counts(self, m, w, nodes):
+        """C_m with Thue's word fixed on all but its last w vertices, as
+        sigma's base search fixes it: every color tried is counted, the
+        colors the prefix skips too."""
+        t = [bin(i).count("1") % 2 for i in range(m + 1)]
+        thue = tuple(t[i] - t[i + 1] + 2 for i in range(m))
+        cert, got, aborted = search_fixed_k(cycle_graph(m), "path", 3,
+                                            prefix=thue[:m - w])
+        assert (got, aborted) == (nodes, False)
+        assert cert.colors[:m - w] == thue[:m - w]
+        assert final_check(cycle_graph(m), cert, "path")
 
 
 class TestVerifyCertificate:
@@ -122,6 +137,69 @@ def _reference_solve(g, prop, k_max, rules):
 def _solved(g, prop, k_max):
     r = solve(g, prop, k_max)
     return r.value, r.certificate
+
+
+def _random_non_line_graphs(count, seed):
+    """count seeded graphs on at most 7 vertices that are neither a path nor
+    a cycle: sparse and dense, connected or not."""
+    rng, graphs = random.Random(seed), []
+    while len(graphs) < count:
+        n, density = rng.randint(2, 7), rng.random()
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                 if rng.random() < density])
+        if g.line is None:
+            graphs.append(g)
+    return graphs
+
+
+_NON_LINE_GRAPHS = {
+    "fig1": figure1_fixture()[0],
+    "K4": Graph.from_edges(4, itertools.combinations(range(4), 2)),
+    "star": Graph.from_edges(5, [(0, v) for v in range(1, 5)]),
+    "binary-tree": Graph.from_edges(7, [(v, 2 * v + i) for v in range(3)
+                                        for i in (1, 2)]),
+    # two vertices joined by paths of 2, 3 and 3 edges
+    "theta": Graph.from_edges(7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1),
+                                  (0, 5), (5, 6), (6, 1)]),
+    "triangle-and-edge": Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+}
+
+
+def _non_line_agreement(g):
+    """solve on a graph that is no path or cycle, where the rules are
+    _proper and _distance2 calls over the BFS order, against the unpruned
+    enumeration; on at most 7 vertices the certificate also passes the
+    oracle, to every half-length for path, to 3 for stroll and walk."""
+    assert g.shape == "graph"
+    for prop in PROPERTIES:
+        value, cert = _solved(g, prop, 6)
+        assert (value, cert) == _reference_solve(g, prop, 6, ()), (g, prop)
+        if cert is not None and g.n <= 7:
+            verdict = brute_force_check(g, cert, prop,
+                                        T=g.n if prop == "path" else 3)
+            assert not verdict.found and not verdict.aborted, (g, prop)
+
+
+@pytest.mark.parametrize("name", _NON_LINE_GRAPHS)
+def test_non_line_search_matches_unpruned_enumeration(name):
+    _non_line_agreement(_NON_LINE_GRAPHS[name])
+
+
+def test_random_non_line_search_matches_unpruned_enumeration():
+    """150 seeded graphs, with more than two neighbours at some vertex or
+    more than one component."""
+    graphs = _random_non_line_graphs(150, 33)
+    assert any(len(g.edges) >= g.n for g in graphs)
+    assert any(len(g.edges) < g.n - 1 for g in graphs)
+    for g in graphs:
+        _non_line_agreement(g)
+
+
+def test_search_input_checks():
+    with pytest.raises(InvalidArgumentError, match="unknown property 'dist2'"):
+        search_fixed_k(path_graph(3), "dist2", 3)
+    with pytest.raises(InvalidArgumentError, match="k_max must be >= 1"):
+        solve(path_graph(3), "path", 0)
 
 
 @pytest.mark.parametrize("make_graph,ns", [(path_graph, range(2, 9)),
@@ -302,9 +380,9 @@ def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k, prefix):
                     joins[0] += left is None or left is not right
         return verdict
 
-    g = make_graph(n)  # the rules before pruning: the prefix and properness
-    rules = (*_prefix_rules(g, "stroll", map(int, prefix))[:1 + bool(prefix)],
-             checked)
+    g = make_graph(n)  # the rule before pruning: properness
+    rules = (*_prefix_rules(g, "stroll")[:1], checked)
+    fixed = tuple(map(int, prefix))
     order, colors = list(g.line), [0] * n
     word, rev = [0] * (n + 1), [""] * (n + 1)  # word[-1], rev[-1]: empty arc
 
@@ -315,6 +393,8 @@ def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k, prefix):
             return 1
         found, v = 0, order[depth]
         for col in range(1, k + 1):
+            if depth < len(fixed) and col != fixed[depth]:
+                continue  # the fixed prefix, skipped as Colorings skips it
             colors[v] = word[depth] = col
             rev[depth] = chr(col) + rev[depth - 1]
             if all(rule(g, order, colors, word, rev, depth) for rule in rules):
@@ -584,9 +664,10 @@ def test_closing_window_then_whole_word(n, monkeypatch):
     t = [bin(i).count("1") % 2 for i in range(n + 1)]
     thue = [t[i] - t[i + 1] + 2 for i in range(n)]
     g = cycle_graph(n)
-    rules = _prefix_rules(g, "path", thue[:n - 20])
-    open_ = Colorings(g, 3, tuple(r for r in rules if r is not _closing_squares))
-    closed = Colorings(g, 3, rules)
+    rules = _prefix_rules(g, "path")
+    open_ = Colorings(g, 3, tuple(r for r in rules if r is not _closing_squares),
+                      prefix=thue[:n - 20])
+    closed = Colorings(g, 3, rules, prefix=thue[:n - 20])
     leaves = [c.colors for c in open_]
     kept = [c.colors for c in closed]
     assert kept == [c for c in leaves if _least_square(g, c) is None]

@@ -19,6 +19,11 @@ from .model import (Coloring, Graph, InvalidArgumentError, Walk,
 
 PROPERTIES = ("path", "stroll", "walk")
 
+# walk extensions one call may make by default, about a second's work: the
+# bound T = n^2 is out of reach where no witness exists (4 * 3^31 walks in
+# the last round alone on K4), so such a call returns aborted instead
+DEFAULT_MAX_WALKS = 10**6
+
 
 @dataclass(frozen=True)
 class OracleVerdict:
@@ -94,14 +99,15 @@ def brute_force_check_many(
     c: Coloring,
     properties,
     T: Optional[int] = None,
-    max_walks: Optional[int] = None,
+    max_walks: Optional[int] = DEFAULT_MAX_WALKS,
 ) -> dict:
     """One enumeration pass resolving several properties at once.
 
     Returns {property: OracleVerdict}.  T defaults to n^2 (heuristic from
     the product-state count, not a proof); absence of a witness is only a
-    claim up to the bound.  max_walks caps the number of walk extensions
-    across all rounds; exceeding it yields aborted partial verdicts.
+    claim up to the bound.  max_walks (None for no cap) caps the number of
+    walk extensions across all rounds; exceeding it yields aborted partial
+    verdicts.
     Enumeration cost is O(n * maxdeg^(2T-1)) per round.
     """
     properties = tuple(properties)
@@ -161,7 +167,7 @@ def brute_force_check(
     c: Coloring,
     property: str,
     T: Optional[int] = None,
-    max_walks: Optional[int] = None,
+    max_walks: Optional[int] = DEFAULT_MAX_WALKS,
 ) -> OracleVerdict:
     """Search for a violating walk of half-length <= T by exhaustive DFS."""
     return brute_force_check_many(g, c, (property,), T, max_walks)[property]

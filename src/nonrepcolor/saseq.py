@@ -4,11 +4,13 @@ A degree-2 vertex is symmetrical (S) when its two neighbors share a color,
 asymmetrical (A) otherwise.  With the first two colors fixed to 1, 2 the
 word determines the whole 3-coloring.  Five words are forbidden in the
 word of any stroll-nonrepetitive coloring; each carries an explicit
-repetitive stroll on the decoded path.
+repetitive stroll on the decoded path.  FORBIDDEN_ARCS holds their color
+strings, the colors along a path whose word is a forbidden word.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Optional
 
 from .model import (
@@ -91,6 +93,14 @@ def decode_sa(word: str, graph_kind: str) -> Coloring:
             raise InconsistentWordError(
                 f"wrap letters are {first}...{last}, word says {word[0]}...{word[n - 1]}")
     return Coloring(tuple(colors), 3)
+
+
+# The colors, one chr each, along every path whose word is a forbidden word:
+# each word decoded under all six renamings of 1..3, 30 strings.  The words
+# are palindromes, so each string read backwards is one of them too.
+FORBIDDEN_ARCS = tuple(
+    "".join(chr(rename[col - 1]) for col in decode_sa(h, "path").colors)
+    for h in FORBIDDEN_WORDS for rename in permutations((1, 2, 3)))
 
 
 def is_h_free(word: str, cyclic: bool = False) -> Optional[tuple]:

@@ -14,7 +14,14 @@ property repetitive strolls inside the colored arc, read as a path.  The
 last two rules are incremental: the shorter prefix already passed, so
 they look only at what the newly colored vertex can close: the suffix
 squares, by one regex match on the reversed color word that Colorings
-keeps, and the product states through that vertex (_StrollPrefix).  On a
+keeps, and the repetitive strolls through that vertex.  With k <= 3 the
+arc is a proper 3-coloring, which has a repetitive stroll iff its {S, A}
+symmetry word holds a forbidden factor (saseq; lemma 4 gives each factor
+a stroll, lemma 5's factor-free words have none), so the stroll rule is
+one startswith of the reversed arc against the factors' color strings
+(_factor_free).  It prunes exactly the arcs the product rule below does,
+node for node.  With k >= 4 no such word exists and the product states
+through the new vertex are read (_StrollPrefix).  On a
 properly colored arc each product component projects onto two intervals
 of positions, so whether it accepts is read off two ints, its greatest
 first and least second, kept per column: the states (w, d) of position d
@@ -26,7 +33,9 @@ word holds a square, through the closing edge included, by a regex match
 on the colors near the last vertex, then on the whole word read from the
 seam, twice round (decide._square_free_line): a repetitive simple path is
 a repetitive stroll and a nonboring walk.
-Completed colorings are always re-checked by decide.holds.
+Completed colorings are always re-checked by final_check: decide.holds,
+the product labelling, which shares nothing with the stroll rules, or for
+walks on a cycle Barát and Wood's characterisation.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from typing import Optional
 from . import decide
 from .decide import _square_free_line, _squares
 from .model import Coloring, Graph, InvalidArgumentError
+from .saseq import FORBIDDEN_ARCS
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -111,7 +121,14 @@ def _vertex_order(g: Graph) -> list:
 
 
 def final_check(g: Graph, c: Coloring, property: str) -> bool:
-    """True iff the property's decider finds no violating witness."""
+    """True iff the property's decider finds no violating witness.
+
+    A walk coloring of a cycle is read by Barát and Wood's characterisation
+    (decide.is_walk_nonrepetitive_cycle_fast: distance-2 and no square, by
+    the bit-parallel scan the walk rules do not use); the rest by holds.
+    """
+    if property == "walk" and g.shape == "cycle":
+        return decide.is_walk_nonrepetitive_cycle_fast(g, c)
     return decide.holds(g, c, property)
 
 
@@ -174,6 +191,14 @@ def _closing_squares(g, order, colors, word, rev, depth):
     if g.n >= 32 and _squares(16)(arc[-15:] + arc[:16]):
         return False
     return _square_free_line(arc[-15:] + arc[:-15], True)
+
+
+def _factor_free(g, order, colors, word, rev, depth):
+    # a proper 3-colored arc has a repetitive stroll iff its symmetry word
+    # holds a forbidden factor (lemmas 4 and 5); the arc before depth
+    # passed, so a factor left holds the newest letter: its colors, read
+    # back from depth, start the reversed arc
+    return not rev[depth].startswith(FORBIDDEN_ARCS)
 
 
 class _StrollPrefix:
@@ -266,15 +291,24 @@ class _StrollPrefix:
         return True
 
 
-def _prefix_rules(g: Graph, property: str) -> tuple:
-    """The proper-edge rule, then the pruning rules the property allows."""
+def _prefix_rules(g: Graph, property: str, k: int) -> tuple:
+    """The proper-edge rule, then the pruning rules the property allows.
+
+    A stroll search on a path or cycle prunes by _factor_free with k <= 3,
+    where the arc is a proper 3-coloring and the forbidden factors of its
+    symmetry word are its repetitive strolls, and by _StrollPrefix with
+    k >= 4, where no word characterisation exists.  Both reject an arc iff
+    it holds a repetitive stroll, so the nodes, leaves and certificates
+    are the same under either.
+    """
     linear = g.line is not None
     return tuple(rule for rule, wanted in (
         (_proper, True),
         (_distance2, property == "walk"),
         (_suffix_squares, linear and property != "stroll"),
         (_closing_squares, g.shape == "cycle"),
-        (_StrollPrefix(), linear and property == "stroll"),
+        (_factor_free, linear and property == "stroll" and k <= 3),
+        (_StrollPrefix(), linear and property == "stroll" and k > 3),
     ) if wanted)
 
 
@@ -382,7 +416,7 @@ def search_fixed_k(g: Graph, property: str, k: int,
     """
     if property not in decide.PROPERTIES:
         raise InvalidArgumentError(f"unknown property {property!r}")
-    colorings = Colorings(g, k, _prefix_rules(g, property), node_budget,
+    colorings = Colorings(g, k, _prefix_rules(g, property, k), node_budget,
                           prefix)
     try:
         cert = next((c for c in colorings if final_check(g, c, property)), None)

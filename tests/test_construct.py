@@ -93,7 +93,7 @@ class TestEdgeClassification:
             n, [(ids[u], ids[v]) for u, v in cycle_graph(n).edges]))
         words = (itertools.product((1, 2, 3), repeat=n) if n <= 8 else
                  (c.colors for c in search.Colorings(
-                     graphs[0], 3, search._prefix_rules(graphs[0], "path"))
+                     graphs[0], 3, search._prefix_rules(graphs[0], "path", 3))
                   if holds(graphs[0], c, "path")))
         for colors in words:
             for g in graphs:

@@ -11,7 +11,8 @@ from nonrepcolor.decide import (
 )
 from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                classify_walk, cycle_graph, path_graph)
-from nonrepcolor.oracle import brute_force_check, brute_force_check_many
+from nonrepcolor.oracle import (DEFAULT_MAX_WALKS, brute_force_check,
+                               brute_force_check_many)
 
 
 class TestPublishedColorings:
@@ -161,5 +162,9 @@ def test_input_checks_and_default_bound():
         brute_force_check_many(g, c, ("walk", "dist2"))
     with pytest.raises(InvalidArgumentError, match="bound T must be >= 1"):
         brute_force_check(g, c, "walk", T=0)
+    # T = n^2 is out of reach with no witness: the default walk cap
+    # (DEFAULT_MAX_WALKS) ends the call, aborted
     verdict = brute_force_check(g, c, "stroll")
     assert verdict.bound == 16 and not verdict.found  # T = n^2
+    assert verdict.aborted
+    assert verdict.walks_examined == DEFAULT_MAX_WALKS + 1

@@ -16,6 +16,7 @@ from nonrepcolor.model import (
     path_graph,
 )
 from nonrepcolor.saseq import (
+    FORBIDDEN_ARCS,
     FORBIDDEN_WORDS,
     LONGEST_H_FREE_WORD,
     InconsistentWordError,
@@ -117,6 +118,27 @@ class TestForbiddenFactors:
         word = "SAAAS"
         assert is_h_free(word) is None
         assert is_h_free(word, cyclic=True) == (4, "SS")
+
+
+class TestForbiddenArcs:
+    def test_thirty_strings_closed_under_reversal(self):
+        assert len(set(FORBIDDEN_ARCS)) == len(FORBIDDEN_ARCS) == 30
+        assert set(FORBIDDEN_ARCS) == {a[::-1] for a in FORBIDDEN_ARCS}
+
+    def test_arcs_are_the_colorings_of_the_forbidden_words(self):
+        """Every proper coloring over 1..3 of each word's path, read by
+        encode_sa rather than decoded."""
+        want = set()
+        for h in FORBIDDEN_WORDS:
+            n = len(h) + 2
+            for first, *steps in itertools.product(
+                    (1, 2, 3), *[(1, 2)] * (n - 1)):
+                cols = [first]
+                for step in steps:  # the next color, one of the other two
+                    cols.append((cols[-1] + step - 1) % 3 + 1)
+                if encode_sa(path_graph(n), Coloring(tuple(cols), 3)) == h:
+                    want.add("".join(map(chr, cols)))
+        assert set(FORBIDDEN_ARCS) == want
 
 
 class TestEnumeration:

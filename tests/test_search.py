@@ -5,16 +5,17 @@ import sys
 
 import pytest
 
-from nonrepcolor import search
+from nonrepcolor import decide, search
 from nonrepcolor.construct import WALK_NONREP_CYCLE_TABLE, figure1_fixture
 from nonrepcolor.model import (Coloring, Graph, InvalidArgumentError,
                                cycle_graph, path_graph)
 from nonrepcolor.decide import PROPERTIES, exists_repetitive_path, holds
 from nonrepcolor.oracle import brute_force_check
+from nonrepcolor.saseq import decode_sa, enumerate_h_free
 from nonrepcolor.search import (Colorings, _closing_squares, _distance2,
-                                _prefix_rules, _proper, _StrollPrefix,
-                                _suffix_squares, final_check, search_fixed_k,
-                                solve)
+                                _factor_free, _prefix_rules, _proper,
+                                _StrollPrefix, _suffix_squares, final_check,
+                                search_fixed_k, solve)
 
 P21_WORD = "121312321323123213121"
 
@@ -46,7 +47,7 @@ class TestFixedPrefix:
         # the prefix is a color skip in Colorings, never a rule
         g = cycle_graph(30)
         plain = (_proper, _suffix_squares, _closing_squares)
-        assert _prefix_rules(g, "path") == plain
+        assert _prefix_rules(g, "path", 3) == plain
 
     def test_prefix_breaking_symmetry_finds_nothing(self):
         # colors must enter in ascending order under symmetry breaking
@@ -315,6 +316,115 @@ def test_stroll_search_on_a_long_path():
                                                     False)
 
 
+def _product_rules(rules):
+    """The rules with the factor rule swapped for the product rule."""
+    return tuple(_StrollPrefix() if rule is _factor_free else rule
+                 for rule in rules)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("make_graph,ns", [(path_graph, range(1, 24)),
+                                           (cycle_graph, range(3, 17))],
+                         ids=["P1-P23", "C3-C16"])
+def test_factor_rule_prunes_as_the_product_rule(make_graph, ns, k):
+    """With k <= 3 the stroll search prunes by the forbidden factors of the
+    symmetry word, and the product rule in its place yields the same
+    colorings after trying the same colors."""
+    for n in ns:
+        g = make_graph(n)
+        rules = _prefix_rules(g, "stroll", k)
+        assert rules[-1] is _factor_free
+        by_word = Colorings(g, k, rules)
+        by_product = Colorings(g, k, _product_rules(rules))
+        assert [c.colors for c in by_word] == [c.colors for c in by_product]
+        assert by_word.nodes == by_product.nodes, n
+
+
+def test_stroll_rule_by_k():
+    """The factor rule for k <= 3 on lines, the product rule from k = 4,
+    neither off lines."""
+    g = path_graph(8)
+    assert _prefix_rules(g, "stroll", 1) == (_proper, _factor_free)
+    assert _prefix_rules(cycle_graph(8), "stroll", 3) == (
+        _proper, _closing_squares, _factor_free)
+    proper, product = _prefix_rules(g, "stroll", 4)
+    assert proper is _proper and isinstance(product, _StrollPrefix)
+    assert _prefix_rules(figure1_fixture()[0], "stroll", 3) == (_proper,)
+
+
+def _factor_verdict(colors):
+    """True iff _factor_free passes the arc at every depth, as Colorings
+    calls it, each arc read reversed."""
+    rev = [""] * (len(colors) + 1)
+    for depth, col in enumerate(colors):
+        rev[depth] = chr(col) + rev[depth - 1]
+        if not _factor_free(None, None, None, None, rev, depth):
+            return False
+    return True
+
+
+def _proper_three_colorings(n):
+    for first in (1, 2, 3):
+        for steps in itertools.product((1, 2), repeat=n - 1):
+            cols = [first]
+            for step in steps:
+                cols.append((cols[-1] + step - 1) % 3 + 1)
+            yield tuple(cols)
+
+
+def test_factor_verdict_is_the_stroll_decider():
+    """On every proper coloring over 1..3 of P1..P13, and on every renaming
+    of the decodings of the 169 factor-free words, the factor rule passes
+    the arc iff holds finds no repetitive stroll."""
+    words, _ = enumerate_h_free(25)
+    assert len(words) == 169
+    decoded = [decode_sa(w, "path").colors for w in words]
+    cases = [cols for n in range(1, 14) for cols in _proper_three_colorings(n)]
+    cases += [tuple(rename[col - 1] for col in cols) for cols in decoded
+              for rename in itertools.permutations((1, 2, 3))]
+    free = 0
+    for cols in cases:
+        verdict = _factor_verdict(cols)
+        assert verdict == holds(path_graph(len(cols)), Coloring(cols, 3),
+                                "stroll"), cols
+        free += verdict
+    assert len(cases) == 24573 + 6 * 169 and free > 6 * 169
+
+
+def test_walk_leaves_on_cycles_agree_with_the_labelling():
+    """Every leaf the walk searches of C3..C34 yield, as solve runs them:
+    final_check's verdict, Barát and Wood's characterisation, equals the
+    product labelling's."""
+    leaves, solved = 0, 0
+    for n in range(3, 35):
+        g = cycle_graph(n)
+        for k in range(1, 6):
+            cert = None
+            for c in Colorings(g, k, _prefix_rules(g, "walk", k)):
+                leaves += 1
+                fast = decide.is_walk_nonrepetitive_cycle_fast(g, c)
+                assert fast == final_check(g, c, "walk")
+                assert fast == holds(g, c, "walk"), c.colors
+                if fast:
+                    cert = c
+                    break
+            if cert is not None:
+                solved += 1
+                break
+    # distance-2 and the closing rule leave only accepted leaves here
+    assert leaves == solved == 32
+
+
+def test_walk_leaves_on_cycles_skip_the_labelling(monkeypatch):
+    def labelling(g, c, property):
+        raise AssertionError("holds called on a walk leaf of a cycle")
+
+    monkeypatch.setattr(decide, "holds", labelling)
+    assert solve(cycle_graph(22), "walk", 4).value == 4
+    with pytest.raises(AssertionError, match="walk leaf"):
+        solve(path_graph(6), "walk", 4)
+
+
 def _column_boxes(word):
     """{w: [greatest first, least second]} of the product component of each
     state (w, d), d the last position, with a move to column d - 1, from a
@@ -381,7 +491,7 @@ def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k, prefix):
         return verdict
 
     g = make_graph(n)  # the rule before pruning: properness
-    rules = (*_prefix_rules(g, "stroll")[:1], checked)
+    rules = (*_prefix_rules(g, "stroll", k)[:1], checked)
     fixed = tuple(map(int, prefix))
     order, colors = list(g.line), [0] * n
     word, rev = [0] * (n + 1), [""] * (n + 1)  # word[-1], rev[-1]: empty arc
@@ -664,7 +774,7 @@ def test_closing_window_then_whole_word(n, monkeypatch):
     t = [bin(i).count("1") % 2 for i in range(n + 1)]
     thue = [t[i] - t[i + 1] + 2 for i in range(n)]
     g = cycle_graph(n)
-    rules = _prefix_rules(g, "path")
+    rules = _prefix_rules(g, "path", 3)
     open_ = Colorings(g, 3, tuple(r for r in rules if r is not _closing_squares),
                       prefix=thue[:n - 20])
     closed = Colorings(g, 3, rules, prefix=thue[:n - 20])

@@ -6,9 +6,10 @@ even base cycle carrying a path-nonrepetitive 3-coloring, with the new
 vertices colored 4.  The base is Thue's square-free word with a searched
 tail that closes the cycle.  Stroll certificates for paths up to 21
 vertices come from one word, lemma 5's longest symmetry word decoded.
-Each certificate is checked once (_self_check): sigma's for walks on C_n
-by Barát and Wood's characterization, which covers it as the stroll
-certificate of P_n and C_n, n >= 22; the other words by decide.holds.
+Each certificate is checked once (_self_check), by search.final_check:
+sigma's for walks on C_n by Barát and Wood's characterization, which
+covers it as the stroll certificate of P_n and C_n, n >= 22; the other
+words by decide.holds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import decide, saseq, search
+from . import saseq, search
 from .model import (
     Coloring,
     Graph,
@@ -97,10 +98,9 @@ def _require(ok: bool, fact: str) -> None:
 
 
 def _self_check(g: Graph, coloring: Coloring, prop: str) -> None:
-    """Raise unless coloring is prop-nonrepetitive on g: walks on a cycle by
-    decide.is_walk_nonrepetitive_cycle_fast, strolls by decide.holds."""
-    if not (decide.is_walk_nonrepetitive_cycle_fast(g, coloring)
-            if prop == "walk" else decide.holds(g, coloring, prop)):
+    """Raise unless coloring is prop-nonrepetitive on g, by the verdict the
+    search gives its leaves (search.final_check)."""
+    if not search.final_check(g, coloring, prop):
         raise RuntimeError("constructed coloring failed self-verification")
 
 

@@ -136,7 +136,7 @@ def enumerate_h_free(max_len: int):
         for w in by_length[length - 1]:
             for letter in "AS":
                 ext = w + letter
-                if not any(ext.endswith(h) for h in FORBIDDEN_WORDS):
+                if not ext.endswith(FORBIDDEN_WORDS):
                     cur.append(ext)
         if not cur:
             break

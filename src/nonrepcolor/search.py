@@ -4,35 +4,33 @@ Symmetry breaking: color j may be introduced only after colors 1..j-1 have
 appeared (all three properties are invariant under color permutation).
 A fixed prefix sits beside it in Colorings, as a color skip, not a rule:
 it prunes by fiat, and must introduce its colors in ascending order.
-Pruning uses only facts inherited by colored prefixes: proper edges and
-the distance-2 constraint (walk property), both color skips on paths and
-cycles, not rule calls: the new vertex's color against the colors one and
-two positions back along the line and, near closing a cycle, against the
-first ones; repetitive contiguous even segments inside the colored arc
-(paths and cycles are colored along Graph.line), and for the stroll
-property repetitive strolls inside the colored arc, read as a path.  The
-last two rules are incremental: the shorter prefix already passed, so
-they look only at what the newly colored vertex can close: the suffix
-squares, by one regex match on the reversed color word that Colorings
-keeps, and the repetitive strolls through that vertex.  With k <= 3 the
-arc is a proper 3-coloring, which has a repetitive stroll iff its {S, A}
-symmetry word holds a forbidden factor (saseq; lemma 4 gives each factor
-a stroll, lemma 5's factor-free words have none), so the stroll rule is
-one startswith of the reversed arc against the factors' color strings
-(_factor_free).  It prunes exactly the arcs the product rule below does,
-node for node.  With k >= 4 no such word exists and the product states
-through the new vertex are read (_StrollPrefix).  On a
-properly colored arc each product component projects onto two intervals
-of positions, so whether it accepts is read off two ints, its greatest
-first and least second, kept per column: the states (w, d) of position d
-linked to column d - 1 share their component's box, built from column
-d - 1's boxes by the call at depth d, so the structure describes the arc
-as it is colored now with nothing to undo and no hook in Colorings.  On a
-cycle, every search also rejects a completed coloring whose circular color
-word holds a square, through the closing edge included, by a regex match
-on the colors near the last vertex, then on the whole word read from the
-seam, twice round (decide._square_free_line): a repetitive simple path is
-a repetitive stroll and a nonboring walk.
+Pruning uses only facts inherited by colored prefixes.  Proper edges and
+the distance-2 constraint (walk property) are color skips in Colorings,
+not rules.  Every rule is a function of the reversed arc alone (paths and
+cycles are colored along Graph.line), and incremental: the shorter prefix
+passed, so it looks only at what the newly colored vertex can close: a
+suffix square, by one regex match at the start of the reversed arc, or a
+repetitive stroll through that vertex inside the arc, read as a path.
+With k <= 3 the arc is a proper 3-coloring, which has a repetitive stroll
+iff its {S, A} symmetry word holds a forbidden factor (saseq; lemma 4
+gives each factor a stroll, lemma 5's factor-free words have none), so
+the stroll rule is one startswith of the reversed arc against the
+factors' color strings (_factor_free).  It prunes exactly the arcs the
+product rule below does, node for node.  With k >= 4 no such word exists
+and the product states through the new vertex are read (_StrollPrefix).
+On a properly colored arc each product component projects onto two
+intervals of positions, so whether it accepts is read off two ints, its
+greatest first and least second, kept per column: the states (w, d) of
+position d linked to column d - 1 share their component's box, built from
+column d - 1's boxes by the call on the arc of d + 1 colors, so the
+structure describes the arc as it is colored now with nothing to undo and
+no hook in Colorings.  On a cycle, every search also rejects a completed
+coloring whose circular color word holds a square, through the closing
+edge included, by a regex match on the colors near the last vertex, then
+on the whole word read from the seam, twice round
+(decide._square_free_line): a repetitive simple path is a repetitive
+stroll and a nonboring walk.  Colorings spots this rule by identity, to
+call it at the last vertex only.
 Completed colorings are always re-checked by final_check: decide.holds,
 the product labelling, which shares nothing with the stroll rules, or for
 walks on a cycle Barát and Wood's characterisation.
@@ -136,30 +134,14 @@ class BudgetExhausted(RuntimeError):
     """A search stopped at its node budget; no claim can be made."""
 
 
-# Prefix rules: rule(g, order, colors, word, rev, depth) tests the color of
-# order[depth] against the colored prefix (Colorings keeps word and rev);
-# True = keep descending.  Each uses only facts inherited by colored prefixes.
-
-def _proper(g, order, colors, word, rev, depth):
-    # proper edges (all properties imply properness for t=1 witnesses,
-    # except the path property on a 1-edge repetitive path - same test)
-    v = order[depth]
-    col = colors[v]
-    for w in g.neighbors(v):
-        if colors[w] == col:
-            return False
-    return True
-
-
-def _distance2(g, order, colors, word, rev, depth):
-    # distance-2: v against colored vertices two steps away
-    v = order[depth]
-    col = colors[v]
-    for x in g.neighbors(v):
-        for w in g.neighbors(x):
-            if w != v and colors[w] == col:
-                return False
-    return True
+# Prefix rules: rule(arc) tests the reversed color word of the colored
+# prefix, arc[0] the color of order[len(arc) - 1], the newest; True = keep
+# descending.  Each uses only facts inherited by colored prefixes.  _proper
+# and _distance2 are not rules but markers in rules, which Colorings applies
+# as color skips: proper edges (all properties imply properness for t=1
+# witnesses, except the path property on a 1-edge repetitive path - same
+# test), and the distance-2 constraint of the walk property.
+_proper, _distance2 = "proper", "distance-2"
 
 
 # DOTALL because color 10 is "\n"; chr, not bytes, keeps colors above 255.
@@ -167,19 +149,19 @@ def _distance2(g, order, colors, word, rev, depth):
 _SQUARE_START = re.compile(r"(..+?)\1", re.DOTALL).match
 
 
-def _suffix_squares(g, order, colors, word, rev, depth):
-    # a square at the start of the reversed arc ends at depth: its last t
-    # colors repeat the t before them, t >= 2 (t = 1 is _proper's)
-    return _SQUARE_START(rev[depth]) is None
+def _suffix_squares(arc):
+    # a square at the start of the reversed arc ends at the newest vertex:
+    # its last t colors repeat the t before them, t >= 2 (t = 1 is _proper's)
+    return _SQUARE_START(arc) is None
 
 
-def _closing_squares(g, order, colors, word, rev, depth):
+def _closing_squares(arc):
     """No square in the circular color word, through the closing edge too.
 
     Colorings calls it at the last vertex only; the arc without that
     vertex passed the other rules, so a square left holds it, and most
-    are short.  So on n >= 32 the 31 colors within 15 of it, arc[-15:] +
-    arc[:16] of the reversed arc rev[depth], are matched first for a
+    are short.  So on n = len(arc) >= 32 the 31 colors within 15 of it,
+    arc[-15:] + arc[:16] of the reversed arc, are matched first for a
     square of half-length at most 8 through letter 15, which starts at
     one of their first 16 letters (decide._squares): they are distinct
     vertices, so one found there is on the cycle.  Only then is the whole
@@ -187,25 +169,24 @@ def _closing_squares(g, order, colors, word, rev, depth):
     letters before the seam, so that a square through it is met within
     about 15 starts; a rotation or reversal of a square is a square.
     """
-    arc = rev[depth]
-    if g.n >= 32 and _squares(16)(arc[-15:] + arc[:16]):
+    if len(arc) >= 32 and _squares(16)(arc[-15:] + arc[:16]):
         return False
     return _square_free_line(arc[-15:] + arc[:-15], True)
 
 
-def _factor_free(g, order, colors, word, rev, depth):
+def _factor_free(arc):
     # a proper 3-colored arc has a repetitive stroll iff its symmetry word
-    # holds a forbidden factor (lemmas 4 and 5); the arc before depth
-    # passed, so a factor left holds the newest letter: its colors, read
-    # back from depth, start the reversed arc
-    return not rev[depth].startswith(FORBIDDEN_ARCS)
+    # holds a forbidden factor (lemmas 4 and 5); the arc before the newest
+    # vertex passed, so a factor left holds the newest letter: its colors,
+    # read back from the newest, start the reversed arc
+    return not arc.startswith(FORBIDDEN_ARCS)
 
 
 class _StrollPrefix:
     """The stroll rule: no repetitive stroll inside the colored arc.
 
-    The arc order[:depth + 1] is an induced path, so a repetitive stroll in
-    it is one in g.  Its product states are the color-matched positions
+    The colored arc is an induced path, so a repetitive stroll in it is one
+    in g.  Its product states are the color-matched positions
     (x, y), x < y: decide.accepting_starts reads the mirrors (y, x) alike,
     and on a properly colored arc no move reaches the diagonal.  Each move
     shifts each coordinate by one, so a component projects onto two
@@ -213,31 +194,31 @@ class _StrollPrefix:
     iff its least second is at most its greatest first + 1 (x < y bounds
     the other two ends).
 
-    A move joins column y (the states (x, y)) only to columns y +- 1, so
-    the rule keeps per-column summaries of the arc's components.  Column d
-    is a dict {w: box} over the states (w, d) with a move to column d - 1,
-    found by the color bigram of positions d - 1, d in rev[d]; a box is
-    [greatest first, least second] of the component, shared by the
-    column's states in it, and a state absent from the dict is a
-    singleton.  The call at depth d reads column d - 1 and writes column d:
-    an old box is copied once per component per column (keyed by the box,
-    or by position for a singleton), and a state with both moves, (w, d)
-    for a fold w, joins two copies; the dead one forwards to the live one
-    until the column is settled; (w, d) linked to (w + 1, d - 1) raises no
-    greatest first, as its box holds w + 1.  The prefix passed, so only
-    what joins the new column can make a component accept.  Column d - 1
-    was written by the last call at depth d - 1, which passed for its
-    current color, since the search descends only then, so nothing is
-    logged or undone.
+    A move joins column y (the states (x, y)) only to columns y +- 1, so the
+    rule keeps per-column summaries of the arc's components.  Column d is a
+    dict {w: box} over the states (w, d) with a move to column d - 1, found
+    by the color bigram of positions d - 1, d in the arc; a box is [greatest
+    first, least second] of the component, shared by the column's states in
+    it, and a state absent from the dict is a singleton.  The call at depth
+    d, on an arc of d + 1 colors, reads column d - 1 and writes column d: an
+    old box is copied once per component per column (keyed by the box, or by
+    position for a singleton), and a state with both moves, (w, d) for a
+    fold w, joins two copies; the dead one forwards to the live one until
+    the column is settled; (w, d) linked to (w + 1, d - 1) raises no
+    greatest first, as its box holds w + 1.  The prefix passed, so only what
+    joins the new column can make a component accept.  Column d - 1 was
+    written by the last call at depth d - 1, which passed for its current
+    color, since the search descends only then, so nothing is logged or
+    undone.
     """
 
     def __init__(self):
         self.cols = {-1: {}}  # depth -> {w: box}, as colored last
 
-    def __call__(self, g, order, colors, word, rev, depth):
-        prev, col, copies = self.cols[depth - 1], {}, {}
+    def __call__(self, arc):
+        depth = len(arc) - 1  # arc[i]: the color of position depth - i
+        prev, col, copies, merged = self.cols[depth - 1], {}, {}, False
         self.cols[depth] = col
-        arc, merged = rev[depth], False  # arc[i]: the color of depth - i
         # word[w - 1:w + 1] == word[d - 1:d + 1] links (w, d) to (w - 1, d - 1):
         # arc.find gives i = d - w, past the bigram itself, so w descends and
         # a box's first link sets its greatest first
@@ -292,7 +273,7 @@ class _StrollPrefix:
 
 
 def _prefix_rules(g: Graph, property: str, k: int) -> tuple:
-    """The proper-edge rule, then the pruning rules the property allows.
+    """The proper-edge skip, then the skip and rules the property allows.
 
     A stroll search on a path or cycle prunes by _factor_free with k <= 3,
     where the arc is a proper 3-coloring and the forbidden factors of its
@@ -302,14 +283,16 @@ def _prefix_rules(g: Graph, property: str, k: int) -> tuple:
     are the same under either.
     """
     linear = g.line is not None
-    return tuple(rule for rule, wanted in (
-        (_proper, True),
-        (_distance2, property == "walk"),
-        (_suffix_squares, linear and property != "stroll"),
-        (_closing_squares, g.shape == "cycle"),
-        (_factor_free, linear and property == "stroll" and k <= 3),
-        (_StrollPrefix(), linear and property == "stroll" and k > 3),
-    ) if wanted)
+    rules = [_proper]
+    if property == "walk":
+        rules.append(_distance2)
+    if linear and property != "stroll":
+        rules.append(_suffix_squares)
+    if g.shape == "cycle":
+        rules.append(_closing_squares)
+    if linear and property == "stroll":
+        rules.append(_factor_free if k <= 3 else _StrollPrefix())
+    return tuple(rules)
 
 
 class Colorings:
@@ -319,19 +302,18 @@ class Colorings:
     is broken: color j is introduced only after colors 1..j-1 have
     appeared.  The fixed prefix gives order[depth] the color prefix[depth]
     while depth < len(prefix): every other color is tried, counted and
-    passed over after the line skips below.  `nodes` counts the colors
-    tried so far; trying one more than node_budget raises BudgetExhausted.
-    On a path or cycle, _proper and _distance2 among the rules are color
-    skips instead of rule calls: a color equal to the previous vertex's
-    (or, closing a cycle, to the first's), or for _distance2 to that of the
-    vertex two back (or, at the last two vertices of a cycle, to that of
-    the vertex two ahead round the closing edge), is tried and counted,
-    then passed over.  Off lines both stay rules.  _closing_squares among
-    the rules is called at the last vertex of a cycle only.
+    passed over after the skips below.  `nodes` counts the colors tried so
+    far; trying one more than node_budget raises BudgetExhausted.
+    _proper and _distance2 among the rules are color skips: a color that
+    order[depth] shares with a colored neighbor, or for _distance2 with a
+    colored vertex two steps away, is tried and counted, then passed over.
+    _closing_squares among the rules is called at a cycle's last vertex
+    only.
 
-    The rules read the arc's color word: word[depth] = colors[order[depth]]
-    and rev[depth] = chr(word[depth]) + rev[depth - 1], the reversed arc as
-    one string, where a suffix square is one C-level regex match at the start.
+    Every other rule is called as rule(arc) on the reversed arc, rev[depth]
+    = chr(word[depth]) + rev[depth - 1] with word[depth] =
+    colors[order[depth]], one string, where a suffix square is one C-level
+    regex match at the start.
     """
 
     def __init__(self, g: Graph, k: int, rules: tuple = (),
@@ -345,18 +327,28 @@ class Colorings:
         g, k, n, rules = self.g, self.k, self.g.n, self.rules
         budget, prefix, fixed = self.node_budget, self.prefix, len(self.prefix)
         order = _vertex_order(g)
-        # on a line, _proper and _distance2 are color skips: order[depth]
-        # differs from order[depth - 1] and, closing a cycle, from order[0];
-        # for _distance2 also from order[depth - 2] and, within 2 of closing
-        # a cycle, from order[depth - (n - 2)]
+        proper, dist2 = _proper in rules, _distance2 in rules
+        rules = tuple(rule for rule in rules
+                      if rule is not _proper and rule is not _distance2)
+        # on a line order[depth] differs from order[depth - 1] and, closing a
+        # cycle, from order[0]; for _distance2 also from order[depth - 2]
+        # and, within 2 of closing a cycle, from order[depth - (n - 2)]
         linear = g.line is not None
-        skip = linear and _proper in rules
-        skip2 = linear and _distance2 in rules
-        if linear:
-            rules = tuple(rule for rule in rules
-                          if rule is not _proper and rule is not _distance2)
+        skip, skip2 = linear and proper, linear and dist2
         closing = n - 1 if g.shape == "cycle" else -1
         wrap = n - 2 if g.shape == "cycle" else n  # no depth reaches n
+        # off lines, by depth: the vertices colored before order[depth]
+        # that it must differ from
+        near = None
+        if not linear and (proper or dist2):
+            near, seen = [], set()
+            for v in order:
+                reach = set(g.neighbors(v)) if proper else set()
+                if dist2:
+                    reach.update(w for x in g.neighbors(v)
+                                 for w in g.neighbors(x) if w != v)
+                near.append(tuple(reach & seen))
+                seen.add(v)
         rules_at = [tuple(rule for rule in rules
                           if rule is not _closing_squares)] * n
         if closing >= 0:
@@ -391,12 +383,14 @@ class Colorings:
             if skip2 and (depth > 1 and col == word[depth - 2]
                           or depth >= wrap and col == word[depth - wrap]):
                 continue
+            if near and col in map(colors.__getitem__, near[depth]):
+                continue
             if depth < fixed and col != prefix[depth]:
                 continue
             word[depth] = col
-            rev[depth] = chr(col) + rev[depth - 1]
+            rev[depth] = arc = chr(col) + rev[depth - 1]
             for rule in rules_at[depth]:
-                if not rule(g, order, colors, word, rev, depth):
+                if not rule(arc):
                     break
             else:
                 tops[depth + 1] = top + (col == top < k)  # a new color

@@ -167,8 +167,8 @@ _NON_LINE_GRAPHS = {
 
 
 def _non_line_agreement(g):
-    """solve on a graph that is no path or cycle, where the rules are
-    _proper and _distance2 calls over the BFS order, against the unpruned
+    """solve on a graph that is no path or cycle, where _proper and
+    _distance2 are color skips over the BFS order, against the unpruned
     enumeration; on at most 7 vertices the certificate also passes the
     oracle, to every half-length for path, to 3 for stroll and walk."""
     assert g.shape == "graph"
@@ -355,10 +355,10 @@ def test_stroll_rule_by_k():
 def _factor_verdict(colors):
     """True iff _factor_free passes the arc at every depth, as Colorings
     calls it, each arc read reversed."""
-    rev = [""] * (len(colors) + 1)
-    for depth, col in enumerate(colors):
-        rev[depth] = chr(col) + rev[depth - 1]
-        if not _factor_free(None, None, None, None, rev, depth):
+    arc = ""
+    for col in colors:
+        arc = chr(col) + arc
+        if not _factor_free(arc):
             return False
     return True
 
@@ -463,7 +463,7 @@ def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k, prefix):
 
     The enumeration, a depth-first search in the order Colorings takes but
     without symmetry breaking, recolors each position with every color
-    1..k, after rejections by the rule itself and by _proper (at the
+    1..k, after rejections by the rule itself and by properness (at the
     closing edge too, on a cycle), so each column is rebuilt from the one
     before it, whatever the search left there; after each passing
     call the column holds each linked state's component box, as a search
@@ -475,14 +475,15 @@ def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k, prefix):
     """
     rule, calls, joins = _StrollPrefix(), [0] * n, [0]
 
-    def checked(g, order, colors, word, rev, depth):
+    def checked(arc):
+        depth, word = len(arc) - 1, [ord(ch) for ch in reversed(arc)]
         before = rule.cols[depth - 1]  # the call reads it and writes only depth's
-        verdict = rule(g, order, colors, word, rev, depth)
-        arc = Coloring.from_colors(word[:depth + 1])
-        assert verdict == holds(path_graph(depth + 1), arc, "stroll"), arc
+        verdict = rule(arc)
+        colored = Coloring.from_colors(word)
+        assert verdict == holds(path_graph(depth + 1), colored, "stroll"), colored
         calls[depth] += 1
         if verdict:
-            assert rule.cols[depth] == _column_boxes(word[:depth + 1]), arc
+            assert rule.cols[depth] == _column_boxes(word), colored
             for w in range(1, depth - 2):
                 if word[w] == word[depth] and (
                         word[w - 1] == word[depth - 1] == word[w + 1]):
@@ -490,26 +491,27 @@ def test_stroll_rule_matches_decider_after_every_undo(make_graph, n, k, prefix):
                     joins[0] += left is None or left is not right
         return verdict
 
-    g = make_graph(n)  # the rule before pruning: properness
-    rules = (*_prefix_rules(g, "stroll", k)[:1], checked)
+    g = make_graph(n)  # the skip before pruning: properness
+    assert _prefix_rules(g, "stroll", k)[0] is _proper
     fixed = tuple(map(int, prefix))
-    order, colors = list(g.line), [0] * n
-    word, rev = [0] * (n + 1), [""] * (n + 1)  # word[-1], rev[-1]: empty arc
+    word, rev = [0] * n, [""] * (n + 1)  # rev[-1]: the empty arc
 
     def leaves(depth):
-        """The colorings of order[depth:] that every rule passes, each
-        color 1..k tried at each depth, as Colorings calls the rules."""
+        """The colorings of g.line[depth:] that properness and the rule
+        pass, each color 1..k tried at each depth, as Colorings tries them."""
         if depth == n:
             return 1
-        found, v = 0, order[depth]
+        found = 0
         for col in range(1, k + 1):
             if depth < len(fixed) and col != fixed[depth]:
                 continue  # the fixed prefix, skipped as Colorings skips it
-            colors[v] = word[depth] = col
+            if depth and col == word[depth - 1] or (
+                    depth == n - 1 and g.shape == "cycle" and col == word[0]):
+                continue  # an improper edge, the closing one included
+            word[depth] = col
             rev[depth] = chr(col) + rev[depth - 1]
-            if all(rule(g, order, colors, word, rev, depth) for rule in rules):
+            if checked(rev[depth]):
                 found += leaves(depth + 1)
-        colors[v] = 0  # undone: uncolored for _proper
         return found
 
     assert leaves(0) > 0 and all(calls)
@@ -584,19 +586,16 @@ def test_path_search_node_counts(n, digits, nodes):
             r.exhausted_k, r.aborted) == (3, digits, nodes, [1, 2], False)
 
 
-def _slice_suffix_squares(g, order, colors, word, rev, depth):
+def _slice_suffix_squares(arc):
     """Reference: compare list slices for every half-length t >= 2."""
-    pref = [colors[order[i]] for i in range(depth + 1)]
+    pref = [ord(ch) for ch in reversed(arc)]
     return all(pref[-2 * t:-t] != pref[-t:]
-               for t in range(2, (depth + 1) // 2 + 1))
+               for t in range(2, len(pref) // 2 + 1))
 
 
 def _arc(word):
-    """The word and reversed-arc stack Colorings keeps after coloring word."""
-    rev = [""] * (len(word) + 1)
-    for depth, col in enumerate(word):
-        rev[depth] = chr(col) + rev[depth - 1]
-    return list(word), rev
+    """The reversed arc Colorings keeps after coloring word."""
+    return "".join(map(chr, reversed(word)))
 
 
 def test_suffix_squares_matches_slice_loop():
@@ -607,7 +606,6 @@ def test_suffix_squares_matches_slice_loop():
     order 1, 2, 3 stand for all of them.  They are walked depth first, with
     the word and reversed-arc stack kept as Colorings keeps them.
     """
-    order = range(12)
     word, rev = [0] * 12, [""] * 13
     todo = [(0, 1, 1)]  # (depth, color, largest color on word[:depth + 1])
     visited, wrong = 0, []
@@ -616,8 +614,7 @@ def test_suffix_squares_matches_slice_loop():
         word[depth] = col
         rev[depth] = chr(col) + rev[depth - 1]
         visited += 1
-        if (_suffix_squares(None, order, word, word, rev, depth)
-                != _slice_suffix_squares(None, order, word, word, rev, depth)):
+        if _suffix_squares(rev[depth]) != _slice_suffix_squares(rev[depth]):
             wrong.append(word[:depth + 1])
         if depth < 11:
             todo += [(depth + 1, c, max(top, c))
@@ -637,14 +634,14 @@ def test_suffix_squares_matches_slice_loop():
     ((1, 300, 301, 300, 301), False),
 ])
 def test_suffix_squares_large_colors(word, square_free):
-    args = (None, range(len(word)), word, *_arc(word), len(word) - 1)
-    assert _slice_suffix_squares(*args) == square_free
-    assert _suffix_squares(*args) == square_free
+    assert _slice_suffix_squares(_arc(word)) == square_free
+    assert _suffix_squares(_arc(word)) == square_free
 
 
 @pytest.mark.parametrize("make_graph", [path_graph, cycle_graph])
 def test_suffix_squares_follows_relabelled_line(make_graph):
-    """On P7 or C7 laid out 1-6-3-5-2-0-4 the word follows g.line."""
+    """On P7 or C7 laid out 1-6-3-5-2-0-4 the word follows g.line: the
+    leaves are the proper colorings square-free along it."""
     g = _on_line(make_graph, (1, 6, 3, 5, 2, 0, 4))
     assert list(g.line) != list(range(7))
     runs = []
@@ -652,6 +649,10 @@ def test_suffix_squares_follows_relabelled_line(make_graph):
         colorings = Colorings(g, 3, (_proper, rule))
         runs.append(([c.colors for c in colorings], colorings.nodes))
     assert runs[0] == runs[1] and runs[0][0]
+    assert runs[0][0] == [
+        c.colors for c in Colorings(g, 3, (_proper,))
+        if holds(path_graph(7), Coloring.from_colors(c.sequence_of(g.line)),
+                 "path")]
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -667,11 +668,9 @@ def test_closing_squares_rejects_only_failing_colorings(n):
 
 
 def _closes(g, cols):
-    """_closing_squares on colors by vertex, given the word and reversed-arc
-    stack that Colorings keeps along g.line."""
-    order = list(g.line)
-    return _closing_squares(g, order, list(cols),
-                            *_arc([cols[v] for v in order]), g.n - 1)
+    """_closing_squares on colors by vertex, given the reversed arc that
+    Colorings keeps along g.line."""
+    return _closing_squares(_arc([cols[v] for v in g.line]))
 
 
 def _closing_verdicts_agree(g, colorings):
@@ -827,40 +826,124 @@ def test_rule_free_enumeration_counts(make_graph, ns):
             assert len(set(colorings)) == len(colorings)
 
 
-@pytest.mark.parametrize("make_graph,ns", [(path_graph, range(1, 9)),
-                                           (cycle_graph, range(3, 9))])
+# graphs with no path or cycle layout, where the skips read neighbor sets:
+# Figure 1's, K4, a star and three seeded graphs, one of them edgeless
+_OFF_LINE_SKIP_GRAPHS = [_NON_LINE_GRAPHS[name] for name in ("fig1", "K4", "star")]
+_OFF_LINE_SKIP_GRAPHS += _random_non_line_graphs(3, 35)
+
+
+def _off_line_graph(i):
+    return _OFF_LINE_SKIP_GRAPHS[i]
+
+
+def _proper_coloring(g, cols):
+    return all(cols[u] != cols[v] for u, v in g.edges)
+
+
+def _distance2_coloring(g, cols):
+    """No two vertices with a common neighbor share a color."""
+    return all(cols[u] != cols[w] for x in range(g.n)
+               for u, w in itertools.combinations(g.neighbors(x), 2))
+
+
+# Colorings(g, k, (_proper,)).nodes, k = 1..4, by the make_graph of the test
+# below, one row per n, as the rule call counted them before it became a skip
+_PROPER_NODES = {
+    "path_graph": [
+        (1, 1, 1, 1), (2, 3, 3, 3), (2, 5, 6, 6), (2, 7, 12, 13),
+        (2, 9, 24, 32), (2, 11, 48, 87), (2, 13, 96, 250), (2, 15, 192, 737)],
+    "cycle_graph": [
+        (2, 5, 6, 6), (2, 7, 12, 13), (2, 9, 24, 32), (2, 11, 48, 87),
+        (2, 13, 96, 250), (2, 15, 192, 737)],
+    "_off_line_graph": [
+        (2, 5, 387, 4378), (2, 5, 9, 10), (2, 9, 24, 32), (2, 7, 30, 61),
+        (6, 63, 185, 261), (2, 7, 15, 25)],
+}
+
+
+@pytest.mark.parametrize("make_graph,ns", [
+    (path_graph, range(1, 9)), (cycle_graph, range(3, 9)),
+    pytest.param(_off_line_graph, range(6), id="off-line")])
 def test_proper_skip_keeps_the_proper_colorings(make_graph, ns):
-    """On a line _proper is a color skip: it yields the proper colorings of
-    the rule-free enumeration, in its order, and counts the same nodes as
-    the same test called as a rule."""
-    for n in ns:
+    """_proper is a color skip, on a line and off it: it yields the proper
+    colorings of the rule-free enumeration, in its order, and counts the
+    nodes pinned above."""
+    for n, counts in zip(ns, _PROPER_NODES[make_graph.__name__], strict=True):
         g = make_graph(n)
-        for k in range(1, 5):
+        for k, count in zip(range(1, 5), counts):
             skip = Colorings(g, k, (_proper,))
-            called = Colorings(g, k, (lambda *args: _proper(*args),))
-            assert (list(skip), skip.nodes) == (list(called), called.nodes)
-            assert list(skip) == [
-                c for c in Colorings(g, k)
-                if all(c.colors[u] != c.colors[v] for u, v in g.edges)], (n, k)
+            assert list(skip) == [c for c in Colorings(g, k)
+                                  if _proper_coloring(g, c.colors)], (n, k)
+            assert skip.nodes == count, (n, k)
+
+
+# Colorings(g, k, (_distance2,)).nodes and (_proper, _distance2)'s, k = 1..5,
+# for P1..P9, C3..C10, P7 and C7 laid out 1-6-3-5-2-0-4, then the off-line
+# graphs, as the rule calls counted them before they became skips
+_DISTANCE2_NODES = {
+    "distance2": [
+        (1, 1, 1, 1, 1), (2, 3, 3, 3, 3), (3, 7, 8, 8, 8), (3, 11, 17, 18, 18),
+        (3, 15, 35, 44, 45), (3, 19, 71, 118, 131), (3, 23, 143, 336, 435),
+        (3, 27, 287, 986, 1575), (3, 31, 575, 2932, 5987),
+        (2, 5, 6, 6, 6), (3, 11, 17, 18, 18), (3, 13, 29, 37, 38),
+        (3, 15, 53, 92, 104), (3, 21, 119, 281, 369), (3, 27, 251, 842, 1357),
+        (3, 29, 479, 2445, 5085), (3, 31, 935, 7252, 19767),
+        (3, 23, 143, 336, 435), (3, 21, 119, 281, 369),
+        (2, 5, 198, 2922, 10342), (2, 5, 9, 10, 10), (3, 11, 26, 34, 35),
+        (3, 9, 23, 47, 57), (6, 63, 185, 261, 277), (2, 5, 9, 14, 20)],
+    "proper+distance2": [
+        (1, 1, 1, 1, 1), (2, 3, 3, 3, 3), (2, 5, 6, 6, 6), (2, 5, 9, 10, 10),
+        (2, 5, 12, 18, 19), (2, 5, 15, 34, 43), (2, 5, 18, 66, 112),
+        (2, 5, 21, 130, 316), (2, 5, 24, 258, 925),
+        (2, 5, 6, 6, 6), (2, 5, 9, 10, 10), (2, 5, 9, 14, 15),
+        (2, 5, 15, 30, 38), (2, 5, 18, 62, 102), (2, 5, 18, 110, 272),
+        (2, 5, 24, 222, 795), (2, 5, 27, 462, 2399),
+        (2, 5, 18, 66, 112), (2, 5, 18, 62, 102),
+        (2, 5, 9, 262, 1830), (2, 5, 9, 10, 10), (2, 5, 9, 14, 15),
+        (2, 5, 9, 22, 30), (6, 63, 185, 261, 277), (2, 5, 9, 14, 20)],
+}
 
 
 @pytest.mark.parametrize("rules", ["distance2", "proper+distance2"])
 def test_distance2_skip_keeps_the_rule_colorings(rules):
-    """On a line _distance2 is a color skip: it yields the colorings of the
-    same test called as a rule (wrapped, so Colorings cannot spot it), in
-    its order, and counts the same nodes; on P1..P9, C3..C10 and P7, C7
-    laid out 1-6-3-5-2-0-4, k = 1..5."""
+    """_distance2 is a color skip, on a line and off it: it yields the
+    colorings of the rule-free enumeration that pass distance-2 (and
+    properness, with _proper), in its order, and counts the nodes pinned
+    above; on P1..P9, C3..C10, P7 and C7 laid out 1-6-3-5-2-0-4 and the
+    off-line graphs, k = 1..5."""
     graphs = [path_graph(n) for n in range(1, 10)]
     graphs += [cycle_graph(n) for n in range(3, 11)]
     graphs += [_on_line(make, (1, 6, 3, 5, 2, 0, 4))
                for make in (path_graph, cycle_graph)]
+    graphs += _OFF_LINE_SKIP_GRAPHS
     first = (_proper,) if rules == "proper+distance2" else ()
-    for g in graphs:
-        for k in range(1, 6):
+    for g, counts in zip(graphs, _DISTANCE2_NODES[rules], strict=True):
+        for k, count in zip(range(1, 6), counts):
             skip = Colorings(g, k, (*first, _distance2))
-            called = Colorings(g, k, (*first, lambda *args: _distance2(*args)))
-            assert (list(skip), skip.nodes) == (list(called), called.nodes), (
-                g.line, k)
+            assert list(skip) == [
+                c for c in Colorings(g, k)
+                if _distance2_coloring(g, c.colors)
+                and (not first or _proper_coloring(g, c.colors))], (g.edges, k)
+            assert skip.nodes == count, (g.edges, k)
+
+
+@pytest.mark.parametrize("make_rule", [lambda: _suffix_squares,
+                                       lambda: _factor_free, _StrollPrefix],
+                         ids=["suffix", "factor", "product"])
+def test_wrapped_rule_prunes_as_the_rule(make_rule):
+    """Colorings calls every rule but _closing_squares as rule(arc) at
+    every depth, so a rule wrapped in a lambda, which it cannot recognise,
+    yields the same colorings after trying the same colors; on P1..P14 and
+    C3..C14, k = 3 and 4."""
+    graphs = [path_graph(n) for n in range(1, 15)]
+    graphs += [cycle_graph(n) for n in range(3, 15)]
+    for g in graphs:
+        for k in (3, 4):
+            rule, wrapped = make_rule(), make_rule()
+            plain = Colorings(g, k, (_proper, rule))
+            called = Colorings(g, k, (_proper, lambda arc: wrapped(arc)))
+            assert [c.colors for c in plain] == [c.colors for c in called]
+            assert plain.nodes == called.nodes, (g.n, k)
 
 
 @pytest.mark.parametrize("g,prop,k,digits,nodes", [
